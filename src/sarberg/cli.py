@@ -375,9 +375,7 @@ def _cmd_train_cnn(args) -> None:
     nn.write_history_csv(args.out / "history.csv", history)
 
     x_val = nn.prepare_inputs(net, val_set)
-    p_val = np.concatenate(
-        [net.forward(x_val[i : i + 256]).ravel() for i in range(0, x_val.shape[0], 256)]
-    )
+    p_val = net.forward(x_val).ravel()
     preds = {s.id: float(p) for s, p in zip(val_set, p_val)}
     summary = harness.metrics_summary(preds, _labels_of(val_set), _config_echo(resolved))
     harness.write_metrics_json(args.out / "metrics.json", summary)
@@ -401,9 +399,7 @@ def _load_model_predictor(model_path: Path):
         def predict_net(sset: data.SampleSet):
             imputed, _ = data.impute_incidence(sset)
             x = nn.prepare_inputs(net, imputed)
-            p = np.concatenate(
-                [net.forward(x[i : i + 256]).ravel() for i in range(0, x.shape[0], 256)]
-            )
+            p = net.forward(x).ravel()
             return {s.id: float(v) for s, v in zip(imputed, p)}
 
         return "cnn", predict_net

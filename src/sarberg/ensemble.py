@@ -256,9 +256,7 @@ def cnn_trainer(
             )
             filled_set = SampleSet(filled, provenance=sset.provenance)
             x = prepare_inputs(net, filled_set)
-            p = np.concatenate(
-                [net.forward(x[i : i + 256]).ravel() for i in range(0, x.shape[0], 256)]
-            )
+            p = net.forward(x).ravel()
             return {i: float(v) for i, v in zip(filled_set.ids(), p)}
 
         return predict

@@ -1,14 +1,15 @@
-"""Layer implementations: forward caches what backward needs, nothing more.
+"""Layer implementations.
 
-Activations are float64 NCHW (or NF after flatten). Every parameterized layer
-keeps parameters in `self.params` and writes gradients of the mean batch loss
-into `self.grads` during backward.
+Activations are NCHW (or NF after flatten) in the network's dtype, float32 or
+float64. A training-mode forward keeps what backward needs, nothing more; an
+evaluation-mode forward keeps nothing. Every parameterized layer keeps
+parameters in `self.params` and writes gradients of the mean batch loss into
+`self.grads` during backward.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
 
 
 def he_uniform(
@@ -49,6 +50,38 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     )
 
 
+# Output rows/cols that tap offset 0, 1, 2 reaches inside the image, and the
+# input rows/cols it reads there (output y reads input y + offset - 1).
+_TAP_DST = (slice(1, None), slice(None), slice(None, -1))
+_TAP_SRC = (slice(None, -1), slice(None), slice(1, None))
+
+
+def _conv3x3(x: np.ndarray, w: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
+    """Same-padded 3x3 cross-correlation of x (N, C, H, W) with w (O, C, 3, 3).
+
+    The nine-fold copy is made on the side with fewer channels. With C <= O
+    the input windows are gathered (`_im2col`, or `cols` when the caller
+    already has them) and contracted in one GEMM. Otherwise one GEMM maps
+    the C input channels to nine tap planes per output channel, and the
+    planes are added onto the O outputs at their shifts.
+    """
+    n, c, h, wd = x.shape
+    o = w.shape[0]
+    if c <= o:
+        cols = _im2col(x) if cols is None else cols
+        return (w.reshape(o, c * 9) @ cols).reshape(n, o, h, wd)
+    w_taps = w.transpose(2, 3, 0, 1).reshape(9 * o, c)
+    taps = (w_taps @ x.reshape(n, c, h * wd)).reshape(n, 3, 3, o, h, wd)
+    out = taps[:, 1, 1].copy()
+    for i in range(3):
+        for j in range(3):
+            if (i, j) != (1, 1):
+                out[:, :, _TAP_DST[i], _TAP_DST[j]] += taps[
+                    :, i, j, :, _TAP_SRC[i], _TAP_SRC[j]
+                ]
+    return out
+
+
 class Conv2d(Layer):
     """3x3 convolution, stride 1, zero 'same' padding."""
 
@@ -68,41 +101,47 @@ class Conv2d(Layer):
         else:
             weights = he_uniform(rng, (out_ch, in_ch, 3, 3), fan_in, dtype)
         self.params = {"W": weights, "b": np.zeros(out_ch, dtype=dtype)}
+        self._x: np.ndarray | None = None
         self._cols: np.ndarray | None = None
-        self._in_shape: tuple[int, ...] | None = None
 
     def forward(self, x, training, rng):
-        n, c, h, w = x.shape
-        if c != self.in_ch:
-            raise ValueError(f"conv expects {self.in_ch} channels, got {c}")
-        cols = _im2col(x)
-        wm = self.params["W"].reshape(self.out_ch, -1)
-        out = wm @ cols + self.params["b"][:, None]
-        self._cols = cols
-        self._in_shape = x.shape
-        return out.reshape(n, self.out_ch, h, w)
+        if x.shape[1] != self.in_ch:
+            raise ValueError(f"conv expects {self.in_ch} channels, got {x.shape[1]}")
+        cols = None
+        if training:
+            # dW contracts dout with the windows of the side that has fewer
+            # channels: those of x, which the gather path makes here anyway,
+            # or those of dout, which backward makes from dout and x.
+            if self.in_ch <= self.out_ch:
+                cols = _im2col(x)
+                self._x, self._cols = None, cols
+            else:
+                self._x, self._cols = x, None
+        out = _conv3x3(x, self.params["W"], cols)
+        out += self.params["b"][:, None, None]
+        return out
 
     def backward(self, dout):
-        n, c, h, w = self._in_shape
-        dout_m = dout.reshape(n, self.out_ch, h * w)
-        self.grads["W"] = (
-            np.matmul(dout_m, self._cols.transpose(0, 2, 1))
-            .sum(axis=0)
-            .reshape(self.out_ch, self.in_ch, 3, 3)
-        )
+        n, o, h, w = dout.shape
+        c = self.in_ch
+        dout_m = dout.reshape(n, o, h * w)
+        dcols = None
+        if self._cols is not None:
+            dw = np.matmul(dout_m, self._cols.transpose(0, 2, 1)).sum(axis=0)
+            self.grads["W"] = dw.reshape(o, c, 3, 3)
+        else:
+            # Windows of dout instead of x: entry (c, o, i, j) pairs x with
+            # dout shifted the opposite way, so the taps come out flipped.
+            # dx gathers from the same windows.
+            dcols = _im2col(dout)
+            x_m = self._x.reshape(n, c, h * w)
+            dw = np.matmul(x_m, dcols.transpose(0, 2, 1)).sum(axis=0)
+            self.grads["W"] = np.ascontiguousarray(
+                dw.reshape(c, o, 3, 3).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+            )
         self.grads["b"] = dout_m.sum(axis=(0, 2))
-        # dx: push window gradients back through im2col by accumulating the
-        # nine shifted slices into the padded image (stride-1 col2im).
-        wm = self.params["W"].reshape(self.out_ch, -1)
-        dout_flat = np.ascontiguousarray(dout_m.transpose(1, 0, 2)).reshape(
-            self.out_ch, n * h * w
-        )
-        dcols = (wm.T @ dout_flat).reshape(self.in_ch, 3, 3, n, h, w)
-        dxp = np.zeros((n, self.in_ch, h + 2, w + 2), dtype=dout.dtype)
-        for i in range(3):
-            for j in range(3):
-                dxp[:, :, i : i + h, j : j + w] += dcols[:, i, j].transpose(1, 0, 2, 3)
-        return dxp[:, :, 1 : h + 1, 1 : w + 1]
+        w_flip = self.params["W"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        return _conv3x3(dout, w_flip, dcols)
 
     def spec(self):
         return {"type": "conv2d", "in_ch": self.in_ch, "out_ch": self.out_ch}
@@ -111,7 +150,8 @@ class Conv2d(Layer):
 class Relu(Layer):
     def forward(self, x, training, rng):
         out = np.maximum(x, 0.0)
-        self._active = out > 0
+        if training:
+            self._active = out > 0
         return out
 
     def backward(self, dout):
@@ -121,35 +161,49 @@ class Relu(Layer):
         return {"type": "relu"}
 
 
+def _quads(x: np.ndarray) -> np.ndarray:
+    """Writable (N, C, H/2, 2, W/2, 2) view of x's 2x2 blocks; an odd
+    trailing row or column is left out."""
+    n, c, h, w = x.shape
+    s0, s1, s2, s3 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (n, c, h // 2, 2, w // 2, 2), (s0, s1, 2 * s2, s2, 2 * s3, s3)
+    )
+
+
 class MaxPool2(Layer):
     """2x2 max pooling with stride 2; odd trailing rows/cols are dropped.
 
-    Pooling runs as two strided comparisons (rows, then columns); ties route
-    the gradient to the earlier position only.
+    Ties route the gradient to one position: the left column wins, then
+    the top row. Training keeps three masks: bottom beats top in the left
+    column, in the right column, and right column beats left.
     """
 
     def forward(self, x, training, rng):
-        n, c, h, w = x.shape
-        h2, w2 = h // 2, w // 2
-        even_rows = x[:, :, 0 : 2 * h2 : 2, : 2 * w2]
-        odd_rows = x[:, :, 1 : 2 * h2 : 2, : 2 * w2]
-        self._row_sel = odd_rows > even_rows
-        row_max = np.where(self._row_sel, odd_rows, even_rows)
-        left = row_max[:, :, :, 0::2]
-        right = row_max[:, :, :, 1::2]
-        self._col_sel = right > left
-        self._in_shape = x.shape
-        return np.where(self._col_sel, right, left)
+        q = _quads(x)
+        left = np.maximum(q[:, :, :, 0, :, 0], q[:, :, :, 1, :, 0])
+        right = np.maximum(q[:, :, :, 0, :, 1], q[:, :, :, 1, :, 1])
+        out = np.maximum(left, right)
+        if training:
+            self._in_shape = x.shape
+            self._bottom_left = q[:, :, :, 1, :, 0] > q[:, :, :, 0, :, 0]
+            self._bottom_right = q[:, :, :, 1, :, 1] > q[:, :, :, 0, :, 1]
+            self._right = right > left
+        return out
 
     def backward(self, dout):
         n, c, h, w = self._in_shape
-        h2, w2 = h // 2, w // 2
-        drow = np.zeros((n, c, h2, 2 * w2), dtype=dout.dtype)
-        drow[:, :, :, 0::2] = np.where(self._col_sel, 0.0, dout)
-        drow[:, :, :, 1::2] = np.where(self._col_sel, dout, 0.0)
-        dx = np.zeros((n, c, h, w), dtype=dout.dtype)
-        dx[:, :, 0 : 2 * h2 : 2, : 2 * w2] = np.where(self._row_sel, 0.0, drow)
-        dx[:, :, 1 : 2 * h2 : 2, : 2 * w2] = np.where(self._row_sel, drow, 0.0)
+        dx = np.empty((n, c, h, w), dtype=dout.dtype)
+        dx[:, :, 2 * (h // 2) :] = 0.0
+        dx[:, :, :, 2 * (w // 2) :] = 0.0
+        q = _quads(dx)
+        # Each split sends dout to the winner and dout - dout = 0 elsewhere.
+        d_right = dout * self._right
+        d_left = dout - d_right
+        np.multiply(d_left, self._bottom_left, out=q[:, :, :, 1, :, 0])
+        np.subtract(d_left, q[:, :, :, 1, :, 0], out=q[:, :, :, 0, :, 0])
+        np.multiply(d_right, self._bottom_right, out=q[:, :, :, 1, :, 1])
+        np.subtract(d_right, q[:, :, :, 1, :, 1], out=q[:, :, :, 0, :, 1])
         return dx
 
     def spec(self):
@@ -187,7 +241,8 @@ class Dropout(Layer):
 
 class Flatten(Layer):
     def forward(self, x, training, rng):
-        self._in_shape = x.shape
+        if training:
+            self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout):
@@ -219,7 +274,8 @@ class Dense(Layer):
             raise ValueError(
                 f"dense expects (N, {self.in_features}), got {x.shape}"
             )
-        self._x = x
+        if training:
+            self._x = x
         return x @ self.params["W"] + self.params["b"]
 
     def backward(self, dout):
@@ -243,7 +299,8 @@ class Sigmoid(Layer):
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
         ex = np.exp(x[~pos])
         out[~pos] = ex / (1.0 + ex)
-        self._out = out
+        if training:
+            self._out = out
         return out
 
     def backward(self, dout, logit_grad: bool = False):
@@ -266,8 +323,10 @@ class Upsample2(Layer):
         return x.repeat(2, axis=2).repeat(2, axis=3)
 
     def backward(self, dout):
-        n, c, h, w = dout.shape
-        return dout.reshape(n, c, h // 2, 2, w // 2, 2).sum(axis=(3, 5))
+        q = _quads(dout)
+        return (q[:, :, :, 0, :, 0] + q[:, :, :, 0, :, 1]) + (
+            q[:, :, :, 1, :, 0] + q[:, :, :, 1, :, 1]
+        )
 
     def spec(self):
         return {"type": "upsample2"}
@@ -291,7 +350,8 @@ class PadTo(Layer):
             raise ValueError(
                 f"pad_to cannot shrink {h}x{w} to {self.height}x{self.width}"
             )
-        self._in_hw = (h, w)
+        if training:
+            self._in_hw = (h, w)
         if (h, w) == (self.height, self.width):
             return x
         return np.pad(

@@ -27,6 +27,11 @@ CHECKPOINT_FORMAT = "sarberg-net"
 CHECKPOINT_VERSION = 1
 # Fixed zip entry timestamp so checkpoints are byte-deterministic.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
+# Scenes per evaluation-mode pass. Small chunks keep the activations near the
+# cache and the peak memory low. The conv and pool layers compute each scene on
+# its own; the dense layers' BLAS calls may round differently with the row
+# count, so a scene's output can depend on its chunk in the last bits.
+EVAL_CHUNK = 32
 
 
 class Network:
@@ -54,14 +59,32 @@ class Network:
         self.normalize_angle: bool = True
         self.channel_mean: np.ndarray | None = None
         self.channel_std: np.ndarray | None = None
+        self._backward_ready = False
 
     def forward(self, x: np.ndarray, training: bool = False, rng=None) -> np.ndarray:
+        """Run x through every layer.
+
+        A training-mode forward keeps the state `backward` needs. An
+        evaluation-mode forward keeps none and runs EVAL_CHUNK scenes at a
+        time.
+        """
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4 or x.shape[1] != self.input_ch or x.shape[2:] != self.input_hw:
             raise ValueError(
                 f"expected input (N, {self.input_ch}, {self.input_hw[0]}, "
                 f"{self.input_hw[1]}), got {x.shape}"
             )
+        self._backward_ready = False
+        if not training and x.shape[0] > EVAL_CHUNK:
+            return np.concatenate(
+                [self._run(x[i : i + EVAL_CHUNK], False, None)
+                 for i in range(0, x.shape[0], EVAL_CHUNK)]
+            )
+        out = self._run(x, training, rng)
+        self._backward_ready = training
+        return out
+
+    def _run(self, x: np.ndarray, training: bool, rng) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x, training, rng)
         return x
@@ -69,13 +92,19 @@ class Network:
     def backward(self, dout: np.ndarray, logit_grad: bool = False) -> np.ndarray:
         """Backpropagate dout through every layer, last to first.
 
-        With logit_grad, dout is the loss gradient with respect to the input
-        of the trailing Sigmoid rather than its output.
+        Needs a training-mode forward just before. With logit_grad, dout is
+        the loss gradient with respect to the input of the trailing Sigmoid
+        rather than its output.
         """
         layers = self.layers[::-1]
+        if logit_grad and (not layers or not isinstance(layers[0], Sigmoid)):
+            raise ValueError("logit_grad needs a network that ends in Sigmoid")
+        if not self._backward_ready:
+            raise ValueError(
+                "backward needs a training-mode forward; an evaluation-mode "
+                "forward keeps no state"
+            )
         if logit_grad:
-            if not layers or not isinstance(layers[0], Sigmoid):
-                raise ValueError("logit_grad needs a network that ends in Sigmoid")
             dout = layers[0].backward(dout, logit_grad=True)
             layers = layers[1:]
         for layer in layers:

@@ -204,11 +204,6 @@ def accuracy(p, y, threshold: float = 0.5) -> float:
 # Training loops
 
 
-def _forward_batched(net: Network, x: np.ndarray, chunk: int = 256) -> np.ndarray:
-    outs = [net.forward(x[i : i + chunk]) for i in range(0, x.shape[0], chunk)]
-    return np.concatenate(outs, axis=0)
-
-
 def fit(
     net: Network, train: SampleSet, val: SampleSet, cfg: TrainConfig
 ) -> tuple[Network, History]:
@@ -262,8 +257,8 @@ def fit(
             _backprop_loss(net, p, yb)
             optimizer.step(lr)
 
-        p_tr = _forward_batched(net, x_train).ravel()
-        p_va = _forward_batched(net, x_val).ravel()
+        p_tr = net.forward(x_train).ravel()
+        p_va = net.forward(x_val).ravel()
         val_loss = loss_logloss(p_va, y_val)
         history.train_loss.append(loss_logloss(p_tr, y_train))
         history.val_loss.append(val_loss)
@@ -321,7 +316,7 @@ def fit_autoencoder(
             recon = net.forward(xb, training=True, rng=rng)
             _backprop_loss(net, recon, xb, "mse")
             optimizer.step(lr)
-        recon = _forward_batched(net, x, chunk=64)
+        recon = net.forward(x)
         epoch_mse = loss_mse(recon, x)
         losses.append(epoch_mse)
         lr = scheduler.update(epoch_mse)
@@ -344,14 +339,16 @@ def gradient_check(
     """Max relative error between backprop and central finite differences.
 
     Probes n_params randomly chosen parameters (all, if the net is smaller).
-    Runs in evaluation mode, so dropout must not be active anywhere. The
-    analytic side is the gradient `fit` trains on (`_backprop_loss`).
+    The analytic side is the gradient `fit` trains on (`_backprop_loss`),
+    after a training-mode forward with no random generator, so an active
+    dropout layer raises; the finite differences use evaluation-mode
+    forwards.
     """
     loss_fn = LOSSES[loss]
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
 
-    _backprop_loss(net, net.forward(x), y, loss)
+    _backprop_loss(net, net.forward(x, training=True), y, loss)
     analytic = net.gradients()
 
     entries = []

@@ -8,9 +8,11 @@ from sarberg.nn import (
     Conv2d,
     Dense,
     Flatten,
+    MaxPool2,
     Network,
     Relu,
     Sigmoid,
+    Upsample2,
     build_autoencoder,
     build_classifier,
     gradient_check,
@@ -97,12 +99,59 @@ class TestForward:
         assert np.all(out == 0.5)
 
     def test_conv_matches_nested_loop_oracle(self):
+        # Fewer input than output channels gathers windows; more scatters taps.
         rng = np.random.default_rng(5)
-        conv = Conv2d(1, 3, rng)
-        x = np.arange(25.0).reshape(1, 1, 5, 5)
-        got = conv.forward(x, False, None)
-        expect = naive_conv_same(x, conv.params["W"], conv.params["b"])
-        assert np.max(np.abs(got - expect)) < 1e-12
+        for in_ch, out_ch in [(1, 3), (1, 4), (4, 1), (4, 3)]:
+            conv = Conv2d(in_ch, out_ch, rng)
+            conv.params["b"] = rng.normal(size=out_ch)
+            x = np.arange(in_ch * 25.0).reshape(1, in_ch, 5, 5)
+            got = conv.forward(x, False, None)
+            expect = naive_conv_same(x, conv.params["W"], conv.params["b"])
+            assert np.max(np.abs(got - expect)) < 1e-12, (in_ch, out_ch)
+
+    @pytest.mark.parametrize("window,winner", [
+        ([[0.0, 0.0], [0.0, 0.0]], (0, 0)),
+        ([[1.0, 2.0], [2.0, 1.0]], (1, 0)),
+        ([[2.0, 1.0], [1.0, 2.0]], (0, 0)),
+    ])
+    def test_maxpool_tie_goes_left_then_top(self, window, winner):
+        pool = MaxPool2()
+        out = pool.forward(np.array(window).reshape(1, 1, 2, 2), True, None)
+        assert out[0, 0, 0, 0] == np.max(window)
+        grad = pool.backward(np.full((1, 1, 1, 1), 3.0))[0, 0]
+        expect = np.zeros((2, 2))
+        expect[winner] = 3.0
+        assert np.array_equal(grad, expect)
+
+    def test_maxpool_odd_trailing_row_and_col_get_zero_gradient(self):
+        pool = MaxPool2()
+        x = np.random.default_rng(6).normal(size=(2, 3, 5, 7)) + 10.0
+        out = pool.forward(x, True, None)
+        assert out.shape == (2, 3, 2, 3)
+        grad = pool.backward(np.ones_like(out))
+        assert np.all(grad[:, :, 4, :] == 0.0) and np.all(grad[:, :, :, 6] == 0.0)
+        assert np.all(grad[:, :, :4, :6].reshape(2, 3, 2, 2, 3, 2).sum(axis=(3, 5)) == 1.0)
+
+    def test_upsample_backward_is_block_sum(self):
+        dout = np.random.default_rng(7).normal(size=(2, 3, 6, 8))
+        got = Upsample2().backward(dout)
+        expect = dout.reshape(2, 3, 3, 2, 4, 2).sum(axis=(3, 5))
+        assert np.allclose(got, expect, rtol=0, atol=1e-14)
+
+    def test_chunked_eval_forward_matches_one_pass(self):
+        net = build_classifier(3, seed=9, dtype=np.float32)
+        x = np.random.default_rng(8).normal(size=(40, 3, 75, 75)).astype(np.float32)
+        one_pass = x
+        for layer in net.layers:
+            one_pass = layer.forward(one_pass, False, None)
+        # Dense layers' BLAS results depend on the row count in the last bits.
+        assert np.allclose(net.forward(x), one_pass, rtol=1e-5, atol=0)
+
+    def test_eval_forward_keeps_no_arrays(self):
+        net = tiny_classifier()
+        net.forward(np.ones((2, 2, 16, 16)))
+        for layer in net.layers:
+            assert not [k for k, v in vars(layer).items() if isinstance(v, np.ndarray)]
 
     def test_eval_forward_is_pure(self):
         net = build_classifier(2, seed=6)
@@ -140,15 +189,20 @@ class TestLoss:
 
 class TestBackward:
     def test_gradient_check_two_conv_toy_net(self):
-        rng = np.random.default_rng(10)
-        net = Network(
-            [Conv2d(1, 2, rng), Relu(), Conv2d(2, 1, rng), Flatten(),
-             Dense(36, 1, rng), Sigmoid()],
-            input_ch=1, input_hw=(6, 6), kind="classifier",
-        )
-        x = np.random.default_rng(11).uniform(-1, 1, size=(2, 1, 6, 6))
-        y = np.array([1.0, 0.0])
-        assert gradient_check(net, x, y, loss="logloss", n_params=300) < 1e-4
+        # The second conv reduces channels, so its forward and the first
+        # conv's input gradient take the scatter path; (4, 2) also mixes
+        # output channels there.
+        for mid, out in [(2, 1), (4, 2)]:
+            rng = np.random.default_rng(10)
+            net = Network(
+                [Conv2d(1, mid, rng), Relu(), Conv2d(mid, out, rng), Flatten(),
+                 Dense(36 * out, 1, rng), Sigmoid()],
+                input_ch=1, input_hw=(6, 6), kind="classifier",
+            )
+            x = np.random.default_rng(11).uniform(-1, 1, size=(2, 1, 6, 6))
+            y = np.array([1.0, 0.0])
+            err = gradient_check(net, x, y, loss="logloss", n_params=300)
+            assert err < 1e-4, (mid, out, err)
 
     def test_zero_gradient_at_constructed_optimum(self):
         # One dense+sigmoid unit with w=0, b=0 predicts 0.5 everywhere; with
@@ -159,7 +213,7 @@ class TestBackward:
         )
         x = np.random.default_rng(12).normal(size=(4, 1, 1, 1))
         y = np.full(4, 0.5)
-        _backprop_loss(net, net.forward(x), y)
+        _backprop_loss(net, net.forward(x, training=True), y)
         for arr in net.gradients().values():
             assert np.max(np.abs(arr)) < 1e-12
 
@@ -170,16 +224,24 @@ class TestBackward:
         with pytest.raises(ValueError, match="Sigmoid"):
             net.backward(x, logit_grad=True)
 
+    def test_backward_after_eval_forward_rejected(self):
+        net = tiny_classifier()
+        x = np.random.default_rng(9).normal(size=(2, 2, 16, 16))
+        net.forward(x, training=True)
+        net.forward(x)
+        with pytest.raises(ValueError, match="training-mode forward"):
+            net.backward(np.zeros((2, 1)), logit_grad=True)
+
     def test_duplicating_batch_rows_preserves_gradients(self):
         net = tiny_classifier()
         rng = np.random.default_rng(13)
         x = rng.normal(size=(3, 2, 16, 16))
         y = np.array([1.0, 0.0, 1.0])
-        _backprop_loss(net, net.forward(x), y)
+        _backprop_loss(net, net.forward(x, training=True), y)
         single = {k: v.copy() for k, v in net.gradients().items()}
         x2 = np.concatenate([x, x])
         y2 = np.concatenate([y, y])
-        _backprop_loss(net, net.forward(x2), y2)
+        _backprop_loss(net, net.forward(x2, training=True), y2)
         for k, v in net.gradients().items():
             assert np.allclose(v, single[k], atol=1e-12)
 
@@ -211,27 +273,14 @@ class TestGradientCheck:
         original = Conv2d.backward
 
         def corrupted(self, dout):
-            n, c, h, w = self._in_shape
-            dout_m = dout.reshape(n, self.out_ch, h * w)
-            self.grads["W"] = (
-                np.matmul(dout_m, self._cols.transpose(0, 2, 1))
-                .sum(axis=0)
-                .reshape(self.out_ch, self.in_ch, 3, 3)
-            )
-            self.grads["b"] = dout_m.sum(axis=(0, 2))
-            wm = self.params["W"].reshape(self.out_ch, -1)
-            dout_flat = np.ascontiguousarray(dout_m.transpose(1, 0, 2)).reshape(
-                self.out_ch, n * h * w
-            )
-            dcols = (wm.T @ dout_flat).reshape(self.in_ch, 3, 3, n, h, w)
-            dxp = np.zeros((n, self.in_ch, h + 2, w + 2))
-            for i in range(3):
-                for j in range(3):
-                    # kernel taps applied in reversed orientation
-                    dxp[:, :, i : i + h, j : j + w] += dcols[
-                        :, 2 - i, 2 - j
-                    ].transpose(1, 0, 2, 3)
-            return dxp[:, :, 1 : h + 1, 1 : w + 1]
+            # The real backward flips W for dx; handing it W pre-flipped
+            # applies the kernel un-flipped. dW and db do not read W.
+            weights = self.params["W"]
+            self.params["W"] = weights[:, :, ::-1, ::-1]
+            try:
+                return original(self, dout)
+            finally:
+                self.params["W"] = weights
 
         monkeypatch.setattr(Conv2d, "backward", corrupted)
         x = np.random.default_rng(1000 + TINY_CLF_SEED).uniform(-1, 1, size=(1, 2, 16, 16))
