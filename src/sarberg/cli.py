@@ -4,6 +4,11 @@ Every subcommand takes --config (JSON file of defaults), --seed, and --out;
 flags given on the command line override the config file. Each run writes its
 fully-resolved configuration into the output directory, so any result can be
 reproduced from the artifacts alone.
+
+Each model is one file that carries its own serving preprocessing, including
+the fill angle (the training split's mean incidence angle, used wherever a
+scene lacks one): a CNN checkpoint is a zip archive of meta.json (recipe,
+channel stats) and one .npy per parameter; a GBM is one JSON file, gbm.json.
 """
 
 from __future__ import annotations
@@ -296,7 +301,6 @@ def _cmd_train_gbm(args) -> None:
         max_depth=int(resolved["max_depth"]),
         shrinkage=float(resolved["shrinkage"]),
         min_samples_leaf=int(resolved["min_samples_leaf"]),
-        seed=int(resolved["seed"]),
     )
     val_ratio = float(resolved["val_ratio"])
     if val_ratio > 0:
@@ -306,16 +310,11 @@ def _cmd_train_gbm(args) -> None:
     else:
         train_set, val_set = sset, None
 
-    imputed, mean_angle = data.impute_incidence(train_set)
-    _, X, y = features.feature_matrix(imputed, mean_angle)
-    model = gbm.fit_gbm(X, y, params)
+    model = ensemble.train_gbm(train_set, params)
     (args.out / "gbm.json").write_bytes(gbm.serialize_gbm(model))
-    with open(args.out / "gbm.json.meta", "w") as f:
-        json.dump({"mean_angle": mean_angle}, f)
 
     eval_set = val_set if val_set is not None else train_set
-    ids, Xe, _ = features.feature_matrix(eval_set, mean_angle)
-    preds = {i: float(p) for i, p in zip(ids, gbm.predict_gbm(model, Xe))}
+    preds = ensemble.gbm_predictor(model)(eval_set)
     summary = harness.metrics_summary(preds, _labels_of(eval_set), _config_echo(resolved))
     harness.write_metrics_json(args.out / "metrics.json", summary)
     print(
@@ -330,10 +329,9 @@ def _cmd_pretrain_ae(args) -> None:
     )
     _write_resolved(args.out, "pretrain-ae", resolved)
     sset = _load_set(args.input, labeled=not resolved.get("unlabeled", False))
-    imputed, _ = data.impute_incidence(sset)
     cfg = _train_config(resolved)
     net = nn.build_autoencoder(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
-    net, losses = nn.fit_autoencoder(net, imputed, cfg)
+    net, losses = nn.fit_autoencoder(net, sset, cfg)
     nn.save_network(net, args.out / "ae.ckpt")
     with open(args.out / "ae_history.csv", "w") as f:
         f.write("epoch,recon_mse\n")
@@ -355,10 +353,9 @@ def _cmd_train_cnn(args) -> None:
     )
     _write_resolved(args.out, "train-cnn", resolved)
     sset = _load_set(args.input, labeled=True)
-    imputed, _ = data.impute_incidence(sset)
     cfg = _train_config(resolved)
     train_set, val_set = data.split_train_validation(
-        imputed, float(resolved["val_ratio"]), cfg.seed
+        sset, float(resolved["val_ratio"]), cfg.seed
     )
     multiplier = int(resolved["multiplier"])
     if multiplier > 1:
@@ -374,9 +371,7 @@ def _cmd_train_cnn(args) -> None:
     nn.save_network(net, args.out / "cnn.ckpt")
     nn.write_history_csv(args.out / "history.csv", history)
 
-    x_val = nn.prepare_inputs(net, val_set)
-    p_val = net.forward(x_val).ravel()
-    preds = {s.id: float(p) for s, p in zip(val_set, p_val)}
+    preds = ensemble.cnn_predictor(net)(val_set)
     summary = harness.metrics_summary(preds, _labels_of(val_set), _config_echo(resolved))
     harness.write_metrics_json(args.out / "metrics.json", summary)
     best = history.best_epoch()
@@ -387,40 +382,15 @@ def _cmd_train_cnn(args) -> None:
 
 
 def _load_model_predictor(model_path: Path):
-    """Return (kind, predict_fn(SampleSet) -> PredictionSet)."""
+    """Return (kind, predict_fn(SampleSet) -> PredictionSet), by the file's own
+    format: a network checkpoint is a zip archive, anything else a GBM file."""
     if not model_path.exists():
         raise ValueError(f"model file not found: {model_path}")
-    try:
-        net = nn.load_network(model_path)
-        is_net = True
-    except ValueError:
-        is_net = False
-    if is_net:
-        def predict_net(sset: data.SampleSet):
-            imputed, _ = data.impute_incidence(sset)
-            x = nn.prepare_inputs(net, imputed)
-            p = net.forward(x).ravel()
-            return {s.id: float(v) for s, v in zip(imputed, p)}
-
-        return "cnn", predict_net
-
-    model = gbm.deserialize_gbm(model_path.read_bytes())
-    meta_path = Path(str(model_path) + ".meta")
-    stored_angle = None
-    if meta_path.exists():
-        with open(meta_path) as f:
-            stored_angle = json.load(f).get("mean_angle")
-
-    def predict_gbm_fn(sset: data.SampleSet):
-        if stored_angle is not None:
-            mean_angle = float(stored_angle)
-        else:
-            _, mean_angle = data.impute_incidence(sset)
-        ids, X, _ = features.feature_matrix(sset, mean_angle)
-        p = gbm.predict_gbm(model, X)
-        return {i: float(v) for i, v in zip(ids, p)}
-
-    return "gbm", predict_gbm_fn
+    with open(model_path, "rb") as f:
+        is_checkpoint = f.read(4) == b"PK\x03\x04"  # every zip archive starts so
+    if is_checkpoint:
+        return "cnn", ensemble.cnn_predictor(nn.load_network(model_path))
+    return "gbm", ensemble.gbm_predictor(gbm.deserialize_gbm(model_path.read_bytes()))
 
 
 def _cmd_predict(args) -> None:
@@ -515,13 +485,12 @@ def _cmd_curve(args) -> None:
     )
     _write_resolved(args.out, "curve", resolved)
     sset = _load_set(args.input, labeled=True)
-    imputed, _ = data.impute_incidence(sset)
     fractions = resolved["fractions"]
     if isinstance(fractions, str):
         fractions = [float(t) for t in fractions.split(",") if t.strip()]
     cfg = _train_config(resolved)
     rows = harness.learning_curve(
-        imputed, fractions, cfg, multiplier=int(resolved["multiplier"])
+        sset, fractions, cfg, multiplier=int(resolved["multiplier"])
     )
     harness.write_curve_csv(args.out / "curve.csv", rows)
     for r in rows:

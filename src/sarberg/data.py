@@ -85,7 +85,7 @@ class SarSample:
 
     label: 0 = ship, 1 = iceberg, None = unlabeled.
     inc_angle: incidence angle in degrees, None when missing from the source.
-    angle_imputed: True when inc_angle was filled in by `impute_incidence`.
+    angle_imputed: True when inc_angle was filled in by `fill_incidence`.
     """
 
     id: str
@@ -311,23 +311,27 @@ def split_train_validation(
     )
 
 
+def fill_incidence(sset: SampleSet, angle: float) -> SampleSet:
+    """Give every sample that has no incidence angle `angle`, flagged
+    angle_imputed=True; samples with an angle are kept as they are."""
+    out = tuple(
+        replace(s, inc_angle=angle, angle_imputed=True) if s.inc_angle is None else s
+        for s in sset
+    )
+    return SampleSet(out, provenance=sset.provenance)
+
+
 def impute_incidence(sset: SampleSet) -> tuple[SampleSet, float]:
     """Replace missing incidence angles by the mean of the present ones.
 
     Returns the imputed set and the mean angle, so the same fill value can be
-    reused on test data. Samples that were filled get angle_imputed=True.
+    reused on test data (`fill_incidence`).
     """
     present = [s.inc_angle for s in sset if s.inc_angle is not None]
     if not present:
         raise ValueError("cannot impute: every sample is missing inc_angle")
     mean_angle = float(np.mean(present))
-    out = []
-    for s in sset:
-        if s.inc_angle is None:
-            out.append(replace(s, inc_angle=mean_angle, angle_imputed=True))
-        else:
-            out.append(s)
-    return SampleSet(tuple(out), provenance=sset.provenance), mean_angle
+    return fill_incidence(sset, mean_angle), mean_angle
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ live at the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from . import nn
 from .data import SampleSet, split_train_validation, impute_incidence
 from .features import feature_matrix
-from .gbm import GbmParams, fit_gbm, predict_gbm
+from .gbm import GbmModel, GbmParams, fit_gbm, predict_gbm
 from .mathutil import binary_logloss, logit, sigmoid
 
 PredictionSet = dict[str, float]
@@ -207,6 +208,36 @@ def blend(
 # Built-in members
 
 
+def train_gbm(train_set: SampleSet, params: GbmParams) -> GbmModel:
+    """Boosted trees on the 30 statistics features of a labelled set; the mean
+    of its present angles fills missing ones and becomes the model's fill_angle."""
+    imputed, fill_angle = impute_incidence(train_set)
+    _, X, y = feature_matrix(imputed, fill_angle)
+    model = fit_gbm(X, y, params)
+    model.fill_angle = fill_angle
+    return model
+
+
+def gbm_predictor(model: GbmModel) -> Predictor:
+    """Score scenes with a GBM; a missing angle takes the model's fill_angle."""
+
+    def predict(sset: SampleSet) -> PredictionSet:
+        ids, X, _ = feature_matrix(sset, model.fill_angle)
+        return {i: float(v) for i, v in zip(ids, predict_gbm(model, X))}
+
+    return predict
+
+
+def cnn_predictor(net) -> Predictor:
+    """Score scenes with a classifier through its own `prepare_inputs`."""
+
+    def predict(sset: SampleSet) -> PredictionSet:
+        p = net.forward(nn.prepare_inputs(net, sset)).ravel()
+        return {i: float(v) for i, v in zip(sset.ids(), p)}
+
+    return predict
+
+
 def gbm_trainer(params: GbmParams | None = None) -> Trainer:
     """Boosted trees on the 30 statistics features.
 
@@ -214,20 +245,7 @@ def gbm_trainer(params: GbmParams | None = None) -> Trainer:
     prediction time, so no information leaks across folds.
     """
     params = params or GbmParams()
-
-    def train(train_set: SampleSet) -> Predictor:
-        imputed, mean_angle = impute_incidence(train_set)
-        _, X, y = feature_matrix(imputed, mean_angle)
-        model = fit_gbm(X, y, params)
-
-        def predict(sset: SampleSet) -> PredictionSet:
-            ids, Xp, _ = feature_matrix(sset, mean_angle)
-            p = predict_gbm(model, Xp)
-            return {i: float(v) for i, v in zip(ids, p)}
-
-        return predict
-
-    return train
+    return lambda train_set: gbm_predictor(train_gbm(train_set, params))
 
 
 def cnn_trainer(
@@ -235,30 +253,14 @@ def cnn_trainer(
 ) -> Trainer:
     """Reference CNN member; holds out an inner validation split for the
     plateau monitor and best-epoch restore."""
-    from .nn import TrainConfig, build_classifier, fit, prepare_inputs
-
-    cfg = cfg or TrainConfig(epochs=5)
+    cfg = cfg or nn.TrainConfig(epochs=5)
 
     def train(train_set: SampleSet) -> Predictor:
-        imputed, mean_angle = impute_incidence(train_set)
-        inner_train, inner_val = split_train_validation(imputed, val_ratio, cfg.seed)
+        inner_train, inner_val = split_train_validation(train_set, val_ratio, cfg.seed)
         make = builder or (
-            lambda: build_classifier(len(cfg.channels), seed, dtype=np.dtype(cfg.dtype))
+            lambda: nn.build_classifier(len(cfg.channels), seed, dtype=np.dtype(cfg.dtype))
         )
-        net, _ = fit(make(), inner_train, inner_val, cfg)
-
-        def predict(sset: SampleSet) -> PredictionSet:
-            filled = tuple(
-                replace(s, inc_angle=mean_angle, angle_imputed=True)
-                if s.inc_angle is None
-                else s
-                for s in sset
-            )
-            filled_set = SampleSet(filled, provenance=sset.provenance)
-            x = prepare_inputs(net, filled_set)
-            p = net.forward(x).ravel()
-            return {i: float(v) for i, v in zip(filled_set.ids(), p)}
-
-        return predict
+        net, _ = nn.fit(make(), inner_train, inner_val, cfg)
+        return cnn_predictor(net)
 
     return train

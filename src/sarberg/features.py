@@ -85,7 +85,7 @@ def band_stats(p: ImagePlane) -> BandStats:
     )
 
 
-def feature_vector(s: SarSample, mean_angle: float) -> np.ndarray:
+def feature_vector(s: SarSample, mean_angle: float | None) -> np.ndarray:
     """The 30 features of one sample, ordered as FEATURE_NAMES.
 
     The angle slot holds the sample's angle, or mean_angle when absent; the
@@ -97,13 +97,15 @@ def feature_vector(s: SarSample, mean_angle: float) -> np.ndarray:
         parts.extend(band_stats(plane).as_tuple())
     missing = s.angle_imputed or s.inc_angle is None
     angle = s.inc_angle if s.inc_angle is not None else mean_angle
+    if angle is None:
+        raise ValueError(f"sample {s.id!r} has no incidence angle and no fill angle")
     parts.append(float(angle))
     parts.append(1.0 if missing else 0.0)
     return np.array(parts, dtype=np.float64)
 
 
 def feature_matrix(
-    sset: SampleSet, mean_angle: float
+    sset: SampleSet, mean_angle: float | None
 ) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """Stack feature vectors for a whole set.
 

@@ -44,7 +44,6 @@ class GbmParams:
     max_depth: int = 3
     shrinkage: float = 0.1
     min_samples_leaf: int = 5
-    seed: int = 0  # reserved; fitting has no stochastic path
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -62,6 +61,7 @@ class GbmModel:
     base_score: float
     shrinkage: float
     feature_count: int
+    fill_angle: float | None = None  # fills a missing angle; None if fit on bare X
     trees: list[TreeNode] = field(default_factory=list)
     train_losses: list[float] = field(default_factory=list)  # base, then per round
 
@@ -326,6 +326,7 @@ def serialize_gbm(model: GbmModel) -> bytes:
         "feature_count": model.feature_count,
         "shrinkage": model.shrinkage,
         "base_score": model.base_score,
+        "fill_angle": model.fill_angle,
         "trees": [_flatten_tree(t) for t in model.trees],
     }
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
@@ -344,13 +345,14 @@ def deserialize_gbm(raw: bytes | str) -> GbmModel:
         raise ValueError(
             f"unsupported model version {doc.get('version')!r}, expected {SERIAL_VERSION}"
         )
-    for key in ("feature_count", "shrinkage", "base_score", "trees"):
+    for key in ("feature_count", "shrinkage", "base_score", "fill_angle", "trees"):
         if key not in doc:
             raise ValueError(f"corrupt model: missing {key!r}")
     model = GbmModel(
         base_score=float(doc["base_score"]),
         shrinkage=float(doc["shrinkage"]),
         feature_count=int(doc["feature_count"]),
+        fill_angle=None if doc["fill_angle"] is None else float(doc["fill_angle"]),
     )
     model.trees = [_unflatten_tree(t) for t in doc["trees"]]
     for tree in model.trees:

@@ -8,8 +8,11 @@ PROB_CLAMP = 1e-15
 
 
 def sigmoid(z):
-    """Numerically stable logistic function, vectorized."""
-    z = np.asarray(z, dtype=np.float64)
+    """Numerically stable logistic function, vectorized. float32 and float64
+    keep their dtype; anything else is computed in float64."""
+    z = np.asarray(z)
+    if z.dtype not in (np.float32, np.float64):
+        z = z.astype(np.float64)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..mathutil import sigmoid
+
 
 def he_uniform(
     rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype=np.float64
@@ -293,12 +295,7 @@ class Dense(Layer):
 
 class Sigmoid(Layer):
     def forward(self, x, training, rng):
-        # Stable two-branch logistic, evaluated in the input's dtype.
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        out = sigmoid(x)
         if training:
             self._out = out
         return out

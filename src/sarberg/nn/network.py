@@ -37,9 +37,9 @@ EVAL_CHUNK = 32
 class Network:
     """An ordered layer stack with its input contract.
 
-    channel_mean/channel_std are the per-channel standardization statistics
-    computed on the training set; they travel with the model so inference
-    applies the identical transform.
+    channels, normalize_angle, fill_angle (the training set's mean angle) and
+    channel_mean/channel_std are the preprocessing fit on the training set;
+    they travel with the model so inference applies the identical transform.
     """
 
     def __init__(
@@ -57,6 +57,7 @@ class Network:
         self.dtype = np.dtype(dtype)
         self.channels: tuple[str, ...] | None = None
         self.normalize_angle: bool = True
+        self.fill_angle: float | None = None
         self.channel_mean: np.ndarray | None = None
         self.channel_std: np.ndarray | None = None
         self._backward_ready = False
@@ -284,6 +285,7 @@ def save_network(net: Network, path) -> None:
         "layers": [layer.spec() for layer in net.layers],
         "channels": list(net.channels) if net.channels is not None else None,
         "normalize_angle": net.normalize_angle,
+        "fill_angle": net.fill_angle,
         "channel_mean": (
             net.channel_mean.tolist() if net.channel_mean is not None else None
         ),
@@ -328,6 +330,8 @@ def load_network(path) -> Network:
             if meta.get("channels") is not None:
                 net.channels = tuple(meta["channels"])
             net.normalize_angle = bool(meta.get("normalize_angle", True))
+            fill_angle = meta["fill_angle"]
+            net.fill_angle = None if fill_angle is None else float(fill_angle)
             if meta.get("channel_mean") is not None:
                 net.channel_mean = np.asarray(meta["channel_mean"], dtype=np.float64)
             if meta.get("channel_std") is not None:

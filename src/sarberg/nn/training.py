@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data import SampleSet, SarSample
+from ..data import SampleSet, SarSample, fill_incidence, impute_incidence
 from ..features import derived_bands, normalize_incidence
 from ..imageops import gaussian_smooth, gradient_magnitude, laplacian
 from ..mathutil import binary_logloss
@@ -143,15 +143,38 @@ def label_vector(sset: SampleSet) -> np.ndarray:
     return np.asarray(labels, dtype=np.float64)
 
 
-def prepare_inputs(net: Network, sset: SampleSet) -> np.ndarray:
-    """Inference-side input assembly using the stats stored in the model."""
-    if net.channels is None or net.channel_mean is None:
-        raise ValueError("network has no stored channel recipe/statistics; fit first")
-    x = input_tensor(sset, net.channels, net.normalize_angle)
+def _fit_inputs(net: Network, train: SampleSet, cfg: TrainConfig) -> np.ndarray:
+    """Set the network's preprocessing from the training set and return the
+    set standardized. With normalize_angle, the mean of its present angles
+    fills the missing ones, here and (as net.fill_angle) when serving."""
+    fill_angle = None
+    if cfg.normalize_angle:
+        train, fill_angle = impute_incidence(train)
+    x = input_tensor(train, cfg.channels, cfg.normalize_angle)
+    std = x.std(axis=(0, 2, 3))
+    net.channels = tuple(cfg.channels)
+    net.normalize_angle = cfg.normalize_angle
+    net.fill_angle = fill_angle
+    net.channel_mean = x.mean(axis=(0, 2, 3))
+    net.channel_std = np.where(std > 0, std, 1.0)
+    return _standardize(net, x)
+
+
+def _standardize(net: Network, x: np.ndarray) -> np.ndarray:
     x = (x - net.channel_mean[None, :, None, None]) / net.channel_std[
         None, :, None, None
     ]
     return x.astype(net.dtype, copy=False)
+
+
+def prepare_inputs(net: Network, sset: SampleSet) -> np.ndarray:
+    """Inference-side input assembly with the preprocessing stored in the
+    model: its fill angle for missing angles, its recipe and its stats."""
+    if net.channels is None or net.channel_mean is None:
+        raise ValueError("network has no stored channel recipe/statistics; fit first")
+    if net.fill_angle is not None:
+        sset = fill_incidence(sset, net.fill_angle)
+    return _standardize(net, input_tensor(sset, net.channels, net.normalize_angle))
 
 
 # ---------------------------------------------------------------------------
@@ -209,29 +232,17 @@ def fit(
 ) -> tuple[Network, History]:
     """Train the classifier; returns the parameters of the best-val-loss epoch.
 
-    Inputs are standardized per channel by training-set mean/sigma (stored on
-    the network for inference). Mini-batches reshuffle every epoch from the
-    seeded generator, which also drives the dropout masks, so a fixed seed
-    reproduces the History bitwise.
+    The preprocessing is fit on the training set and stored on the network;
+    the validation set goes through `prepare_inputs`, as served. Mini-batches
+    reshuffle every epoch from the seeded generator, which also drives the
+    dropout masks, so a fixed seed reproduces the History bitwise.
     """
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and validation sets must be non-empty")
-    x_train = input_tensor(train, cfg.channels, cfg.normalize_angle)
+    x_train = _fit_inputs(net, train, cfg)
     y_train = label_vector(train)
-    x_val = input_tensor(val, cfg.channels, cfg.normalize_angle)
+    x_val = prepare_inputs(net, val)
     y_val = label_vector(val)
-
-    mean = x_train.mean(axis=(0, 2, 3))
-    std = x_train.std(axis=(0, 2, 3))
-    std = np.where(std > 0, std, 1.0)
-    net.channels = tuple(cfg.channels)
-    net.normalize_angle = cfg.normalize_angle
-    net.channel_mean = mean
-    net.channel_std = std
-    x_train = (x_train - mean[None, :, None, None]) / std[None, :, None, None]
-    x_val = (x_val - mean[None, :, None, None]) / std[None, :, None, None]
-    x_train = x_train.astype(net.dtype, copy=False)
-    x_val = x_val.astype(net.dtype, copy=False)
 
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(net, cfg.beta1, cfg.beta2, cfg.eps)
@@ -285,17 +296,7 @@ def fit_autoencoder(
     """
     if len(train) == 0:
         raise ValueError("training set must be non-empty")
-    x = input_tensor(train, cfg.channels, cfg.normalize_angle)
-    mean = x.mean(axis=(0, 2, 3))
-    std = x.std(axis=(0, 2, 3))
-    std = np.where(std > 0, std, 1.0)
-    net.channels = tuple(cfg.channels)
-    net.normalize_angle = cfg.normalize_angle
-    net.channel_mean = mean
-    net.channel_std = std
-    x = ((x - mean[None, :, None, None]) / std[None, :, None, None]).astype(
-        net.dtype, copy=False
-    )
+    x = _fit_inputs(net, train, cfg)
 
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(net, cfg.beta1, cfg.beta2, cfg.eps)

@@ -1,11 +1,24 @@
 """Command-line wiring: exit codes, artifacts, and reproducibility."""
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sarberg.cli import cli_main
-from sarberg.data import SynthConfig, serialize_samples, synth_dataset
+from sarberg.data import (
+    SampleSet,
+    SynthConfig,
+    parse_samples,
+    serialize_samples,
+    split_train_validation,
+    synth_dataset,
+)
+from sarberg.features import feature_matrix
+from sarberg.gbm import deserialize_gbm, predict_gbm
+from sarberg.harness import read_submission, write_submission
+from sarberg.nn import load_network, prepare_inputs
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +148,124 @@ class TestPipeline:
         )
         assert code == 1
         assert "absent.csv" in capsys.readouterr().err
+
+
+def _write_set(path, samples):
+    path.write_text(serialize_samples(SampleSet(tuple(samples), provenance="synthetic")))
+    return path
+
+
+def _present_mean(samples):
+    return float(np.mean([s.inc_angle for s in samples if s.inc_angle is not None]))
+
+
+@pytest.fixture(scope="module")
+def na_train_file(tmp_path_factory):
+    """24 labelled scenes, every fourth with its angle written as "na"."""
+    base = synth_dataset(SynthConfig(n_samples=24, iceberg_fraction=0.5, seed=13))
+    samples = [replace(s, inc_angle=None) if i % 4 == 0 else s for i, s in enumerate(base)]
+    return _write_set(tmp_path_factory.mktemp("na") / "train.json", samples)
+
+
+@pytest.fixture(scope="module")
+def cnn_ckpt(na_train_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("cnn")
+    assert run(
+        "train-cnn", "--input", na_train_file, "--epochs", 3, "--batch-size", 8,
+        "--val-ratio", 0.25, "--seed", 3, "--out", out,
+    ) == 0
+    return out / "cnn.ckpt"
+
+
+@pytest.fixture(scope="module")
+def gbm_file(na_train_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("gbm")
+    assert run(
+        "train-gbm", "--input", na_train_file, "--n-trees", 10,
+        "--val-ratio", 0.25, "--seed", 1, "--out", out,
+    ) == 0
+    return out / "gbm.json"
+
+
+def _scoring_file(path, neighbour_angle):
+    """Scene 0 without an angle, next to five scenes at neighbour_angle."""
+    base = synth_dataset(SynthConfig(n_samples=6, iceberg_fraction=0.5, seed=21))
+    samples = [replace(s, inc_angle=None if i == 0 else neighbour_angle)
+               for i, s in enumerate(base)]
+    return _write_set(path, samples), samples[0]
+
+
+class TestModelArtifacts:
+    """Each model file carries the angle that fills a missing one."""
+
+    def test_train_cnn_stores_training_split_mean_angle(self, na_train_file, cnn_ckpt):
+        sset = parse_samples(na_train_file.read_bytes(), labeled=True)
+        train, _ = split_train_validation(sset, 0.25, 3)
+        expected = _present_mean(train)
+        assert expected != _present_mean(sset)  # the val angles would move it
+        assert load_network(cnn_ckpt).fill_angle == expected
+
+    def test_cnn_missing_angle_scored_with_stored_angle(self, tmp_path, cnn_ckpt):
+        scores = []
+        for angle in (30.0, 44.0):
+            path, scene = _scoring_file(tmp_path / f"score_{angle}.json", angle)
+            out = tmp_path / f"pred_{angle}"
+            assert run("predict", "--input", path, "--model", cnn_ckpt, "--out", out) == 0
+            scores.append(read_submission(out / "submission.csv")[scene.id])
+        net = load_network(cnn_ckpt)
+
+        def direct(angle):
+            one = SampleSet((replace(scene, inc_angle=angle),), provenance="synthetic")
+            return float(net.forward(prepare_inputs(net, one))[0, 0])
+
+        assert abs(direct(30.0) - direct(44.0)) > 1e-4  # the angle matters here
+        # Six decimals in the submission; Dense rounds with the row count.
+        assert scores[0] == pytest.approx(scores[1], rel=1e-5, abs=1e-6)
+        assert scores[0] == pytest.approx(direct(net.fill_angle), rel=1e-5, abs=1e-6)
+
+    def test_all_missing_angles_scored_by_both_kinds(self, tmp_path, cnn_ckpt, gbm_file):
+        base = synth_dataset(SynthConfig(n_samples=5, iceberg_fraction=0.5, seed=22))
+        path = _write_set(tmp_path / "na.json", [replace(s, inc_angle=None) for s in base])
+        for model in (cnn_ckpt, gbm_file):
+            out = tmp_path / model.stem
+            assert run("predict", "--input", path, "--model", model, "--out", out) == 0
+            lines = (out / "submission.csv").read_text().splitlines()
+            preds = read_submission(out / "submission.csv")
+            assert len(lines) == 6 and set(preds) == set(base.ids())
+            assert all(np.isfinite(p) for p in preds.values())
+
+    def test_truncated_checkpoint_reports_checkpoint_error(self, tmp_path, cnn_ckpt, capsys):
+        raw = cnn_ckpt.read_bytes()
+        bad = tmp_path / "cnn.ckpt"
+        bad.write_bytes(raw[: len(raw) // 2])
+        path, _ = _scoring_file(tmp_path / "score.json", 30.0)
+        assert run("predict", "--input", path, "--model", bad, "--out", tmp_path / "p") == 1
+        assert "checkpoint" in capsys.readouterr().err
+
+    def test_gbm_json_alone_scores_with_training_mean(self, tmp_path):
+        # Labels follow the angle (6 icebergs at 45-47.5 degrees, 18 ships at
+        # 31-35), so the trees split on it and the fill angle decides the
+        # leaf. The expected bytes are what scoring with the training split's
+        # mean angle writes, as the separate mean-angle file used to supply it.
+        base = synth_dataset(SynthConfig(n_samples=24, iceberg_fraction=0.5, seed=13))
+        samples = [replace(s, label=int(i < 6), inc_angle=45.0 + 0.5 * i if i < 6
+                           else 31.0 + i % 5) for i, s in enumerate(base)]
+        train_file = _write_set(tmp_path / "train.json", samples)
+        alone = tmp_path / "alone"
+        assert run("train-gbm", "--input", train_file, "--n-trees", 10,
+                   "--val-ratio", 0.25, "--seed", 1, "--out", tmp_path / "gbm") == 0
+        alone.mkdir()
+        (alone / "gbm.json").write_bytes((tmp_path / "gbm" / "gbm.json").read_bytes())
+        path, _ = _scoring_file(tmp_path / "score.json", 48.0)
+        assert run("predict", "--input", path, "--model", alone / "gbm.json",
+                   "--out", tmp_path / "p") == 0
+
+        train, _ = split_train_validation(SampleSet(tuple(samples), "synthetic"), 0.25, 1)
+        score_set = parse_samples(path.read_bytes(), labeled=False)
+        model = deserialize_gbm((alone / "gbm.json").read_bytes())
+        ids, X, _ = feature_matrix(score_set, _present_mean(train))
+        p = predict_gbm(model, X)
+        assert p[0] != predict_gbm(model, feature_matrix(score_set, 48.0)[1])[0]
+        expected = tmp_path / "expected.csv"
+        write_submission({i: float(v) for i, v in zip(ids, p)}, expected)
+        assert (tmp_path / "p" / "submission.csv").read_bytes() == expected.read_bytes()

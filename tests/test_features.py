@@ -211,6 +211,8 @@ class TestFeatureVector:
         vec = feature_vector(s, 33.3)
         assert vec[-2] == pytest.approx(33.3)
         assert vec[-1] == 1.0
+        with pytest.raises(ValueError, match="'m'"):
+            feature_vector(s, None)
 
 
 class TestCorrelation:

@@ -1,5 +1,7 @@
 """Boosted-tree tests against exhaustive split search and hand-run dynamics."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,15 @@ class TestSerialization:
         raw = serialize_gbm(model).replace(b'"version":1', b'"version":99')
         with pytest.raises(ValueError, match="version"):
             deserialize_gbm(raw)
+
+    def test_fill_angle_round_trips_and_is_required(self):
+        model, _ = self._trained()
+        model.fill_angle = 38.25
+        assert deserialize_gbm(serialize_gbm(model)).fill_angle == 38.25
+        doc = json.loads(serialize_gbm(model))
+        del doc["fill_angle"]
+        with pytest.raises(ValueError, match="fill_angle"):
+            deserialize_gbm(json.dumps(doc))
 
     def test_truncation_rejected(self):
         model, _ = self._trained()

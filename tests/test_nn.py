@@ -1,5 +1,8 @@
 """Layer, network, gradient, transfer, and checkpoint tests."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -94,9 +97,10 @@ class TestForward:
         assert np.array_equal(net.forward(x, training=True, rng=rng), net.forward(x))
 
     def test_zero_input_gives_exactly_half(self):
-        net = build_classifier(3, seed=4)
-        out = net.forward(np.zeros((2, 3, 75, 75)))
-        assert np.all(out == 0.5)
+        for dtype in (np.float64, np.float32):
+            net = build_classifier(3, seed=4, dtype=dtype)
+            out = net.forward(np.zeros((2, 3, 75, 75)))
+            assert out.dtype == dtype and np.all(out == 0.5)
 
     def test_conv_matches_nested_loop_oracle(self):
         # Fewer input than output channels gathers windows; more scatters taps.
@@ -340,12 +344,14 @@ class TestCheckpoint:
         net.channels = ("hh", "hv")
         net.channel_mean = np.array([0.5, -1.0])
         net.channel_std = np.array([2.0, 3.0])
+        net.fill_angle = 38.25
         path = tmp_path / "net.ckpt"
         save_network(net, path)
         again = load_network(path)
         assert again.kind == "classifier" and again.input_hw == (75, 75)
         assert again.channels == ("hh", "hv")
         assert np.array_equal(again.channel_mean, net.channel_mean)
+        assert again.fill_angle == 38.25
         for (ka, pa), (kb, pb) in zip(net.parameters(), again.parameters()):
             assert ka == kb and np.array_equal(pa, pb)
 
@@ -371,6 +377,21 @@ class TestCheckpoint:
         path.write_bytes(b"this is not a checkpoint")
         with pytest.raises(ValueError, match="corrupt"):
             load_network(path)
+
+    def test_checkpoint_without_fill_angle_rejected(self, tmp_path):
+        net = build_classifier(2, seed=11, conv_widths=(2, 2, 2), dense_width=4)
+        good, bad = tmp_path / "good.ckpt", tmp_path / "bad.ckpt"
+        save_network(net, good)
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
+            for name in src.namelist():
+                raw = src.read(name)
+                if name == "meta.json":
+                    meta = json.loads(raw)
+                    del meta["fill_angle"]
+                    raw = json.dumps(meta)
+                dst.writestr(name, raw)
+        with pytest.raises(ValueError, match="fill_angle"):
+            load_network(bad)
 
     def test_forward_identical_after_round_trip(self, tmp_path):
         net = build_classifier(2, seed=12, conv_widths=(4, 4, 4), dense_width=8)

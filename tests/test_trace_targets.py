@@ -1,0 +1,57 @@
+"""The benchmark's span tracer still finds every function and layer it times.
+
+`perfbench/spans.py` patches the names callers look up (for example
+`sarberg.nn.prepare_inputs`); a rename in the program makes its `install()`
+raise. Running it here catches that in the unit suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import sarberg.ensemble
+import sarberg.nn
+from sarberg.data import SynthConfig, synth_dataset
+from sarberg.gbm import GbmParams, fit_gbm
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores():
+    originals = (sarberg.nn.prepare_inputs, sarberg.ensemble.feature_matrix,
+                 sarberg.nn.Network.forward)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        assert sarberg.nn.prepare_inputs is not originals[0]
+    finally:
+        tracer.uninstall()
+    assert (sarberg.nn.prepare_inputs, sarberg.ensemble.feature_matrix,
+            sarberg.nn.Network.forward) == originals
+
+
+def test_predictors_call_traced_names():
+    scenes = synth_dataset(SynthConfig(n_samples=4, seed=3))
+    net = sarberg.nn.build_classifier(3, seed=1, conv_widths=(2, 2, 2), dense_width=4)
+    net.channels = ("hh", "hv", "diff")
+    net.channel_mean, net.channel_std = np.zeros(3), np.ones(3)
+    model = fit_gbm(np.arange(8.0).reshape(4, 2).repeat(15, axis=1),
+                    np.array([0.0, 0.0, 1.0, 1.0]), GbmParams(n_trees=2, min_samples_leaf=1))
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        sarberg.ensemble.cnn_predictor(net)(scenes)
+        sarberg.ensemble.gbm_predictor(model)(scenes)
+    finally:
+        tracer.uninstall()
+    for name in ("nn.prepare_inputs", "nn.input_tensor", "nn.Network.forward_eval",
+                 "features.feature_matrix", "gbm.predict_gbm"):
+        assert name in tracer.names, name

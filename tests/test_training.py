@@ -1,5 +1,7 @@
 """Training-loop behavior: smoke, determinism, standardization, channels."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,20 @@ class TestFit:
         net, _ = fit(tiny_net(), train, val, cfg)
         z = prepare_inputs(net, val)
         assert z.shape == (6, 3, 75, 75)
+
+    def test_missing_angles_filled_from_training_set(self):
+        train, val = tiny_sets(n=12, seed=11)
+        train = SampleSet(tuple(replace(s, inc_angle=None) if i % 3 == 0 else s
+                                for i, s in enumerate(train)), provenance="synthetic")
+        val = SampleSet(tuple(replace(s, inc_angle=None) for s in val),
+                        provenance="synthetic")
+        cfg = tiny_cfg(epochs=3)
+        net, history = fit(tiny_net(seed=2), train, val, cfg)
+        present = [s.inc_angle for s in train if s.inc_angle is not None]
+        assert net.fill_angle == float(np.mean(present))
+        # The validation set is scored exactly as serving scores it.
+        p = net.forward(prepare_inputs(net, val)).ravel()
+        assert loss_logloss(p, [s.label for s in val]) == min(history.val_loss)
 
     def test_returns_best_epoch_parameters(self):
         train, val = tiny_sets(n=16, seed=4)
