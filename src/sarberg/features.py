@@ -64,24 +64,49 @@ def derived_bands(s: SarSample) -> tuple[ImagePlane, ImagePlane]:
     return ImagePlane(diff), ImagePlane(ratio)
 
 
+QUARTILES = np.array([0.25, 0.5, 0.75])
+
+
 def band_stats(p: ImagePlane) -> BandStats:
     """Seven summary statistics of a plane.
 
-    Quantiles interpolate linearly on the sorted sample (quantile q at
-    position q*(n-1)); std uses the sample (n-1) denominator, defined as 0
-    for a single pixel.
+    One sort gives min, max and the quartiles. Quartiles follow numpy's
+    linear rule (np.quantile's default): quantile q sits at position
+    q*(n-1) between sorted values a and b with fraction g, and is a+(b-a)*g,
+    or b-(b-a)*(1-g) when g >= 0.5, so they equal np.quantile bitwise. Mean
+    and std (sample, n-1 denominator) are summed over the unsorted pixels,
+    as np.mean and np.std sum them; a constant band has its value as mean
+    and std 0.
     """
     values = p.data.ravel()
-    q1, median, q3 = np.quantile(values, (0.25, 0.5, 0.75))
-    std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+    ordered = np.sort(values)
+    pos = (values.size - 1) * QUARTILES
+    lo = np.floor(pos).astype(np.intp)
+    g = pos - lo
+    picked = ordered[np.concatenate((lo, lo + 1, [0, -1]))]
+    if np.any(picked == 0.0):
+        # The sort may hold +0.0 where numpy's partition and min/max return
+        # -0.0, or the reverse; numpy's own answers keep the sign of a zero.
+        q1, median, q3 = np.quantile(values, QUARTILES)
+        lowest, highest = values.min(), values.max()
+    else:
+        a, b, (lowest, highest) = picked[:3], picked[3:6], picked[6:]
+        diff = b - a
+        q1, median, q3 = np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
+    if lowest == highest:
+        # Summed, a constant band's mean and std carry rounding error (a 75x75
+        # band of -27.878 reads std 1.1e-14); its own value and 0 are exact.
+        mean, std = lowest, 0.0
+    else:
+        mean, std = values.mean(), np.std(values, ddof=1)
     return BandStats(
-        min=float(values.min()),
-        max=float(values.max()),
-        mean=float(values.mean()),
+        min=float(lowest),
+        max=float(highest),
+        mean=float(mean),
         median=float(median),
         q1=float(q1),
         q3=float(q3),
-        std=std,
+        std=float(std),
     )
 
 

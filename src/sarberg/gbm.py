@@ -3,7 +3,10 @@
 Each boosting round fits a depth-limited regression tree to the residuals
 y - p by exact greedy split search (no histogram binning: datasets here are
 small enough that exactness is affordable and lets tests brute-force the same
-scan). Leaf values are Newton steps clamped to [-4, 4], scaled by shrinkage.
+scan). As in XGBoost's exact greedy algorithm (Chen & Guestrin 2016), every
+column is sorted once per fit; each node then scores the splits of all
+features in one array pass over that presorted index array. Leaf values are
+Newton steps clamped to [-4, 4], scaled by shrinkage.
 """
 
 from __future__ import annotations
@@ -74,74 +77,63 @@ def best_split(
     residual: np.ndarray,
     rows: np.ndarray,
     min_samples_leaf: int,
-    orders: list[np.ndarray] | None = None,
+    orders: np.ndarray,
 ) -> tuple[int, float] | None:
     """Exact greedy scan over every feature and every midpoint threshold.
+
+    `orders` is the (features, rows) index array that sorts each column of X
+    once (stable). The node's rows are taken from every sorted column in one
+    selection, and the residual SSE of every (feature, boundary) pair comes
+    from one pass of cumulative sums along the sorted rows.
 
     Minimizes the summed squared error of the residuals over the two sides.
     Ties break toward the lowest feature index, then the lowest threshold.
     Candidates within a 1e-9 relative slack count as tied, so an independent
     rescan with a different summation order ranks them identically (exact
     ties are common: early rounds have only two distinct residual values).
+    Within a feature the slack is taken from that feature's minimum; across
+    features a later feature wins only if it is lower by more than its own
+    slack.
     """
     n = rows.size
-    in_node = None
-    if orders is not None:
-        in_node = np.zeros(X.shape[0], dtype=bool)
-        in_node[rows] = True
+    n_features = orders.shape[0]
+    in_node = np.zeros(X.shape[0], dtype=bool)
+    in_node[rows] = True
+    order = orders[in_node[orders]].reshape(n_features, n)
+    xs = X[order, np.arange(n_features)[:, None]]
+    rs = residual[order]
 
-    best: tuple[float, int, float] | None = None
-    for j in range(X.shape[1]):
-        if orders is not None:
-            order = orders[j][in_node[orders[j]]]
-            xs = X[order, j]
-            rs = residual[order]
-        else:
-            xs_raw = X[rows, j]
-            order = np.argsort(xs_raw, kind="stable")
-            xs = xs_raw[order]
-            rs = residual[rows][order]
+    s1 = np.cumsum(rs, axis=1)
+    s2 = np.cumsum(rs * rs, axis=1)
+    # Column b splits after sorted row b: b + 1 rows go left.
+    n_left = np.arange(1, n)
+    n_right = n - n_left
+    left_s1 = s1[:, :-1]
+    left_s2 = s2[:, :-1]
+    sse = (
+        left_s2
+        - left_s1**2 / n_left
+        + (s2[:, -1:] - left_s2)
+        - (s1[:, -1:] - left_s1) ** 2 / n_right
+    )
+    sse[xs[:, :-1] >= xs[:, 1:]] = np.inf  # no threshold between equal values
+    sse[:, (n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = np.inf
 
-        boundaries = np.nonzero(xs[:-1] < xs[1:])[0]
-        if boundaries.size == 0:
-            continue
-        n_left = boundaries + 1
-        n_right = n - n_left
-        valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-        if not np.any(valid):
-            continue
-        boundaries = boundaries[valid]
-        n_left = n_left[valid]
-        n_right = n - n_left
-
-        s1 = np.cumsum(rs)
-        s2 = np.cumsum(rs * rs)
-        left_s1 = s1[boundaries]
-        left_s2 = s2[boundaries]
-        sse = (
-            left_s2
-            - left_s1**2 / n_left
-            + (s2[-1] - left_s2)
-            - (s1[-1] - left_s1) ** 2 / n_right
-        )
-        low = float(sse.min())
-        tol = SPLIT_TIE_RTOL * (1.0 + abs(low))
-        k = int(np.nonzero(sse <= low + tol)[0][0])  # lowest tied threshold
-        if best is None or low < best[0] - tol:
-            b = boundaries[k]
-            thr = (xs[b] + xs[b + 1]) / 2.0
-            if thr >= xs[b + 1]:  # midpoint rounded up between adjacent floats
-                thr = xs[b]
-            best = (low, j, float(thr))
-
+    lows = sse.min(axis=1)
+    tols = SPLIT_TIE_RTOL * (1.0 + np.abs(lows))
+    best: tuple[float, int] | None = None
+    for j, (low, tol) in enumerate(zip(lows.tolist(), tols.tolist())):
+        if low != np.inf and (best is None or low < best[0] - tol):
+            best = (low, j)
     if best is None:
         return None
-    return best[1], best[2]
 
-
-def _node_sse(residual: np.ndarray, rows: np.ndarray) -> float:
-    r = residual[rows]
-    return float(np.sum(r * r) - np.sum(r) ** 2 / rows.size)
+    j = best[1]
+    b = int(np.argmax(sse[j] <= lows[j] + tols[j]))  # lowest tied threshold
+    thr = (xs[j, b] + xs[j, b + 1]) / 2.0
+    if thr >= xs[j, b + 1]:  # midpoint rounded up between adjacent floats
+        thr = xs[j, b]
+    return j, float(thr)
 
 
 def _leaf_value(residual, hessian, rows) -> float:
@@ -157,7 +149,7 @@ def _build_tree(
     rows: np.ndarray,
     depth_left: int,
     min_samples_leaf: int,
-    orders: list[np.ndarray],
+    orders: np.ndarray,
     outputs: np.ndarray,
 ) -> TreeNode:
     if depth_left == 0 or rows.size < 2 * min_samples_leaf:
@@ -223,7 +215,7 @@ def fit_gbm(X, y, params: GbmParams) -> GbmModel:
         base_score=base_score, shrinkage=params.shrinkage, feature_count=X.shape[1]
     )
 
-    orders = [np.argsort(X[:, j], kind="stable") for j in range(X.shape[1])]
+    orders = np.argsort(X.T, axis=1, kind="stable")
     all_rows = np.arange(X.shape[0])
     scores = np.full(X.shape[0], base_score)
     p = sigmoid(scores)

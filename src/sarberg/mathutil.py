@@ -1,4 +1,5 @@
-"""Shared numerics: stable sigmoid/logit and the binary cross-entropy loss."""
+"""Shared numerics: stable sigmoid/logit, the binary cross-entropy loss and
+threshold accuracy."""
 
 from __future__ import annotations
 
@@ -36,3 +37,10 @@ def binary_logloss(p, y, clamp: float = PROB_CLAMP) -> float:
     if p.size == 0:
         raise ValueError("need at least one prediction")
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def binary_accuracy(p, y, threshold: float = 0.5) -> float:
+    """Fraction of correct calls; p == threshold counts as positive."""
+    p = np.asarray(p, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    return float(np.mean((p >= threshold) == (y == 1.0)))

@@ -7,7 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .mathutil import binary_logloss
+from .mathutil import binary_accuracy, binary_logloss
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ def metric_accuracy(
     preds: Mapping[str, float], labels: Mapping[str, int], threshold: float = 0.5
 ) -> float:
     """Fraction of correct calls; p == threshold counts as positive."""
-    p, y = _aligned(preds, labels)
-    return float(np.mean((p >= threshold) == (y == 1.0)))
+    return binary_accuracy(*_aligned(preds, labels), threshold)
 
 
 def metric_confusion(

@@ -10,7 +10,7 @@ import numpy as np
 from ..data import SampleSet, SarSample, fill_incidence, impute_incidence
 from ..features import derived_bands, normalize_incidence
 from ..imageops import gaussian_smooth, gradient_magnitude, laplacian
-from ..mathutil import binary_logloss
+from ..mathutil import binary_accuracy, binary_logloss
 from .network import Network
 from .optim import Adam, PlateauScheduler
 
@@ -216,13 +216,6 @@ def _backprop_loss(net: Network, pred: np.ndarray, y, loss: str = "logloss") -> 
         net.backward(_mse_grad(pred, y).astype(net.dtype, copy=False))
 
 
-def accuracy(p, y, threshold: float = 0.5) -> float:
-    """Fraction correct at the threshold; p == threshold counts positive."""
-    p = np.asarray(p, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    return float(np.mean((p >= threshold) == (y == 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # Training loops
 
@@ -273,8 +266,8 @@ def fit(
         val_loss = loss_logloss(p_va, y_val)
         history.train_loss.append(loss_logloss(p_tr, y_train))
         history.val_loss.append(val_loss)
-        history.train_acc.append(accuracy(p_tr, y_train))
-        history.val_acc.append(accuracy(p_va, y_val))
+        history.train_acc.append(binary_accuracy(p_tr, y_train))
+        history.val_acc.append(binary_accuracy(p_va, y_val))
         history.lr.append(lr)
 
         if val_loss < best_loss:

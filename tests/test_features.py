@@ -143,6 +143,32 @@ class TestBandStats:
             for name in STAT_NAMES:
                 assert abs(getattr(s, name) - ref[name]) < 1e-12, name
 
+    def test_matches_numpy_bitwise(self):
+        rng = np.random.default_rng(16)
+        for shape in ((3, 3), (3, 7), (8, 8), (75, 75)):
+            # Values over six decades make b - a inexact, so the two lerp
+            # forms round apart.
+            bands = [rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+                     for _ in range(10)] + [
+                rng.normal(-20.0, 5.0, size=shape),
+                rng.integers(-3, 3, size=shape).astype(float),  # heavy ties
+                rng.integers(-3, 3, size=shape) * 0.25 + 1.0,  # ties, no zero
+                rng.choice([-0.0, 0.0, 1.0], size=shape),  # zeros of both signs
+            ]
+            for arr in bands:
+                s = band_stats(plane(arr))
+                v = arr.ravel()
+                expect = (v.min(), v.max(), v.mean(), *np.quantile(v, (0.25, 0.5, 0.75)),
+                          np.std(v, ddof=1))
+                got = (s.min, s.max, s.mean, s.q1, s.median, s.q3, s.std)
+                assert np.array(got).tobytes() == np.array(expect).tobytes(), (shape, arr)
+
+    def test_constant_band_exact_at_every_size(self):
+        for shape in ((3, 3), (3, 7), (8, 8), (75, 75)):
+            for value in (-27.878, 0.1, 0.0):
+                s = band_stats(plane(np.full(shape, value)))
+                assert s.as_tuple() == (value,) * 6 + (0.0,), (shape, value)
+
     def test_invariants_ordering(self):
         arr = np.random.default_rng(5).normal(size=(10, 10))
         s = band_stats(plane(arr))

@@ -17,24 +17,23 @@ from sarberg.gbm import (
 from sarberg.mathutil import sigmoid
 
 
-def brute_force_first_split(X, y, min_samples_leaf, tie_rtol=1e-9):
-    """Exhaustive residual-SSE scan over every feature and midpoint.
+def brute_force_split(X, residual, rows, min_samples_leaf, tie_rtol=1e-9):
+    """Exhaustive residual-SSE scan of one node's rows over every feature and
+    midpoint.
 
     Replicates the documented tie-break (lowest feature index, then lowest
     threshold) with the same relative slack the implementation uses, since
     early-round residuals take only two values and exact SSE ties abound.
     """
-    base = np.clip(np.mean(y), 1e-6, 1 - 1e-6)
-    p = np.full(len(y), base)
-    r = y - p
+    Xn, r = X[rows], residual[rows]
     best = None
     for j in range(X.shape[1]):
-        uniq = np.unique(X[:, j])
+        uniq = np.unique(Xn[:, j])
         for a, b in zip(uniq[:-1], uniq[1:]):
             thr = (a + b) / 2.0
             if thr >= b:
                 thr = a
-            left = X[:, j] <= thr
+            left = Xn[:, j] <= thr
             nl, nr = left.sum(), (~left).sum()
             if nl < min_samples_leaf or nr < min_samples_leaf:
                 continue
@@ -44,6 +43,12 @@ def brute_force_first_split(X, y, min_samples_leaf, tie_rtol=1e-9):
             if best is None or sse < best[0] - tie_rtol * (1.0 + abs(sse)):
                 best = (sse, j, thr)
     return None if best is None else (best[1], best[2])
+
+
+def brute_force_first_split(X, y, min_samples_leaf):
+    """The root split of the first tree, from the base-rate residuals."""
+    base = np.clip(np.mean(y), 1e-6, 1 - 1e-6)
+    return brute_force_split(X, y - base, np.arange(len(y)), min_samples_leaf)
 
 
 class TestParams:
@@ -95,6 +100,42 @@ class TestFit:
             expect = brute_force_first_split(X, y, 2)
             root = model.trees[0]
             assert (root.feature, root.threshold) == expect, trial
+
+    def test_every_node_matches_exhaustive_scan(self):
+        # Integer features with duplicated columns: equal values within a
+        # feature and equal SSEs across features both occur at every depth.
+        rng = np.random.default_rng(15)
+        checked = 0
+        for trial in range(12):
+            n = int(rng.integers(20, 61))
+            base = rng.integers(0, 4, size=(n, int(rng.integers(2, 5)))).astype(float)
+            X = np.concatenate([base, base[:, ::-1], base[:, :1]], axis=1)
+            y = (rng.random(n) < 0.5).astype(float)
+            y[:2] = (0.0, 1.0)
+            min_leaf = 1 + trial % 3
+            params = GbmParams(n_trees=3, max_depth=3, min_samples_leaf=min_leaf)
+            model = fit_gbm(X, y, params)
+
+            def check(node, rows, depth_left, residual):
+                nonlocal checked
+                if depth_left == 0 or rows.size < 2 * min_leaf:
+                    assert node.is_leaf
+                    return
+                expect = brute_force_split(X, residual, rows, min_leaf)
+                if node.is_leaf:
+                    assert expect is None, trial
+                    return
+                assert (node.feature, node.threshold) == expect, trial
+                checked += 1
+                go_left = X[rows, node.feature] <= node.threshold
+                check(node.left, rows[go_left], depth_left - 1, residual)
+                check(node.right, rows[~go_left], depth_left - 1, residual)
+
+            for t, tree in enumerate(model.trees):
+                so_far = GbmModel(model.base_score, model.shrinkage, X.shape[1],
+                                  trees=model.trees[:t])
+                check(tree, np.arange(n), params.max_depth, y - predict_gbm(so_far, X))
+        assert checked > 100
 
     def test_training_loss_non_increasing(self):
         rng = np.random.default_rng(8)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import sarberg.ensemble
+import sarberg.gbm
 import sarberg.nn
 from sarberg.data import SynthConfig, synth_dataset
 from sarberg.gbm import GbmParams, fit_gbm
@@ -54,4 +55,19 @@ def test_predictors_call_traced_names():
         tracer.uninstall()
     for name in ("nn.prepare_inputs", "nn.input_tensor", "nn.Network.forward_eval",
                  "features.feature_matrix", "gbm.predict_gbm"):
+        assert name in tracer.names, name
+
+
+def test_fit_gbm_calls_traced_split_search():
+    # The benchmark times the split search through `sarberg.gbm.best_split`;
+    # folding it into fit_gbm would leave that span empty.
+    X = np.arange(24.0).reshape(8, 3) % 5
+    y = np.array([0.0, 1.0] * 4)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        sarberg.gbm.fit_gbm(X, y, GbmParams(n_trees=2, min_samples_leaf=1))
+    finally:
+        tracer.uninstall()
+    for name in ("gbm.fit_gbm", "gbm.best_split"):
         assert name in tracer.names, name
