@@ -513,20 +513,18 @@ def _cmd_report(args) -> None:
 
     preds = harness.read_submission(args.pred)
     truth = _load_set(args.truth, labeled=True)
-    summary = harness.metrics_summary(preds, _labels_of(truth), _config_echo(resolved))
-    harness.write_metrics_json(args.out / "metrics.json", summary)
-    if args.history is not None:
-        (args.out / "history.csv").write_text(args.history.read_text())
+    composites = []
     if args.input is not None and args.ids:
         wanted = {t.strip() for t in args.ids.split(",") if t.strip()}
-        sset = _load_set(args.input, labeled=False)
-        found = set()
-        for s in sset:
-            if s.id in wanted:
-                harness.write_composite_ppm(s, args.out / f"composite_{s.id}.ppm")
-                found.add(s.id)
-        if wanted - found:
-            raise ValueError(f"ids not in dataset: {sorted(wanted - found)}")
+        composites = [s for s in _load_set(args.input, labeled=False) if s.id in wanted]
+        absent = wanted - {s.id for s in composites}
+        if absent:
+            raise ValueError(f"ids not in dataset: {sorted(absent)}")
+    harness.write_report(
+        args.out, preds, _labels_of(truth), _config_echo(resolved), composites=composites
+    )
+    if args.history is not None:
+        (args.out / "history.csv").write_text(args.history.read_text())
     print(f"report written to {args.out}")
 
 

@@ -158,12 +158,12 @@ def correlation_matrix(
         raise ValueError("need at least 2 feature vectors")
     if fields is not None:
         X = X[:, list(fields)]
+    # max == min, not std == 0: a constant's float std can be ~1e-15.
+    for j in np.flatnonzero(X.max(axis=0) == X.min(axis=0)):
+        col = list(fields)[j] if fields is not None else j
+        name = FEATURE_NAMES[col] if col < len(FEATURE_NAMES) else str(col)
+        raise ValueError(f"field {name!r} has zero variance")
     sd = X.std(axis=0, ddof=1)
-    for j, s in enumerate(sd):
-        if s == 0.0:
-            col = list(fields)[j] if fields is not None else j
-            name = FEATURE_NAMES[col] if col < len(FEATURE_NAMES) else str(col)
-            raise ValueError(f"field {name!r} has zero variance")
     centered = X - X.mean(axis=0)
     cov = centered.T @ centered / (X.shape[0] - 1)
     corr = cov / np.outer(sd, sd)

@@ -7,12 +7,20 @@ scan). As in XGBoost's exact greedy algorithm (Chen & Guestrin 2016), every
 column is sorted once per fit; each node then scores the splits of all
 features in one array pass over that presorted index array. Leaf values are
 Newton steps clamped to [-4, 4], scaled by shrinkage.
+
+A tree has one form, in memory and on disk: five preorder node arrays
+(feature, threshold, left, right, value) with the root at node 0. A leaf has
+feature -1 and children -1; an internal node sends a row left when
+X[row, feature] <= threshold, and its children come after it. Scoring walks
+all rows down one level per pass, and loading checks the arrays so that every
+walk ends on a leaf.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,19 +34,25 @@ HESSIAN_FLOOR = 1e-12
 BASE_RATE_CLAMP = 1e-6
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature/threshold/children) or leaf (value)."""
+class Tree(NamedTuple):
+    """One regression tree as preorder node arrays; node 0 is the root."""
 
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
+    feature: np.ndarray  # int64; -1 marks a leaf
+    threshold: np.ndarray  # float64; 0.0 at a leaf
+    left: np.ndarray  # int64 node index; -1 at a leaf
+    right: np.ndarray  # int64 node index; -1 at a leaf
+    value: np.ndarray  # float64; 0.0 at an internal node
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+    @classmethod
+    def from_columns(cls, feature, threshold, left, right, value) -> "Tree":
+        """A tree from five equal-length sequences, one entry per node."""
+        return cls(
+            np.asarray(feature, dtype=np.int64),
+            np.asarray(threshold, dtype=np.float64),
+            np.asarray(left, dtype=np.int64),
+            np.asarray(right, dtype=np.int64),
+            np.asarray(value, dtype=np.float64),
+        )
 
 
 @dataclass(frozen=True)
@@ -65,7 +79,7 @@ class GbmModel:
     shrinkage: float
     feature_count: int
     fill_angle: float | None = None  # fills a missing angle; None if fit on bare X
-    trees: list[TreeNode] = field(default_factory=list)
+    trees: list[Tree] = field(default_factory=list)
     train_losses: list[float] = field(default_factory=list)  # base, then per round
 
 
@@ -151,39 +165,45 @@ def _build_tree(
     min_samples_leaf: int,
     orders: np.ndarray,
     outputs: np.ndarray,
-) -> TreeNode:
-    if depth_left == 0 or rows.size < 2 * min_samples_leaf:
-        value = _leaf_value(residual, hessian, rows)
-        outputs[rows] = value
-        return TreeNode(value=value)
-
-    split = best_split(X, residual, rows, min_samples_leaf, orders)
+    nodes: list[list],
+) -> None:
+    """Append the subtree over `rows` to `nodes` in preorder, one
+    [feature, threshold, left, right, value] row per node."""
+    split = None
+    if depth_left > 0 and rows.size >= 2 * min_samples_leaf:
+        split = best_split(X, residual, rows, min_samples_leaf, orders)
     if split is None:
         value = _leaf_value(residual, hessian, rows)
         outputs[rows] = value
-        return TreeNode(value=value)
+        nodes.append([-1, 0.0, -1, -1, value])
+        return
     feature, threshold = split
 
     go_left = X[rows, feature] <= threshold
-    left_rows = rows[go_left]
-    right_rows = rows[~go_left]
-    node = TreeNode(feature=feature, threshold=threshold)
-    node.left = _build_tree(
-        X, residual, hessian, left_rows, depth_left - 1, min_samples_leaf, orders, outputs
+    node = [feature, threshold, len(nodes) + 1, -1, 0.0]
+    nodes.append(node)
+    _build_tree(
+        X, residual, hessian, rows[go_left], depth_left - 1, min_samples_leaf, orders, outputs,
+        nodes,
     )
-    node.right = _build_tree(
-        X, residual, hessian, right_rows, depth_left - 1, min_samples_leaf, orders, outputs
+    node[3] = len(nodes)
+    _build_tree(
+        X, residual, hessian, rows[~go_left], depth_left - 1, min_samples_leaf, orders, outputs,
+        nodes,
     )
-    return node
 
 
-def _eval_tree(node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray) -> None:
-    if node.is_leaf:
-        out[rows] = node.value
-        return
-    go_left = X[rows, node.feature] <= node.threshold
-    _eval_tree(node.left, X, rows[go_left], out)
-    _eval_tree(node.right, X, rows[~go_left], out)
+def _tree_outputs(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf value, moving every row down one level per pass."""
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feature = tree.feature[node]
+        inner = feature >= 0
+        if not inner.any():
+            return tree.value[node]
+        go_left = X[rows, feature] <= tree.threshold[node]
+        node = np.where(inner, np.where(go_left, tree.left[node], tree.right[node]), node)
 
 
 def fit_gbm(X, y, params: GbmParams) -> GbmModel:
@@ -225,7 +245,8 @@ def fit_gbm(X, y, params: GbmParams) -> GbmModel:
         residual = y - p
         hessian = p * (1.0 - p)
         outputs = np.zeros(X.shape[0])
-        tree = _build_tree(
+        nodes: list[list] = []
+        _build_tree(
             X,
             residual,
             hessian,
@@ -234,8 +255,9 @@ def fit_gbm(X, y, params: GbmParams) -> GbmModel:
             params.min_samples_leaf,
             orders,
             outputs,
+            nodes,
         )
-        model.trees.append(tree)
+        model.trees.append(Tree.from_columns(*zip(*nodes)))
         scores = scores + params.shrinkage * outputs
         p = sigmoid(scores)
         model.train_losses.append(binary_logloss(p, y))
@@ -249,66 +271,16 @@ def predict_gbm(model: GbmModel, X) -> np.ndarray:
         raise ValueError(
             f"expected {model.feature_count} features, got shape {X.shape}"
         )
-    rows = np.arange(X.shape[0])
     scores = np.full(X.shape[0], model.base_score)
-    out = np.empty(X.shape[0])
     # Accumulate round by round, matching the training loop's addition order
     # so training-row predictions reproduce the final-round probabilities.
     for tree in model.trees:
-        _eval_tree(tree, X, rows, out)
-        scores = scores + model.shrinkage * out
+        scores = scores + model.shrinkage * _tree_outputs(tree, X)
     return sigmoid(scores)
 
 
 # ---------------------------------------------------------------------------
-# Serialization (versioned JSON, flat node arrays)
-
-
-def _flatten_tree(root: TreeNode) -> dict:
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def add(node: TreeNode) -> int:
-        i = len(feature)
-        feature.append(node.feature)
-        threshold.append(node.threshold)
-        left.append(-1)
-        right.append(-1)
-        value.append(node.value)
-        if not node.is_leaf:
-            left[i] = add(node.left)
-            right[i] = add(node.right)
-        return i
-
-    add(root)
-    return {
-        "feature": feature,
-        "threshold": threshold,
-        "left": left,
-        "right": right,
-        "value": value,
-    }
-
-
-def _unflatten_tree(flat: dict) -> TreeNode:
-    feature = flat["feature"]
-    n = len(feature)
-    for key in ("threshold", "left", "right", "value"):
-        if len(flat[key]) != n:
-            raise ValueError("corrupt model: ragged tree arrays")
-
-    def build(i: int) -> TreeNode:
-        if not (0 <= i < n):
-            raise ValueError(f"corrupt model: node index {i} out of range")
-        if feature[i] < 0:
-            return TreeNode(value=float(flat["value"][i]))
-        return TreeNode(
-            feature=int(feature[i]),
-            threshold=float(flat["threshold"][i]),
-            left=build(flat["left"][i]),
-            right=build(flat["right"][i]),
-        )
-
-    return build(0)
+# Serialization (versioned JSON, the node arrays as lists)
 
 
 def serialize_gbm(model: GbmModel) -> bytes:
@@ -319,9 +291,38 @@ def serialize_gbm(model: GbmModel) -> bytes:
         "shrinkage": model.shrinkage,
         "base_score": model.base_score,
         "fill_angle": model.fill_angle,
-        "trees": [_flatten_tree(t) for t in model.trees],
+        "trees": [{k: col.tolist() for k, col in t._asdict().items()} for t in model.trees],
     }
     return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+def _load_tree(t: int, flat, feature_count: int) -> Tree:
+    """Tree t of a model file, refused unless every walk from the root ends
+    on a leaf: children point forward (parent < child < n), so no cycle."""
+    where = f"corrupt model: tree {t}"
+    if not isinstance(flat, dict) or any(k not in flat for k in Tree._fields):
+        raise ValueError(f"{where} lacks one of {', '.join(Tree._fields)}")
+    try:
+        cols = [np.asarray(flat[k]) for k in Tree._fields]
+    except ValueError as e:  # ragged nesting
+        raise ValueError(f"{where}: {e}") from e
+    n = cols[0].size
+    if n == 0 or any(c.ndim != 1 or c.size != n for c in cols):
+        raise ValueError(f"{where}: node arrays must be flat, non-empty and of equal length")
+    for k, c in zip(Tree._fields, cols):
+        numeric = c.dtype.kind in ("if" if k in ("threshold", "value") else "i")
+        if not (numeric and np.isfinite(c).all()):
+            raise ValueError(f"{where}: {k} holds a value that is not a finite number")
+    tree = Tree.from_columns(*cols)
+    if tree.feature.min() < -1 or tree.feature.max() >= feature_count:
+        raise ValueError(f"{where}: feature index outside [-1, {feature_count})")
+    inner = np.flatnonzero(tree.feature >= 0)
+    for child in (tree.left[inner], tree.right[inner]):
+        bad = (child <= inner) | (child >= n)
+        if bad.any():
+            i, c = inner[bad][0], child[bad][0]
+            raise ValueError(f"{where}: node {i} has child {c}, outside ({i}, {n})")
+    return tree
 
 
 def deserialize_gbm(raw: bytes | str) -> GbmModel:
@@ -340,24 +341,18 @@ def deserialize_gbm(raw: bytes | str) -> GbmModel:
     for key in ("feature_count", "shrinkage", "base_score", "fill_angle", "trees"):
         if key not in doc:
             raise ValueError(f"corrupt model: missing {key!r}")
-    model = GbmModel(
-        base_score=float(doc["base_score"]),
-        shrinkage=float(doc["shrinkage"]),
-        feature_count=int(doc["feature_count"]),
-        fill_angle=None if doc["fill_angle"] is None else float(doc["fill_angle"]),
-    )
-    model.trees = [_unflatten_tree(t) for t in doc["trees"]]
-    for tree in model.trees:
-        _check_feature_indices(tree, model.feature_count)
-    return model
-
-
-def _check_feature_indices(node: TreeNode, feature_count: int) -> None:
-    if node.is_leaf:
-        return
-    if node.feature >= feature_count:
-        raise ValueError(
-            f"corrupt model: feature index {node.feature} >= {feature_count}"
+    if not isinstance(doc["trees"], list):
+        raise ValueError("corrupt model: 'trees' is not a list")
+    try:
+        model = GbmModel(
+            base_score=float(doc["base_score"]),
+            shrinkage=float(doc["shrinkage"]),
+            feature_count=int(doc["feature_count"]),
+            fill_angle=None if doc["fill_angle"] is None else float(doc["fill_angle"]),
         )
-    _check_feature_indices(node.left, feature_count)
-    _check_feature_indices(node.right, feature_count)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"corrupt model: {e}") from e
+    if not np.isfinite([model.base_score, model.shrinkage, model.fill_angle or 0.0]).all():
+        raise ValueError("corrupt model: base_score, shrinkage or fill_angle is not finite")
+    model.trees = [_load_tree(t, flat, model.feature_count) for t, flat in enumerate(doc["trees"])]
+    return model

@@ -5,14 +5,14 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .data import SampleSet, SarSample, split_train_validation
 from .imageops import AugmentationPolicy, augment_dataset
 from .metrics import metric_accuracy, metric_confusion, metric_logloss
-from .nn import History, TrainConfig, build_classifier, fit, write_history_csv
+from .nn import TrainConfig, build_classifier, fit
 
 PredictionSet = dict[str, float]
 
@@ -167,29 +167,19 @@ def write_report(
     preds: Mapping[str, float],
     labels: Mapping[str, int],
     config: dict,
-    history: History | None = None,
-    correlation: tuple[Sequence[str], np.ndarray] | None = None,
-    composites: SampleSet | None = None,
+    composites: Iterable[SarSample] = (),
 ) -> dict:
-    """Write metrics JSON plus any optional artifacts into outdir.
+    """Write metrics.json and one composite_<id>.ppm per composite scene.
 
     Returns the metrics summary. Deterministic: identical inputs produce
     byte-identical files.
     """
     from pathlib import Path
 
-    from .features import write_correlation_csv
-
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = metrics_summary(preds, labels, config)
     write_metrics_json(outdir / "metrics.json", summary)
-    if history is not None:
-        write_history_csv(outdir / "history.csv", history)
-    if correlation is not None:
-        names, corr = correlation
-        write_correlation_csv(outdir / "correlation.csv", names, corr)
-    if composites is not None:
-        for s in composites:
-            write_composite_ppm(s, outdir / f"composite_{s.id}.ppm")
+    for s in composites:
+        write_composite_ppm(s, outdir / f"composite_{s.id}.ppm")
     return summary

@@ -143,8 +143,7 @@ def sobel(p: ImagePlane, axis: str) -> ImagePlane:
 
 
 def gradient_magnitude(p: ImagePlane) -> ImagePlane:
-    gx = _correlate2d(p.data, SOBEL_X)
-    gy = _correlate2d(p.data, SOBEL_Y)
+    gx, gy = sobel(p, "x").data, sobel(p, "y").data
     return ImagePlane(np.sqrt(gx**2 + gy**2))
 
 

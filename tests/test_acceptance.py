@@ -287,7 +287,7 @@ def test_criterion_09_boosting_properties():
         m = fit_gbm(Xt, yt, GbmParams(n_trees=1, max_depth=2, min_samples_leaf=2))
         expect = brute_force_first_split(Xt, yt, 2)
         root = m.trees[0]
-        assert (root.feature, root.threshold) == expect
+        assert (root.feature[0], root.threshold[0]) == expect
         matches += 1
 
     sep = fit_gbm(

@@ -242,6 +242,15 @@ class TestModelArtifacts:
         assert run("predict", "--input", path, "--model", bad, "--out", tmp_path / "p") == 1
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_cyclic_gbm_json_reports_corrupt_model(self, tmp_path, gbm_file, capsys):
+        doc = json.loads(gbm_file.read_bytes())
+        doc["trees"][0]["left"][0] = 0  # the root is its own left child
+        bad = tmp_path / "gbm.json"
+        bad.write_text(json.dumps(doc))
+        path, _ = _scoring_file(tmp_path / "score.json", 30.0)
+        assert run("predict", "--input", path, "--model", bad, "--out", tmp_path / "p") == 1
+        assert "corrupt model" in capsys.readouterr().err
+
     def test_gbm_json_alone_scores_with_training_mean(self, tmp_path):
         # Labels follow the angle (6 icebergs at 45-47.5 degrees, 18 ships at
         # 31-35), so the trees split on it and the fill angle decides the

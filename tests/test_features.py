@@ -272,10 +272,14 @@ class TestCorrelation:
         assert np.all(corr >= -1.0) and np.all(corr <= 1.0)
 
     def test_zero_variance_names_field(self):
-        X = np.random.default_rng(14).normal(size=(5, 3))
-        X[:, 2] = 1.0
-        with pytest.raises(ValueError, match=FEATURE_NAMES[2]):
-            correlation_matrix(X)
+        exact = np.random.default_rng(14).normal(size=(5, 3))
+        exact[:, 2] = 1.0
+        # The float std of this constant column is ~7e-15, not 0.
+        inexact = np.random.default_rng(14).normal(size=(50, 3))
+        inexact[:, 2] = -27.878
+        for X in (exact, inexact):
+            with pytest.raises(ValueError, match=FEATURE_NAMES[2]):
+                correlation_matrix(X)
 
     def test_field_subset(self):
         X = np.random.default_rng(15).normal(size=(8, 30))

@@ -8,7 +8,7 @@ import pytest
 from sarberg.gbm import (
     GbmModel,
     GbmParams,
-    TreeNode,
+    Tree,
     deserialize_gbm,
     fit_gbm,
     predict_gbm,
@@ -83,8 +83,8 @@ class TestFit:
         model = fit_gbm(X, y, params)
         assert model.train_losses[-1] < 0.05
         root = model.trees[0]
-        assert not root.is_leaf
-        assert 1.0 < root.threshold < 2.0
+        assert root.feature[0] >= 0
+        assert 1.0 < root.threshold[0] < 2.0
 
     def test_first_split_matches_exhaustive_scan(self):
         rng = np.random.default_rng(7)
@@ -99,7 +99,7 @@ class TestFit:
             model = fit_gbm(X, y, params)
             expect = brute_force_first_split(X, y, 2)
             root = model.trees[0]
-            assert (root.feature, root.threshold) == expect, trial
+            assert (root.feature[0], root.threshold[0]) == expect, trial
 
     def test_every_node_matches_exhaustive_scan(self):
         # Integer features with duplicated columns: equal values within a
@@ -116,25 +116,26 @@ class TestFit:
             params = GbmParams(n_trees=3, max_depth=3, min_samples_leaf=min_leaf)
             model = fit_gbm(X, y, params)
 
-            def check(node, rows, depth_left, residual):
+            def check(tree, i, rows, depth_left, residual):
                 nonlocal checked
+                is_leaf = tree.feature[i] < 0
                 if depth_left == 0 or rows.size < 2 * min_leaf:
-                    assert node.is_leaf
+                    assert is_leaf
                     return
                 expect = brute_force_split(X, residual, rows, min_leaf)
-                if node.is_leaf:
+                if is_leaf:
                     assert expect is None, trial
                     return
-                assert (node.feature, node.threshold) == expect, trial
+                assert (tree.feature[i], tree.threshold[i]) == expect, trial
                 checked += 1
-                go_left = X[rows, node.feature] <= node.threshold
-                check(node.left, rows[go_left], depth_left - 1, residual)
-                check(node.right, rows[~go_left], depth_left - 1, residual)
+                go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
+                check(tree, tree.left[i], rows[go_left], depth_left - 1, residual)
+                check(tree, tree.right[i], rows[~go_left], depth_left - 1, residual)
 
             for t, tree in enumerate(model.trees):
                 so_far = GbmModel(model.base_score, model.shrinkage, X.shape[1],
                                   trees=model.trees[:t])
-                check(tree, np.arange(n), params.max_depth, y - predict_gbm(so_far, X))
+                check(tree, 0, np.arange(n), params.max_depth, y - predict_gbm(so_far, X))
         assert checked > 100
 
     def test_training_loss_non_increasing(self):
@@ -161,17 +162,17 @@ class TestFit:
         X2[:, 1] = 2.0 * X[:, 1] + 1.0
         model_b = fit_gbm(X2, y, params)
 
-        def structure(node, transformed_feature):
-            if node.is_leaf:
-                return ("leaf", node.value)
+        def structure(tree, i, transformed_feature):
+            if tree.feature[i] < 0:
+                return ("leaf", tree.value[i])
             return (
-                node.feature,
-                structure(node.left, transformed_feature),
-                structure(node.right, transformed_feature),
+                tree.feature[i],
+                structure(tree, tree.left[i], transformed_feature),
+                structure(tree, tree.right[i], transformed_feature),
             )
 
         for ta, tb in zip(model_a.trees, model_b.trees):
-            assert structure(ta, 1) == structure(tb, 1)
+            assert structure(ta, 0, 1) == structure(tb, 0, 1)
         assert np.array_equal(predict_gbm(model_a, X), predict_gbm(model_b, X2))
 
 
@@ -187,7 +188,7 @@ class TestPredict:
         y = (X[:, 0] > 0).astype(float)
         model = fit_gbm(X, y, GbmParams(n_trees=5, max_depth=2))
         before = predict_gbm(model, X)
-        model.trees.append(TreeNode(value=1.0))
+        model.trees.append(Tree.from_columns([-1], [0.0], [-1], [-1], [1.0]))
         after = predict_gbm(model, X)
         assert np.all(after > before)
 
@@ -214,6 +215,30 @@ class TestPredict:
         model = fit_gbm(X, y, GbmParams(n_trees=100, max_depth=2))
         p = predict_gbm(model, X)
         assert np.all(p > 0.0) and np.all(p < 1.0)
+
+
+# A model file as the linked-node trees wrote it: 3 trees of depth 2, with
+# their probabilities on X_OLD.
+OLD_GBM_JSON = (
+    b'{"format":"sarberg-gbm","version":1,"feature_count":2,"shrinkage":0.1,'
+    b'"base_score":0.0,"fill_angle":38.5,"trees":['
+    b'{"feature":[0,0,-1,-1,-1],"threshold":[0.72,0.325,0.0,0.0,0.0],'
+    b'"left":[1,2,-1,-1,-1],"right":[4,3,-1,-1,-1],"value":[0.0,0.0,0.0,2.0,-2.0]},'
+    b'{"feature":[1,-1,1,-1,-1],"threshold":[-0.62,0.0,-0.37,0.0,0.0],'
+    b'"left":[1,-1,3,-1,-1],"right":[2,-1,4,-1,-1],"value":[0.0,-1.9098177926181705,0.0,'
+    b'1.9098177926181708,-3.7130381624766546e-17]},'
+    b'{"feature":[1,-1,1,-1,-1],"threshold":[-0.62,0.0,-0.37,0.0,0.0],'
+    b'"left":[1,-1,3,-1,-1],"right":[2,-1,4,-1,-1],"value":[0.0,-1.7523508822232616,0.0,'
+    b'1.7523508822232616,-3.7130381624766546e-17]}]}'
+)
+X_OLD = np.array([
+    [2.04, -2.56], [0.42, -0.57], [-0.45, -0.22], [-2.02, -0.23], [-0.87, 3.32],
+    [0.23, -0.35], [-0.28, -0.67], [-1.06, -0.39], [0.48, -0.24], [0.96, -0.2],
+])
+P_OLD = [
+    0.362110220391458, 0.637889779608542, 0.5, 0.5, 0.5, 0.5,
+    0.40945547506996605, 0.590544524930034, 0.549833997312478, 0.4501660026875221,
+]
 
 
 class TestSerialization:
@@ -263,6 +288,33 @@ class TestSerialization:
         with pytest.raises(ValueError, match="corrupt"):
             deserialize_gbm(raw[: len(raw) // 2])
 
+    def test_file_from_before_flat_trees_loads_unchanged(self):
+        model = deserialize_gbm(OLD_GBM_JSON)
+        assert serialize_gbm(model) == OLD_GBM_JSON
+        assert predict_gbm(model, X_OLD).tolist() == P_OLD
+
+    def test_malformed_trees_rejected_as_corrupt(self):
+        def set_(key, i, v):
+            return lambda doc: doc["trees"][0][key].__setitem__(i, v)
+
+        cases = {
+            "child is its own node": set_("left", 0, 0),
+            "child is an ancestor": set_("left", 1, 0),
+            "child past the end": set_("right", 0, 5),
+            "non-numeric feature": set_("feature", 0, "0"),
+            "tree without value": lambda doc: doc["trees"][1].pop("value"),
+            "trees not a list": lambda doc: doc.__setitem__("trees", 5),
+            "feature below -1": set_("feature", 2, -2),
+            "NaN leaf value": set_("value", 3, float("nan")),
+            "NaN shrinkage": lambda doc: doc.__setitem__("shrinkage", float("nan")),
+        }
+        for name, corrupt in cases.items():
+            doc = json.loads(OLD_GBM_JSON)
+            corrupt(doc)
+            with pytest.raises(ValueError, match="corrupt model"):
+                deserialize_gbm(json.dumps(doc))
+                pytest.fail(name)
+
 
 class TestDepthOneEquivalence:
     def test_stump_sequence_matches_exhaustive_stumps(self):
@@ -289,8 +341,10 @@ class TestDepthOneEquivalence:
                 )
                 if best is None or sse < best[0] - 1e-9 * (1.0 + abs(sse)):
                     best = (sse, thr)
-            assert tree.threshold == pytest.approx(best[1], abs=0)
+            assert tree.threshold[0] == pytest.approx(best[1], abs=0)
             leaf_out = np.where(
-                X[:, 0] <= tree.threshold, tree.left.value, tree.right.value
+                X[:, 0] <= tree.threshold[0],
+                tree.value[tree.left[0]],
+                tree.value[tree.right[0]],
             )
             scores = scores + params.shrinkage * leaf_out
