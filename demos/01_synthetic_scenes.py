@@ -34,7 +34,7 @@ def main():
         print(f"{name}: angle {s.inc_angle:.1f} deg, previews -> "
               f"{OUT / (name + '_*.pgm')}")
 
-    gap = np.array([np.mean(s.hh.data - s.hv.data) for s in sset])
+    gap = np.array([np.mean(s.hh - s.hv) for s in sset])
     labels = np.array([s.label for s in sset])
     print(f"\nmean HH-HV gap: icebergs {gap[labels == 1].mean():.2f} dB, "
           f"ships {gap[labels == 0].mean():.2f} dB")

@@ -39,17 +39,17 @@ def main():
         "gradmag": gradient_magnitude(hh),
         "laplacian": laplacian(hh),
     }
-    for name, plane in variants.items():
-        write_pgm(plane, OUT / f"{name}.pgm")
+    for name, image in variants.items():
+        write_pgm(image, OUT / f"{name}.pgm")
     print(f"wrote {len(variants)} previews to {OUT}")
 
     # Group identities hold bitwise.
     four = hh
     for _ in range(4):
         four = rotate(four, 90.0)
-    print("rotate(90)^4 == identity:", np.array_equal(four.data, hh.data))
+    print("rotate(90)^4 == identity:", np.array_equal(four, hh))
     print("reflect^2    == identity:",
-          np.array_equal(reflect(reflect(hh, "vertical"), "vertical").data, hh.data))
+          np.array_equal(reflect(reflect(hh, "vertical"), "vertical"), hh))
 
     # The stochastic policy applies one shared draw to both bands.
     policy = AugmentationPolicy()

@@ -13,7 +13,6 @@ Submodules:
 """
 
 from .data import (
-    ImagePlane,
     SampleSet,
     SarSample,
     SynthConfig,
@@ -27,7 +26,6 @@ from .data import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ImagePlane",
     "SampleSet",
     "SarSample",
     "SynthConfig",

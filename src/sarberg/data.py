@@ -1,9 +1,10 @@
 """Domain types, Kaggle-format ingestion, splitting, and a synthetic scene generator.
 
-A scene is a pair of 75x75 backscatter planes (HH and HV polarization, in dB)
-with an incidence angle and, for training data, an iceberg/ship label. The
-synthetic generator produces desk-scale datasets with the same physics cues the
-real data carries: icebergs are large, roughly isotropic blobs whose HV return
+A scene is a pair of 75x75 backscatter bands (HH and HV polarization, in dB,
+plain 2-D arrays checked once, when a `SarSample` is built) with an incidence
+angle and, for training data, an iceberg/ship label. The synthetic generator
+produces desk-scale datasets with the same physics cues the real data
+carries: icebergs are large, roughly isotropic blobs whose HV return
 sits close to HH (volume scattering); ships are elongated and strongly
 cross-pol suppressed.
 """
@@ -30,58 +31,27 @@ BACKGROUND_CROSSPOL_GAP_DB = 8.0
 BACKGROUND_GAP_JITTER_DB = 0.5
 
 
-class ImagePlane:
-    """A single-band backscatter image, row-major float64 dB values.
-
-    Immutable: the wrapped array is copied on construction and marked
-    read-only. Planes must be at least 3x3 and contain only finite values.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.array(data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"image plane must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] < 3 or arr.shape[1] < 3:
-            raise ValueError(f"image plane must be at least 3x3, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("image plane contains non-finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ImagePlane is immutable")
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ImagePlane):
-            return NotImplemented
-        return self.data.shape == other.data.shape and bool(
-            np.array_equal(self.data, other.data)
-        )
-
-    def __hash__(self):
-        return hash((self.data.shape, self.data.tobytes()))
-
-    def __repr__(self) -> str:
-        return f"ImagePlane({self.height}x{self.width})"
+def _band_array(band, sample_id: str, name: str) -> np.ndarray:
+    """A read-only, C-contiguous float64 copy of one band, refused unless it is
+    2-D, at least 3x3 and finite."""
+    arr = np.array(band, dtype=np.float64, order="C")
+    where = f"sample {sample_id!r}: {name}"
+    if arr.ndim != 2:
+        raise ValueError(f"{where} must be 2-D, got shape {arr.shape}")
+    if arr.shape[0] < 3 or arr.shape[1] < 3:
+        raise ValueError(f"{where} must be at least 3x3, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{where} contains non-finite values")
+    arr.setflags(write=False)
+    return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SarSample:
-    """One scene: two co-registered polarization planes plus metadata.
+    """One scene: two co-registered polarization bands plus metadata.
+
+    hh and hv are 2-D dB arrays, kept as checked, read-only float64 copies;
+    later stages take them as finite and at least 3x3. Compared by identity.
 
     label: 0 = ship, 1 = iceberg, None = unlabeled.
     inc_angle: incidence angle in degrees, None when missing from the source.
@@ -89,13 +59,15 @@ class SarSample:
     """
 
     id: str
-    hh: ImagePlane
-    hv: ImagePlane
+    hh: np.ndarray
+    hv: np.ndarray
     inc_angle: float | None = None
     angle_imputed: bool = False
     label: int | None = None
 
     def __post_init__(self):
+        for name in ("hh", "hv"):
+            object.__setattr__(self, name, _band_array(getattr(self, name), self.id, name))
         if self.hh.shape != self.hv.shape:
             raise ValueError(
                 f"sample {self.id!r}: hh {self.hh.shape} and hv {self.hv.shape} "
@@ -169,7 +141,7 @@ def _record_error(index: int, rec_id, msg: str) -> ValueError:
     return ValueError(f"record {index}{ident}: {msg}")
 
 
-def _parse_band(raw_band, index: int, rec_id, name: str) -> ImagePlane:
+def _parse_band(raw_band, index: int, rec_id, name: str) -> np.ndarray:
     if not isinstance(raw_band, list):
         raise _record_error(index, rec_id, f"{name} must be a list of numbers")
     if len(raw_band) != KAGGLE_BAND_PIXELS:
@@ -180,7 +152,7 @@ def _parse_band(raw_band, index: int, rec_id, name: str) -> ImagePlane:
     arr = np.asarray(raw_band, dtype=np.float64).reshape(SCENE_SIDE, SCENE_SIDE)
     if not np.all(np.isfinite(arr)):
         raise _record_error(index, rec_id, f"{name} contains non-finite values")
-    return ImagePlane(arr)
+    return arr
 
 
 def parse_samples(raw: bytes | str, labeled: bool) -> SampleSet:
@@ -250,8 +222,8 @@ def serialize_samples(sset: SampleSet) -> str:
     for s in sset:
         rec = {
             "id": s.id,
-            "band_1": s.hh.data.ravel().tolist(),
-            "band_2": s.hv.data.ravel().tolist(),
+            "band_1": s.hh.ravel().tolist(),
+            "band_2": s.hv.ravel().tolist(),
             "inc_angle": "na" if s.inc_angle is None else s.inc_angle,
         }
         if s.label is not None:
@@ -338,12 +310,12 @@ def impute_incidence(sset: SampleSet) -> tuple[SampleSet, float]:
 # Synthetic scenes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scene:
     """One rendered synthetic scene plus its generator-side ground truth."""
 
-    hh: ImagePlane
-    hv: ImagePlane
+    hh: np.ndarray
+    hv: np.ndarray
     inc_angle: float
     label: int
     target_mask: np.ndarray = field(repr=False)  # bool, True on the target body
@@ -421,8 +393,8 @@ def render_scene(rng: np.random.Generator, iceberg: bool, looks: int) -> Scene:
     power_hv = np.maximum(power_hv * speckle_hv, 1e-30)
 
     return Scene(
-        hh=ImagePlane(_power_to_db(power_hh)),
-        hv=ImagePlane(_power_to_db(power_hv)),
+        hh=_power_to_db(power_hh),
+        hv=_power_to_db(power_hv),
         inc_angle=float(inc_angle),
         label=1 if iceberg else 0,
         target_mask=envelope >= 0.5,

@@ -1,8 +1,8 @@
 """Radiometric normalization, derived bands, and the per-band statistics features.
 
 Each sample yields 30 scalars: seven order/moment statistics for each of the
-HH, HV, difference, and ratio bands, plus the incidence angle and a flag
-marking angles that were imputed rather than measured.
+HH, HV, difference, and ratio bands (2-D float arrays, like a sample's), plus
+the incidence angle and a flag marking angles imputed rather than measured.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ImagePlane, SampleSet, SarSample
+from .data import SampleSet, SarSample
 
 STAT_NAMES = ("min", "max", "mean", "median", "q1", "q3", "std")
 BAND_NAMES = ("hh", "hv", "diff", "ratio")
@@ -40,7 +40,7 @@ class BandStats:
         return (self.min, self.max, self.mean, self.median, self.q1, self.q3, self.std)
 
 
-def normalize_incidence(p: ImagePlane, theta: float) -> ImagePlane:
+def normalize_incidence(band: np.ndarray, theta: float) -> np.ndarray:
     """Standardize backscatter to a 0-degree incidence angle.
 
     Adds -10*log10(cos theta) to every dB pixel (gamma-naught convention);
@@ -49,26 +49,28 @@ def normalize_incidence(p: ImagePlane, theta: float) -> ImagePlane:
     if not (0.0 < theta < 90.0):
         raise ValueError(f"incidence angle must lie in (0, 90), got {theta}")
     correction = -10.0 * math.log10(math.cos(math.radians(theta)))
-    return ImagePlane(p.data + correction)
+    return band + correction
 
 
-def derived_bands(s: SarSample) -> tuple[ImagePlane, ImagePlane]:
+def derived_bands(hh: np.ndarray, hv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel difference (dB) and linear-power ratio of the two bands.
 
     The dB difference already is the log-ratio, so the ratio band is computed
-    in linear power (10^(v/10)) to add distinct information. Linear power is
-    strictly positive, so the ratio is always finite.
+    in linear power (10^(v/10)) to add distinct information. A ratio that is
+    not finite is refused: HH = 4000 dB is finite, but overflows 10^(v/10).
     """
-    diff = s.hh.data - s.hv.data
-    ratio = np.power(10.0, s.hh.data / 10.0) / np.power(10.0, s.hv.data / 10.0)
-    return ImagePlane(diff), ImagePlane(ratio)
+    diff = hh - hv
+    ratio = np.power(10.0, hh / 10.0) / np.power(10.0, hv / 10.0)
+    if not np.isfinite(ratio).all():
+        raise ValueError("ratio band is not finite: 10^(dB/10) leaves the float64 range")
+    return diff, ratio
 
 
 QUARTILES = np.array([0.25, 0.5, 0.75])
 
 
-def band_stats(p: ImagePlane) -> BandStats:
-    """Seven summary statistics of a plane.
+def band_stats(band: np.ndarray) -> BandStats:
+    """Seven summary statistics of a band.
 
     One sort gives min, max and the quartiles. Quartiles follow numpy's
     linear rule (np.quantile's default): quantile q sits at position
@@ -78,7 +80,7 @@ def band_stats(p: ImagePlane) -> BandStats:
     as np.mean and np.std sum them; a constant band has its value as mean
     and std 0.
     """
-    values = p.data.ravel()
+    values = band.ravel()
     ordered = np.sort(values)
     pos = (values.size - 1) * QUARTILES
     lo = np.floor(pos).astype(np.intp)
@@ -116,10 +118,10 @@ def feature_vector(s: SarSample, mean_angle: float | None) -> np.ndarray:
     The angle slot holds the sample's angle, or mean_angle when absent; the
     final slot flags angles that are imputed (either upstream or here).
     """
-    diff, ratio = derived_bands(s)
+    diff, ratio = derived_bands(s.hh, s.hv)
     parts: list[float] = []
-    for plane in (s.hh, s.hv, diff, ratio):
-        parts.extend(band_stats(plane).as_tuple())
+    for band in (s.hh, s.hv, diff, ratio):
+        parts.extend(band_stats(band).as_tuple())
     missing = s.angle_imputed or s.inc_angle is None
     angle = s.inc_angle if s.inc_angle is not None else mean_angle
     if angle is None:

@@ -343,11 +343,14 @@ def deserialize_gbm(raw: bytes | str) -> GbmModel:
             raise ValueError(f"corrupt model: missing {key!r}")
     if not isinstance(doc["trees"], list):
         raise ValueError("corrupt model: 'trees' is not a list")
+    count = doc["feature_count"]
+    if type(count) is not int or count < 1:  # int() would take 2.9, true or "2"
+        raise ValueError(f"corrupt model: feature_count {count!r} is not a positive integer")
     try:
         model = GbmModel(
             base_score=float(doc["base_score"]),
             shrinkage=float(doc["shrinkage"]),
-            feature_count=int(doc["feature_count"]),
+            feature_count=count,
             fill_angle=None if doc["fill_angle"] is None else float(doc["fill_angle"]),
         )
     except (TypeError, ValueError) as e:

@@ -98,11 +98,12 @@ def write_curve_csv(path, rows: Sequence[CurveRow]) -> None:
 
 
 def write_submission(preds: Mapping[str, float], path) -> None:
-    """Competition-format CSV: header `id,is_iceberg`, six decimal places."""
+    """Competition-format CSV: header `id,is_iceberg`, each probability as its
+    shortest round-trip repr, so the file gives back the exact values."""
     with open(path, "w", newline="") as f:
         f.write("id,is_iceberg\n")
         for sample_id, p in preds.items():
-            f.write(f"{sample_id},{p:.6f}\n")
+            f.write(f"{sample_id},{float(p)!r}\n")
 
 
 def read_submission(path) -> PredictionSet:
@@ -142,8 +143,7 @@ def write_metrics_json(path, summary: dict) -> None:
 
 def composite_rgb(sample: SarSample) -> np.ndarray:
     """False-color composite: R=hh, G=hv, B=(hh+hv)/2, each min-max scaled."""
-    hh = sample.hh.data
-    hv = sample.hv.data
+    hh, hv = sample.hh, sample.hv
     channels = []
     for plane in (hh, hv, (hh + hv) / 2.0):
         lo, hi = float(plane.min()), float(plane.max())

@@ -1,8 +1,11 @@
 """Deterministic image transforms and the stochastic augmentation policy.
 
-All transforms preserve the plane's dimensions and use edge replication for
-pixels that fall outside the source support: SAR backgrounds are noise, and a
-zero fill would paint a fake bright/dark frame into every derived statistic.
+Transforms take a float array and return one (flips and quarter turns as
+views, like numpy's). `rotate`, `shift` and `reflect` act on the last two axes,
+so one call moves a stack of bands together; the filters take a 2-D image.
+All preserve the image's dimensions and use edge replication for pixels that
+fall outside the source support: SAR backgrounds are noise, and a zero fill
+would paint a fake bright/dark frame into every derived statistic.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import ImagePlane, SampleSet, SarSample
+from .data import SampleSet, SarSample
 
 SOBEL_X = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
 SOBEL_Y = SOBEL_X.T.copy()
@@ -38,23 +41,20 @@ class AugmentationPolicy:
             raise ValueError("rotation_max_deg must lie in [0, 180]")
 
 
-def rotate(p: ImagePlane, degrees: float) -> ImagePlane:
-    """Rotate counterclockwise about the image center.
+def rotate(arr: np.ndarray, degrees: float) -> np.ndarray:
+    """Rotate counterclockwise about the image center, over the last two axes.
 
     Exact multiples of 90 degrees are index permutations (bitwise exact, on
-    square planes for 90/270); anything else is bilinear interpolation with
+    square images for 90/270); anything else is bilinear interpolation with
     source coordinates clamped to the image (edge replication).
     """
     if not math.isfinite(degrees):
         raise ValueError(f"rotation angle must be finite, got {degrees}")
-    arr = p.data
+    h, w = arr.shape[-2:]
     rem = degrees % 360.0
-    if rem == 0.0:
-        return ImagePlane(arr)
-    if rem in (90.0, 180.0, 270.0) and (rem == 180.0 or arr.shape[0] == arr.shape[1]):
-        return ImagePlane(np.rot90(arr, k=int(rem // 90)))
+    if rem in (0.0, 180.0) or (rem in (90.0, 270.0) and h == w):
+        return np.rot90(arr, k=int(rem // 90), axes=(-2, -1))
 
-    h, w = arr.shape
     cy = (h - 1) / 2.0
     cx = (w - 1) / 2.0
     theta = math.radians(degrees)
@@ -75,31 +75,32 @@ def rotate(p: ImagePlane, degrees: float) -> ImagePlane:
     c1 = np.minimum(c0 + 1, w - 1)
     fr = src_r - r0
     fc = src_c - c0
-    top = arr[r0, c0] * (1.0 - fc) + arr[r0, c1] * fc
-    bot = arr[r1, c0] * (1.0 - fc) + arr[r1, c1] * fc
-    return ImagePlane(top * (1.0 - fr) + bot * fr)
+    top = arr[..., r0, c0] * (1.0 - fc) + arr[..., r0, c1] * fc
+    bot = arr[..., r1, c0] * (1.0 - fc) + arr[..., r1, c1] * fc
+    return top * (1.0 - fr) + bot * fr
 
 
-def reflect(p: ImagePlane, axis: str) -> ImagePlane:
-    """Mirror the plane: 'horizontal' reverses columns, 'vertical' rows."""
+def reflect(arr: np.ndarray, axis: str) -> np.ndarray:
+    """Mirror the image: 'horizontal' reverses columns, 'vertical' rows."""
     if axis == "horizontal":
-        return ImagePlane(p.data[:, ::-1])
+        return arr[..., :, ::-1]
     if axis == "vertical":
-        return ImagePlane(p.data[::-1, :])
+        return arr[..., ::-1, :]
     raise ValueError(f"axis must be 'horizontal' or 'vertical', got {axis!r}")
 
 
-def shift(p: ImagePlane, dx: int, dy: int) -> ImagePlane:
-    """Translate by whole pixels (dx right, dy down), edge-replicating vacated cells."""
+def shift(arr: np.ndarray, dx: int, dy: int) -> np.ndarray:
+    """Translate by whole pixels (dx right, dy down) over the last two axes,
+    edge-replicating vacated cells."""
     if int(dx) != dx or int(dy) != dy:
         raise ValueError("shift offsets must be integers")
     dx, dy = int(dx), int(dy)
-    h, w = p.data.shape
+    h, w = arr.shape[-2:]
     if abs(dx) >= w or abs(dy) >= h:
-        raise ValueError(f"shift ({dx}, {dy}) out of range for {h}x{w} plane")
+        raise ValueError(f"shift ({dx}, {dy}) out of range for {h}x{w} image")
     src_r = np.clip(np.arange(h) - dy, 0, h - 1)
     src_c = np.clip(np.arange(w) - dx, 0, w - 1)
-    return ImagePlane(p.data[np.ix_(src_r, src_c)])
+    return arr[..., src_r[:, None], src_c]
 
 
 def _correlate2d(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -121,34 +122,33 @@ def gaussian_kernel_1d(sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def gaussian_smooth(p: ImagePlane, sigma: float) -> ImagePlane:
+def gaussian_smooth(arr: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with edge-replicate padding."""
     k = gaussian_kernel_1d(sigma)
     radius = (len(k) - 1) // 2
-    arr = np.pad(p.data, ((radius, radius), (0, 0)), mode="edge")
+    arr = np.pad(arr, ((radius, radius), (0, 0)), mode="edge")
     cols = np.lib.stride_tricks.sliding_window_view(arr, len(k), axis=0)
     arr = cols @ k
     arr = np.pad(arr, ((0, 0), (radius, radius)), mode="edge")
     rows = np.lib.stride_tricks.sliding_window_view(arr, len(k), axis=1)
-    return ImagePlane(rows @ k)
+    return rows @ k
 
 
-def sobel(p: ImagePlane, axis: str) -> ImagePlane:
+def sobel(arr: np.ndarray, axis: str) -> np.ndarray:
     """3x3 Sobel derivative estimate along 'x' (columns) or 'y' (rows)."""
     if axis == "x":
-        return ImagePlane(_correlate2d(p.data, SOBEL_X))
+        return _correlate2d(arr, SOBEL_X)
     if axis == "y":
-        return ImagePlane(_correlate2d(p.data, SOBEL_Y))
+        return _correlate2d(arr, SOBEL_Y)
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def gradient_magnitude(p: ImagePlane) -> ImagePlane:
-    gx, gy = sobel(p, "x").data, sobel(p, "y").data
-    return ImagePlane(np.sqrt(gx**2 + gy**2))
+def gradient_magnitude(arr: np.ndarray) -> np.ndarray:
+    return np.sqrt(sobel(arr, "x") ** 2 + sobel(arr, "y") ** 2)
 
 
-def laplacian(p: ImagePlane) -> ImagePlane:
-    return ImagePlane(_correlate2d(p.data, LAPLACIAN))
+def laplacian(arr: np.ndarray) -> np.ndarray:
+    return _correlate2d(arr, LAPLACIAN)
 
 
 # ---------------------------------------------------------------------------
@@ -171,16 +171,16 @@ def _draw_transform(policy: AugmentationPolicy, shape, rng: np.random.Generator)
     return dx, dy, angle, flip_h, flip_v
 
 
-def _apply_transform(p: ImagePlane, dx, dy, angle, flip_h, flip_v) -> ImagePlane:
+def _apply_transform(arr: np.ndarray, dx, dy, angle, flip_h, flip_v) -> np.ndarray:
     if angle != 0.0:
-        p = rotate(p, angle)
+        arr = rotate(arr, angle)
     if dx or dy:
-        p = shift(p, dx, dy)
+        arr = shift(arr, dx, dy)
     if flip_h:
-        p = reflect(p, "horizontal")
+        arr = reflect(arr, "horizontal")
     if flip_v:
-        p = reflect(p, "vertical")
-    return p
+        arr = reflect(arr, "vertical")
+    return arr
 
 
 def sample_augmentation(
@@ -195,13 +195,9 @@ def sample_augmentation(
     suffix so augmented variants stay unique within a set. Deterministic for
     a generator in a fixed state.
     """
-    dx, dy, angle, flip_h, flip_v = _draw_transform(policy, s.hh.shape, rng)
-    return replace(
-        s,
-        id=s.id + id_suffix,
-        hh=_apply_transform(s.hh, dx, dy, angle, flip_h, flip_v),
-        hv=_apply_transform(s.hv, dx, dy, angle, flip_h, flip_v),
-    )
+    draw = _draw_transform(policy, s.hh.shape, rng)
+    hh, hv = _apply_transform(np.stack((s.hh, s.hv)), *draw)
+    return replace(s, id=s.id + id_suffix, hh=hh, hv=hv)
 
 
 def augment_dataset(
@@ -231,9 +227,8 @@ def augment_dataset(
 # Debug output
 
 
-def write_pgm(p: ImagePlane, path) -> None:
-    """Dump a plane as binary 8-bit PGM with linear min-max scaling."""
-    arr = p.data
+def write_pgm(arr: np.ndarray, path) -> None:
+    """Dump a 2-D image as binary 8-bit PGM with linear min-max scaling."""
     lo = float(arr.min())
     hi = float(arr.max())
     if hi > lo:

@@ -305,37 +305,69 @@ def save_network(net: Network, path) -> None:
             zf.writestr(zipfile.ZipInfo(f"{key}.npy", date_time=_ZIP_EPOCH), buf.getvalue())
 
 
+def _is_size(v) -> bool:
+    return type(v) is int and v >= 1  # a JSON true is no size
+
+
+def _are_numbers(v, shape) -> bool:
+    arr = np.asarray(v)
+    return arr.shape == shape and arr.dtype.kind in "iuf" and bool(np.isfinite(arr).all())
+
+
+def _check_meta(meta) -> None:
+    """Refuse a meta.json that save_network could not have written."""
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+        raise ValueError("not a sarberg network checkpoint")
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+    # Checked in this order: input_ch is a size by the time channels use it.
+    checks = {
+        "kind": lambda v: v in ("classifier", "autoencoder"),
+        "input_ch": _is_size,
+        "input_hw": lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_size, v)),
+        "dtype": lambda v: np.dtype(v).kind == "f",
+        "layers": lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v),
+        "params": lambda v: isinstance(v, list),
+        "channels": lambda v: v is None or (
+            isinstance(v, list) and len(v) == meta["input_ch"]
+            and all(isinstance(t, str) for t in v)
+        ),
+        "normalize_angle": lambda v: isinstance(v, bool),
+        "fill_angle": lambda v: v is None or _are_numbers(v, ()),
+        "channel_mean": lambda v: v is None or _are_numbers(v, (meta["input_ch"],)),
+        "channel_std": lambda v: v is None or _are_numbers(v, (meta["input_ch"],)),
+    }
+    for key, ok in checks.items():
+        if key not in meta:
+            raise ValueError(f"missing {key!r}")
+        if not ok(meta[key]):
+            raise ValueError(f"malformed {key} {meta[key]!r}")
+
+
 def load_network(path) -> Network:
+    """Read a checkpoint written by `save_network`; any defect in it, a
+    missing or malformed meta.json key included, raises "corrupt checkpoint"."""
     try:
         with zipfile.ZipFile(path, "r") as zf:
             meta = json.loads(zf.read("meta.json"))
-            if meta.get("format") != CHECKPOINT_FORMAT:
-                raise ValueError("not a sarberg network checkpoint")
-            if meta.get("version") != CHECKPOINT_VERSION:
-                raise ValueError(
-                    f"unsupported checkpoint version {meta.get('version')!r}"
-                )
-            layers = [layer_from_spec(s) for s in meta["layers"]]
+            _check_meta(meta)
             net = Network(
-                layers,
-                input_ch=int(meta["input_ch"]),
+                [layer_from_spec(spec) for spec in meta["layers"]],
+                input_ch=meta["input_ch"],
                 input_hw=tuple(meta["input_hw"]),
-                kind=meta.get("kind", "classifier"),
-                dtype=np.dtype(meta.get("dtype", "float64")),
+                kind=meta["kind"],
+                dtype=meta["dtype"],
             )
-            state = {}
-            for key in meta["params"]:
-                state[key] = np.load(io.BytesIO(zf.read(f"{key}.npy")))
-            net.set_state(state)
-            if meta.get("channels") is not None:
-                net.channels = tuple(meta["channels"])
-            net.normalize_angle = bool(meta.get("normalize_angle", True))
-            fill_angle = meta["fill_angle"]
-            net.fill_angle = None if fill_angle is None else float(fill_angle)
-            if meta.get("channel_mean") is not None:
-                net.channel_mean = np.asarray(meta["channel_mean"], dtype=np.float64)
-            if meta.get("channel_std") is not None:
-                net.channel_std = np.asarray(meta["channel_std"], dtype=np.float64)
-            return net
-    except (zipfile.BadZipFile, KeyError) as e:
+            net.set_state(
+                {key: np.load(io.BytesIO(zf.read(f"{key}.npy"))) for key in meta["params"]}
+            )
+    except (zipfile.BadZipFile, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"corrupt checkpoint: {e}") from e
+    if meta["channels"] is not None:
+        net.channels = tuple(meta["channels"])
+    net.normalize_angle = meta["normalize_angle"]
+    net.fill_angle = None if meta["fill_angle"] is None else float(meta["fill_angle"])
+    for key in ("channel_mean", "channel_std"):
+        if meta[key] is not None:
+            setattr(net, key, np.asarray(meta[key], dtype=np.float64))
+    return net

@@ -92,7 +92,7 @@ def channel_planes(
     """Resolve a channel recipe to 2-D arrays for one sample.
 
     Incidence normalization (when enabled) is applied to the polarization
-    planes before any derived channel is computed.
+    bands before any derived channel is computed.
     """
     hh, hv = s.hh, s.hv
     if normalize_angle:
@@ -102,25 +102,21 @@ def channel_planes(
             )
         hh = normalize_incidence(hh, s.inc_angle)
         hv = normalize_incidence(hv, s.inc_angle)
-    base = SarSample(
-        id=s.id, hh=hh, hv=hv, inc_angle=s.inc_angle,
-        angle_imputed=s.angle_imputed, label=s.label,
-    )
     out = []
     for token in channels:
         if token == "hh":
-            out.append(hh.data)
+            out.append(hh)
         elif token == "hv":
-            out.append(hv.data)
+            out.append(hv)
         elif token in ("diff", "ratio"):
-            diff, ratio = derived_bands(base)
-            out.append(diff.data if token == "diff" else ratio.data)
+            diff, ratio = derived_bands(hh, hv)
+            out.append(diff if token == "diff" else ratio)
         elif token in ("gradmag_hh", "gradmag_hv"):
-            out.append(gradient_magnitude(hh if token.endswith("hh") else hv).data)
+            out.append(gradient_magnitude(hh if token.endswith("hh") else hv))
         elif token in ("laplacian_hh", "laplacian_hv"):
-            out.append(laplacian(hh if token.endswith("hh") else hv).data)
+            out.append(laplacian(hh if token.endswith("hh") else hv))
         elif token in ("smooth_hh", "smooth_hv"):
-            out.append(gaussian_smooth(hh if token.endswith("hh") else hv, 1.0).data)
+            out.append(gaussian_smooth(hh if token.endswith("hh") else hv, 1.0))
         else:
             raise ValueError(f"unknown channel token {token!r}")
     return out

@@ -1,6 +1,7 @@
 """Command-line wiring: exit codes, artifacts, and reproducibility."""
 
 import json
+import zipfile
 from dataclasses import replace
 
 import numpy as np
@@ -241,6 +242,20 @@ class TestModelArtifacts:
         path, _ = _scoring_file(tmp_path / "score.json", 30.0)
         assert run("predict", "--input", path, "--model", bad, "--out", tmp_path / "p") == 1
         assert "checkpoint" in capsys.readouterr().err
+
+    def test_unknown_dtype_checkpoint_reports_corrupt_checkpoint(
+        self, tmp_path, cnn_ckpt, capsys
+    ):
+        bad = tmp_path / "cnn.ckpt"
+        with zipfile.ZipFile(cnn_ckpt) as src, zipfile.ZipFile(bad, "w") as dst:
+            for entry in src.namelist():
+                raw = src.read(entry)
+                if entry == "meta.json":
+                    raw = json.dumps({**json.loads(raw), "dtype": "foo"})
+                dst.writestr(entry, raw)
+        path, _ = _scoring_file(tmp_path / "score.json", 30.0)
+        assert run("predict", "--input", path, "--model", bad, "--out", tmp_path / "p") == 1
+        assert "corrupt checkpoint" in capsys.readouterr().err
 
     def test_cyclic_gbm_json_reports_corrupt_model(self, tmp_path, gbm_file, capsys):
         doc = json.loads(gbm_file.read_bytes())

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sarberg.data import (
-    ImagePlane,
     SampleSet,
     SarSample,
     SynthConfig,
@@ -30,7 +29,7 @@ def make_record(rec_id, band_1=None, band_2=None, inc_angle=34.5, label=1):
 
 
 def make_sample(rec_id="s0", value=0.0, angle=34.5, label=1, shape=(5, 5)):
-    plane = ImagePlane(np.full(shape, value))
+    plane = np.full(shape, value)
     return SarSample(id=rec_id, hh=plane, hv=plane, inc_angle=angle, label=label)
 
 
@@ -38,24 +37,39 @@ class TestTypes:
     def test_plane_rejects_non_finite(self):
         arr = np.zeros((4, 4))
         arr[1, 2] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            ImagePlane(arr)
+        with pytest.raises(ValueError, match="'bad': hv contains non-finite"):
+            SarSample(id="bad", hh=np.zeros((4, 4)), hv=arr)
 
     def test_plane_rejects_small(self):
-        with pytest.raises(ValueError, match="3x3"):
-            ImagePlane(np.zeros((2, 5)))
+        with pytest.raises(ValueError, match="'tiny': hh must be at least 3x3"):
+            SarSample(id="tiny", hh=np.zeros((2, 5)), hv=np.zeros((2, 5)))
 
     def test_plane_is_immutable(self):
-        p = ImagePlane(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            p.data[0, 0] = 1.0
+        s = make_sample(shape=(3, 3))
+        for band in (s.hh, s.hv):
+            with pytest.raises(ValueError):
+                band[0, 0] = 1.0
+
+    def test_band_must_be_2d(self):
+        for shape in ((9,), (2, 4, 4)):
+            with pytest.raises(ValueError, match="'x': hh must be 2-D"):
+                SarSample(id="x", hh=np.zeros(shape), hv=np.zeros(shape))
+
+    def test_bands_copied_on_construct(self):
+        hh = np.full((4, 4), -20.0)
+        hv = hh[:, ::-1].astype(np.float32)
+        s = SarSample(id="c", hh=hh, hv=hv)
+        hh[0, 0] = 5.0
+        assert s.hh[0, 0] == -20.0 and not np.shares_memory(s.hh, hh)
+        for band in (s.hh, s.hv):
+            assert band.dtype == np.float64 and band.flags.c_contiguous
 
     def test_sample_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimensions differ"):
             SarSample(
                 id="x",
-                hh=ImagePlane(np.zeros((4, 4))),
-                hv=ImagePlane(np.zeros((5, 5))),
+                hh=np.zeros((4, 4)),
+                hv=np.zeros((5, 5)),
             )
 
     def test_sample_angle_range(self):
@@ -82,7 +96,7 @@ class TestParse:
         sset = parse_samples(raw, labeled=True)
         s = sset[0]
         assert s.id == "a"
-        assert np.array_equal(s.hh.data, np.zeros((75, 75)))
+        assert np.array_equal(s.hh, np.zeros((75, 75)))
         assert s.inc_angle is None
         assert s.label == 1
 
@@ -90,8 +104,8 @@ class TestParse:
         band_1 = list(range(5625))
         raw = json.dumps([make_record("a", band_1=band_1)])
         s = parse_samples(raw, labeled=True)[0]
-        assert s.hh.data[0, 1] == 1.0
-        assert s.hh.data[1, 0] == 75.0
+        assert s.hh[0, 1] == 1.0
+        assert s.hh[1, 0] == 75.0
 
     def test_duplicate_id_names_offender(self):
         raw = json.dumps([make_record("twin"), make_record("twin")])
@@ -106,6 +120,15 @@ class TestParse:
         raw = json.dumps([make_record("ok"), make_record("bad", band_1=[0.0] * 5624)])
         with pytest.raises(ValueError, match=r"record 1.*5624"):
             parse_samples(raw, labeled=True)
+
+    def test_non_finite_value_names_record_and_band(self):
+        for value in (float("nan"), float("inf"), -float("inf")):
+            bad = make_record("bad", band_2=[0.0] * 5624 + [value])
+            raw = json.dumps([make_record("ok"), bad])  # NaN, Infinity, -Infinity
+            with pytest.raises(
+                ValueError, match=r"record 1 \(id 'bad'\): band_2 contains non-finite"
+            ):
+                parse_samples(raw, labeled=True)
 
     def test_bad_label(self):
         raw = json.dumps([make_record("a", label=2)])
@@ -122,8 +145,8 @@ class TestParse:
         again = parse_samples(serialize_samples(sset), labeled=True)
         assert again.ids() == sset.ids()
         for a, b in zip(again, sset):
-            assert np.array_equal(a.hh.data, b.hh.data)
-            assert np.array_equal(a.hv.data, b.hv.data)
+            assert np.array_equal(a.hh, b.hh)
+            assert np.array_equal(a.hv, b.hv)
             assert a.inc_angle == b.inc_angle
             assert a.label == b.label
 
@@ -212,8 +235,8 @@ class TestSynth:
         for sa, sb in zip(a, b):
             assert sa.id == sb.id and sa.label == sb.label
             assert sa.inc_angle == sb.inc_angle
-            assert np.array_equal(sa.hh.data, sb.hh.data)
-            assert np.array_equal(sa.hv.data, sb.hv.data)
+            assert np.array_equal(sa.hh, sb.hh)
+            assert np.array_equal(sa.hv, sb.hv)
 
     def test_label_counts_by_construction(self):
         sset = synth_dataset(SynthConfig(n_samples=1000, iceberg_fraction=0.5, seed=1))
@@ -224,7 +247,7 @@ class TestSynth:
         for s in sset:
             assert s.hh.shape == (75, 75) and s.hv.shape == (75, 75)
             assert 20.0 <= s.inc_angle <= 45.0
-            assert np.all(np.isfinite(s.hh.data))
+            assert np.all(np.isfinite(s.hh))
 
     def test_in_mask_crosspol_gap_orders_classes(self):
         rng = np.random.default_rng(123)
@@ -233,7 +256,7 @@ class TestSynth:
             for iceberg in (True, False):
                 scene = render_scene(rng, iceberg=iceberg, looks=2)
                 gaps[iceberg].append(
-                    np.mean(scene.hh.data[scene.target_mask] - scene.hv.data[scene.target_mask])
+                    np.mean(scene.hh[scene.target_mask] - scene.hv[scene.target_mask])
                 )
         assert np.mean(gaps[True]) < np.mean(gaps[False]) - 3.0
 
@@ -241,7 +264,7 @@ class TestSynth:
         sset = synth_dataset(
             SynthConfig(n_samples=1000, iceberg_fraction=0.5, speckle_looks=1, seed=11)
         )
-        stat = np.array([np.mean(s.hh.data - s.hv.data) for s in sset])
+        stat = np.array([np.mean(s.hh - s.hv) for s in sset])
         y = np.array([s.label for s in sset])
         best = max(np.mean((stat < t) == (y == 1)) for t in np.unique(stat))
         assert best >= 0.80

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sarberg.data import ImagePlane, SampleSet, SarSample
+from sarberg.data import SampleSet, SarSample
 from sarberg.ensemble import (
     OofMatrix,
     Stacker,
@@ -28,7 +28,7 @@ def labeled_set(n=40, seed=0):
         hv = hh - (2.0 if label else 9.0) + rng.normal(0, 0.3, size=(5, 5))
         samples.append(
             SarSample(
-                id=f"s{i:03d}", hh=ImagePlane(hh), hv=ImagePlane(hv),
+                id=f"s{i:03d}", hh=hh, hv=hv,
                 inc_angle=30.0 + i % 7, label=label,
             )
         )
@@ -88,7 +88,7 @@ class TestOofPredictions:
         assert np.array_equal(oof.column("cheat") > 0.5, y == 1)
 
     def test_unlabeled_rejected(self):
-        p = ImagePlane(np.zeros((4, 4)))
+        p = np.zeros((4, 4))
         sset = SampleSet(
             (SarSample(id="u", hh=p, hv=p, label=None),
              SarSample(id="v", hh=p, hv=p, label=1)),

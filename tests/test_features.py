@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sarberg.data import ImagePlane, SampleSet, SarSample
+from sarberg.data import SampleSet, SarSample
 from sarberg.features import (
     BAND_NAMES,
     FEATURE_NAMES,
@@ -20,7 +20,7 @@ from sarberg.features import (
 
 
 def plane(arr):
-    return ImagePlane(np.asarray(arr, dtype=np.float64))
+    return np.asarray(arr, dtype=np.float64)
 
 
 def sample(hh, hv, angle=30.0, imputed=False):
@@ -59,17 +59,17 @@ class TestNormalizeIncidence:
     def test_small_angle_limit_is_identity(self):
         p = plane(np.full((4, 4), -20.0))
         out = normalize_incidence(p, 1e-9)
-        assert np.allclose(out.data, p.data, atol=1e-12)
+        assert np.allclose(out, p, atol=1e-12)
 
     def test_forty_five_degrees_closed_form(self):
         p = plane(np.zeros((4, 4)))
         out = normalize_incidence(p, 45.0)
-        assert np.allclose(out.data, 1.50515, atol=1e-4)
+        assert np.allclose(out, 1.50515, atol=1e-4)
 
     def test_thirty_degrees_closed_form(self):
         p = plane(np.zeros((4, 4)))
         out = normalize_incidence(p, 30.0)
-        assert np.allclose(out.data, 0.62469, atol=1e-4)
+        assert np.allclose(out, 0.62469, atol=1e-4)
 
     def test_angle_bounds(self):
         p = plane(np.zeros((3, 3)))
@@ -83,36 +83,51 @@ class TestNormalizeIncidence:
         hh = rng.normal(size=(6, 6))
         hv = rng.normal(size=(6, 6))
         raw_diff = hh - hv
-        nh = normalize_incidence(plane(hh), 37.0).data
-        nv = normalize_incidence(plane(hv), 37.0).data
+        nh = normalize_incidence(plane(hh), 37.0)
+        nv = normalize_incidence(plane(hv), 37.0)
         assert np.max(np.abs((nh - nv) - raw_diff)) < 1e-12
 
 
 class TestDerivedBands:
     def test_equal_bands(self):
         arr = np.random.default_rng(1).normal(size=(5, 5))
-        diff, ratio = derived_bands(sample(arr, arr))
-        assert np.array_equal(diff.data, np.zeros((5, 5)))
-        assert np.allclose(ratio.data, 1.0, atol=1e-12)
+        diff, ratio = derived_bands(arr, arr)
+        assert np.array_equal(diff, np.zeros((5, 5)))
+        assert np.allclose(ratio, 1.0, atol=1e-12)
 
     def test_ten_db_gap(self):
         arr = np.random.default_rng(2).normal(size=(5, 5))
-        diff, ratio = derived_bands(sample(arr + 10.0, arr))
-        assert np.allclose(diff.data, 10.0, atol=1e-12)
-        assert np.allclose(ratio.data, 10.0, atol=1e-9)
+        diff, ratio = derived_bands(arr + 10.0, arr)
+        assert np.allclose(diff, 10.0, atol=1e-12)
+        assert np.allclose(ratio, 10.0, atol=1e-9)
 
     def test_three_db_gap(self):
         arr = np.zeros((4, 4))
-        _, ratio = derived_bands(sample(arr + 3.0, arr))
-        assert np.allclose(ratio.data, 10.0**0.3, atol=1e-4)
+        _, ratio = derived_bands(arr + 3.0, arr)
+        assert np.allclose(ratio, 10.0**0.3, atol=1e-4)
 
     def test_ratio_always_finite(self):
         rng = np.random.default_rng(3)
         hh = rng.uniform(-45.0, 10.0, size=(8, 8))
         hv = rng.uniform(-45.0, 10.0, size=(8, 8))
-        _, ratio = derived_bands(sample(hh, hv))
-        assert np.all(np.isfinite(ratio.data)) and np.all(ratio.data > 0)
+        _, ratio = derived_bands(hh, hv)
+        assert np.all(np.isfinite(ratio)) and np.all(ratio > 0)
 
+
+    def test_overflowing_ratio_refused(self):
+        # 10^(4000/10) overflows float64: the scene is finite in dB, its
+        # ratio band is not.
+        from sarberg.nn import input_tensor
+
+        hh = np.full((5, 5), -20.0)
+        hh[2, 2] = 4000.0
+        sset = SampleSet((sample(hh, np.full((5, 5), -25.0)),))
+        with pytest.raises(ValueError, match="ratio band is not finite"):
+            derived_bands(sset[0].hh, sset[0].hv)
+        with pytest.raises(ValueError, match="ratio band is not finite"):
+            feature_matrix(sset, None)
+        with pytest.raises(ValueError, match="ratio band is not finite"):
+            input_tensor(sset, ("hh", "hv", "ratio"), normalize_angle=True)
 
 class TestBandStats:
     def test_constant_plane(self):
@@ -226,10 +241,10 @@ class TestFeatureVector:
         rng = np.random.default_rng(9)
         s = sample(rng.normal(size=(8, 8)), rng.normal(size=(8, 8)))
         vec = feature_vector(s, 0.0)
-        diff, ratio = derived_bands(s)
+        diff, ratio = derived_bands(s.hh, s.hv)
         expected = []
         for p in (s.hh, s.hv, diff, ratio):
-            expected.extend(brute_stats(p.data)[n] for n in STAT_NAMES)
+            expected.extend(brute_stats(p)[n] for n in STAT_NAMES)
         assert np.max(np.abs(vec[:28] - np.array(expected))) < 1e-12
 
     def test_missing_angle_uses_mean_and_flag(self):

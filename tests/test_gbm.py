@@ -307,6 +307,9 @@ class TestSerialization:
             "feature below -1": set_("feature", 2, -2),
             "NaN leaf value": set_("value", 3, float("nan")),
             "NaN shrinkage": lambda doc: doc.__setitem__("shrinkage", float("nan")),
+            "fractional feature_count": lambda doc: doc.__setitem__("feature_count", 2.9),
+            "boolean feature_count": lambda doc: doc.__setitem__("feature_count", True),
+            "string feature_count": lambda doc: doc.__setitem__("feature_count", "2"),
         }
         for name, corrupt in cases.items():
             doc = json.loads(OLD_GBM_JSON)

@@ -76,7 +76,7 @@ class TestSubmission:
         path = tmp_path / "sub.csv"
         write_submission({"x1": 0.25, "x2": 0.75}, path)
         lines = path.read_text().splitlines()
-        assert lines == ["id,is_iceberg", "x1,0.250000", "x2,0.750000"]
+        assert lines == ["id,is_iceberg", "x1,0.25", "x2,0.75"]
 
     def test_round_trip_to_1e6(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -87,6 +87,13 @@ class TestSubmission:
         assert list(again) == list(preds)
         for k in preds:
             assert abs(again[k] - preds[k]) <= 1e-6
+
+    def test_tiny_probabilities_round_trip_exactly(self, tmp_path):
+        # Six decimals would write 0.000000, which eval clamps to 1e-15.
+        preds = {"a": 1.8e-9, "b": 1.0 - 2.0**-40, "c": float(np.float32(0.1))}
+        path = tmp_path / "sub.csv"
+        write_submission(preds, path)
+        assert read_submission(path) == preds
 
     def test_empty_set_header_only(self, tmp_path):
         path = tmp_path / "sub.csv"
@@ -119,9 +126,9 @@ class TestReport:
         assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
 
     def test_composite_constant_sample_uniform(self, tmp_path):
-        from sarberg.data import ImagePlane, SarSample
+        from sarberg.data import SarSample
 
-        p = ImagePlane(np.full((5, 5), -20.0))
+        p = np.full((5, 5), -20.0)
         s = SarSample(id="c", hh=p, hv=p, inc_angle=30.0, label=1)
         path = tmp_path / "c.ppm"
         write_composite_ppm(s, path)

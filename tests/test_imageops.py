@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sarberg.data import ImagePlane, SampleSet, SarSample
+from sarberg.data import SampleSet, SarSample
 from sarberg.imageops import (
     AugmentationPolicy,
     augment_dataset,
@@ -21,7 +21,7 @@ from sarberg.imageops import (
 
 
 def plane(arr):
-    return ImagePlane(np.asarray(arr, dtype=np.float64))
+    return np.asarray(arr, dtype=np.float64)
 
 
 def random_plane(shape=(16, 16), seed=0):
@@ -52,11 +52,11 @@ class TestRotate:
         q = p
         for _ in range(4):
             q = rotate(q, 90.0)
-        assert np.array_equal(q.data, p.data)
+        assert np.array_equal(q, p)
 
     def test_zero_identity(self):
         p = random_plane((5, 8), seed=2)
-        assert np.array_equal(rotate(p, 0.0).data, p.data)
+        assert np.array_equal(rotate(p, 0.0), p)
 
     def test_quarter_turn_matches_index_map_oracle(self):
         # CCW 90 degrees sends (r, c) to (W-1-c, r); checked for every pixel.
@@ -65,14 +65,14 @@ class TestRotate:
             for c in range(w):
                 arr = np.zeros((w, w))
                 arr[r, c] = 1.0
-                got = rotate(plane(arr), 90.0).data
+                got = rotate(plane(arr), 90.0)
                 expect = np.zeros((w, w))
                 expect[w - 1 - c, r] = 1.0
                 assert np.array_equal(got, expect), (r, c)
 
     def test_bilinear_preserves_constant(self):
         p = plane(np.full((9, 9), 3.25))
-        assert np.allclose(rotate(p, 17.3).data, 3.25)
+        assert np.allclose(rotate(p, 17.3), 3.25)
 
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError, match="finite"):
@@ -87,20 +87,20 @@ class TestReflect:
     def test_involution(self):
         p = random_plane((6, 9), seed=4)
         for axis in ("horizontal", "vertical"):
-            assert np.array_equal(reflect(reflect(p, axis), axis).data, p.data)
+            assert np.array_equal(reflect(reflect(p, axis), axis), p)
 
     def test_symmetric_plane_fixed(self):
         arr = np.array([[1.0, 2.0, 1.0], [4.0, 5.0, 4.0], [7.0, 8.0, 7.0]])
-        assert np.array_equal(reflect(plane(arr), "horizontal").data, arr)
+        assert np.array_equal(reflect(plane(arr), "horizontal"), arr)
 
     def test_hand_oracle_one_to_nine(self):
         arr = np.arange(1.0, 10.0).reshape(3, 3)
-        got = reflect(plane(arr), "horizontal").data
+        got = reflect(plane(arr), "horizontal")
         assert np.array_equal(got, [[3, 2, 1], [6, 5, 4], [9, 8, 7]])
 
     def test_vertical_reverses_rows(self):
         arr = np.arange(1.0, 10.0).reshape(3, 3)
-        got = reflect(plane(arr), "vertical").data
+        got = reflect(plane(arr), "vertical")
         assert np.array_equal(got, [[7, 8, 9], [4, 5, 6], [1, 2, 3]])
 
     def test_bad_axis(self):
@@ -111,17 +111,17 @@ class TestReflect:
 class TestShift:
     def test_zero_identity(self):
         p = random_plane((5, 5), seed=5)
-        assert np.array_equal(shift(p, 0, 0).data, p.data)
+        assert np.array_equal(shift(p, 0, 0), p)
 
     def test_constant_fill_symmetry(self):
         p = plane(np.full((6, 6), 2.5))
         for dx, dy in ((3, 0), (-2, 4), (5, -5)):
-            assert np.array_equal(shift(p, dx, dy).data, p.data)
+            assert np.array_equal(shift(p, dx, dy), p)
 
     def test_delta_moves_by_offset(self):
         arr = np.zeros((5, 5))
         arr[2, 2] = 1.0
-        got = shift(plane(arr), 1, 0).data
+        got = shift(plane(arr), 1, 0)
         expect = np.zeros((5, 5))
         expect[2, 3] = 1.0
         assert np.array_equal(got, expect)
@@ -129,7 +129,7 @@ class TestShift:
     def test_down_shift(self):
         arr = np.zeros((5, 5))
         arr[1, 1] = 1.0
-        got = shift(plane(arr), 0, 2).data
+        got = shift(plane(arr), 0, 2)
         assert got[3, 1] == 1.0
 
     def test_out_of_range(self):
@@ -140,12 +140,12 @@ class TestShift:
 class TestGaussian:
     def test_constant_preserved(self):
         p = plane(np.full((8, 8), 4.0))
-        assert np.allclose(gaussian_smooth(p, 1.0).data, 4.0, atol=1e-12)
+        assert np.allclose(gaussian_smooth(p, 1.0), 4.0, atol=1e-12)
 
     def test_center_delta_equals_kernel_center(self):
         arr = np.zeros((15, 15))
         arr[7, 7] = 1.0
-        got = gaussian_smooth(plane(arr), 1.0).data
+        got = gaussian_smooth(plane(arr), 1.0)
         k = gaussian_kernel_1d(1.0)
         # 2-D kernel center weight computed from the dense formula directly.
         radius = (len(k) - 1) // 2
@@ -162,8 +162,8 @@ class TestGaussian:
         xs = np.arange(-radius, radius + 1)
         dense = np.exp(-(xs[:, None] ** 2 + xs[None, :] ** 2) / (2.0 * sigma**2))
         dense /= dense.sum()
-        expect = dense_correlate(p.data, dense)
-        assert np.max(np.abs(gaussian_smooth(p, sigma).data - expect)) < 1e-12
+        expect = dense_correlate(p, dense)
+        assert np.max(np.abs(gaussian_smooth(p, sigma) - expect)) < 1e-12
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
@@ -173,57 +173,71 @@ class TestGaussian:
 class TestDerivatives:
     def test_sobel_constant_zero(self):
         p = plane(np.full((7, 7), 9.0))
-        assert np.array_equal(sobel(p, "x").data, np.zeros((7, 7)))
-        assert np.array_equal(sobel(p, "y").data, np.zeros((7, 7)))
+        assert np.array_equal(sobel(p, "x"), np.zeros((7, 7)))
+        assert np.array_equal(sobel(p, "y"), np.zeros((7, 7)))
 
     def test_sobel_ramp_interior_eight(self):
         arr = np.tile(np.arange(8.0), (8, 1))
-        got = sobel(plane(arr), "x").data
+        got = sobel(plane(arr), "x")
         assert np.allclose(got[1:-1, 1:-1], 8.0)
 
     def test_sobel_transpose_symmetry(self):
         p = random_plane((9, 9), seed=7)
-        gx = sobel(p, "x").data
-        gy_t = sobel(plane(p.data.T), "y").data
+        gx = sobel(p, "x")
+        gy_t = sobel(plane(p.T), "y")
         assert np.allclose(gx, gy_t.T, atol=1e-12)
 
     def test_gradient_magnitude_ramp(self):
         arr = np.tile(np.arange(10.0), (10, 1))
-        got = gradient_magnitude(plane(arr)).data
+        got = gradient_magnitude(plane(arr))
         assert np.allclose(got[1:-1, 1:-1], 8.0)
 
     def test_gradient_magnitude_reflect_invariance(self):
         p = random_plane((8, 8), seed=8)
-        a = gradient_magnitude(p).data
-        b = gradient_magnitude(reflect(p, "horizontal")).data
+        a = gradient_magnitude(p)
+        b = gradient_magnitude(reflect(p, "horizontal"))
         assert np.allclose(a, b[:, ::-1], atol=1e-12)
 
     def test_laplacian_constant_zero(self):
         p = plane(np.full((6, 6), 1.5))
-        assert np.array_equal(laplacian(p).data, np.zeros((6, 6)))
+        assert np.array_equal(laplacian(p), np.zeros((6, 6)))
 
     def test_laplacian_linear_ramp_interior_zero(self):
         r, c = np.mgrid[0:9, 0:9].astype(float)
-        got = laplacian(plane(2.0 * r + 3.0 * c)).data
+        got = laplacian(plane(2.0 * r + 3.0 * c))
         assert np.allclose(got[1:-1, 1:-1], 0.0, atol=1e-12)
 
     def test_laplacian_quadratic_interior_two(self):
         r, _ = np.mgrid[0:9, 0:9].astype(float)
-        got = laplacian(plane(r**2)).data
+        got = laplacian(plane(r**2))
         assert np.allclose(got[1:-1, 1:-1], 2.0, atol=1e-12)
 
     def test_sobel_matches_dense_oracle(self):
         from sarberg.imageops import SOBEL_X
         p = random_plane((11, 11), seed=9)
-        assert np.max(np.abs(sobel(p, "x").data - dense_correlate(p.data, SOBEL_X))) < 1e-12
+        assert np.max(np.abs(sobel(p, "x") - dense_correlate(p, SOBEL_X))) < 1e-12
 
+
+def test_geometric_transforms_move_a_stack_as_its_images():
+    a, b = random_plane((9, 9), seed=11), random_plane((9, 9), seed=12)
+    ops = {
+        "rotate 90": lambda x: rotate(x, 90.0),
+        "rotate 180": lambda x: rotate(x, 180.0),
+        "rotate 17.3": lambda x: rotate(x, 17.3),
+        "reflect h": lambda x: reflect(x, "horizontal"),
+        "reflect v": lambda x: reflect(x, "vertical"),
+        "shift": lambda x: shift(x, 2, -3),
+    }
+    for name, op in ops.items():
+        both = op(np.stack((a, b)))
+        assert np.array_equal(both[0], op(a)) and np.array_equal(both[1], op(b)), name
 
 def make_pair(seed=0, shape=(20, 20), label=1):
     rng = np.random.default_rng(seed)
     return SarSample(
         id=f"p{seed}",
-        hh=ImagePlane(rng.normal(size=shape)),
-        hv=ImagePlane(rng.normal(size=shape)),
+        hh=rng.normal(size=shape),
+        hv=rng.normal(size=shape),
         inc_angle=30.0,
         label=label,
     )
@@ -246,8 +260,8 @@ class TestAugmentation:
         )
         s = make_pair(seed=1)
         out = sample_augmentation(s, policy, np.random.default_rng(0))
-        assert np.array_equal(out.hh.data, s.hh.data)
-        assert np.array_equal(out.hv.data, s.hv.data)
+        assert np.array_equal(out.hh, s.hh)
+        assert np.array_equal(out.hv, s.hv)
         assert out.label == s.label and out.inc_angle == s.inc_angle
 
     def test_same_rng_state_reproduces(self):
@@ -255,16 +269,16 @@ class TestAugmentation:
         policy = AugmentationPolicy()
         a = sample_augmentation(s, policy, np.random.default_rng(42))
         b = sample_augmentation(s, policy, np.random.default_rng(42))
-        assert np.array_equal(a.hh.data, b.hh.data)
-        assert np.array_equal(a.hv.data, b.hv.data)
+        assert np.array_equal(a.hh, b.hh)
+        assert np.array_equal(a.hv, b.hv)
 
     def test_same_transform_applied_to_both_bands(self):
         # Marker planes: identical inputs on both bands must stay identical.
         rng = np.random.default_rng(3)
-        marker = ImagePlane(rng.normal(size=(20, 20)))
+        marker = rng.normal(size=(20, 20))
         s = SarSample(id="m", hh=marker, hv=marker, inc_angle=25.0, label=0)
         out = sample_augmentation(s, AugmentationPolicy(), np.random.default_rng(7))
-        assert np.array_equal(out.hh.data, out.hv.data)
+        assert np.array_equal(out.hh, out.hv)
 
     def test_draw_bounds_over_many_samples(self):
         from sarberg.imageops import _draw_transform
@@ -299,7 +313,7 @@ class TestAugmentation:
         b = augment_dataset(sset, AugmentationPolicy(), 3, seed=5)
         assert a.ids() == b.ids()
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.hh.data, sb.hh.data)
+            assert np.array_equal(sa.hh, sb.hh)
 
     def test_transforms_preserve_finiteness_and_dims(self):
         s = make_pair(seed=9, shape=(75, 75))
@@ -307,7 +321,7 @@ class TestAugmentation:
         for _ in range(20):
             out = sample_augmentation(s, AugmentationPolicy(), rng)
             assert out.hh.shape == (75, 75)
-            assert np.all(np.isfinite(out.hh.data))
+            assert np.all(np.isfinite(out.hh))
 
 
 class TestPgm:

@@ -393,6 +393,51 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="fill_angle"):
             load_network(bad)
 
+    def test_malformed_meta_rejected_as_corrupt(self, tmp_path):
+        net = build_classifier(3, seed=11, conv_widths=(2, 2, 2), dense_width=4)
+        net.channels = ("hh", "hv", "diff")
+        net.channel_mean, net.channel_std = np.zeros(3), np.ones(3)
+        good = tmp_path / "good.ckpt"
+        save_network(net, good)
+
+        def set_(key, value):
+            return lambda meta: meta.__setitem__(key, value)
+
+        def drop(key):
+            return lambda meta: meta.__delitem__(key)
+
+        cases = {
+            "unknown dtype": set_("dtype", "foo"),
+            "integer dtype": set_("dtype", "int64"),
+            "malformed JSON": lambda meta: "{",
+            "missing dtype": drop("dtype"),
+            "missing kind": drop("kind"),
+            "missing channels": drop("channels"),
+            "missing normalize_angle": drop("normalize_angle"),
+            "unknown kind": set_("kind", "regressor"),
+            "one-long input_hw": set_("input_hw", [8]),
+            "boolean input_ch": set_("input_ch", True),
+            "two channel names on three channels": set_("channels", ["hh", "hv"]),
+            "two channel means on three channels": set_("channel_mean", [0.0, 0.0]),
+            "text channel std": set_("channel_std", ["a", "b", "c"]),
+            "text normalize_angle": set_("normalize_angle", "yes"),
+            "text fill_angle": set_("fill_angle", "38.5"),
+            "unknown layer argument": lambda meta: meta["layers"][0].__setitem__("bogus", 1),
+            "layers not a list": set_("layers", 5),
+        }
+        for name, corrupt in cases.items():
+            bad = tmp_path / "bad.ckpt"
+            with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
+                for entry in src.namelist():
+                    raw = src.read(entry)
+                    if entry == "meta.json":
+                        meta = json.loads(raw)
+                        raw = corrupt(meta) or json.dumps(meta)
+                    dst.writestr(entry, raw)
+            with pytest.raises(ValueError, match="corrupt checkpoint"):
+                load_network(bad)
+                pytest.fail(name)
+
     def test_forward_identical_after_round_trip(self, tmp_path):
         net = build_classifier(2, seed=12, conv_widths=(4, 4, 4), dense_width=8)
         x = np.random.default_rng(17).normal(size=(2, 2, 75, 75))

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sarberg.data import ImagePlane, SampleSet, SarSample, SynthConfig, synth_dataset
+from sarberg.data import SampleSet, SarSample, SynthConfig, synth_dataset
 from sarberg.nn import (
     TrainConfig,
     build_autoencoder,
@@ -45,7 +45,7 @@ class TestChannels:
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
         planes = channel_planes(s, ("hh", "hv", "diff"), normalize_angle=False)
         assert len(planes) == 3
-        assert np.allclose(planes[2], s.hh.data - s.hv.data)
+        assert np.allclose(planes[2], s.hh - s.hv)
 
     def test_normalization_applied_before_derivation(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
@@ -66,7 +66,7 @@ class TestChannels:
             channel_planes(s, ("fft",), normalize_angle=False)
 
     def test_missing_angle_needs_imputation(self):
-        p = ImagePlane(np.zeros((5, 5)))
+        p = np.zeros((5, 5))
         s = SarSample(id="x", hh=p, hv=p, inc_angle=None, label=0)
         with pytest.raises(ValueError, match="impute"):
             channel_planes(s, ("hh",), normalize_angle=True)
