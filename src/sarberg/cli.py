@@ -1,9 +1,22 @@
 """Command-line entry point.
 
-Every subcommand takes --config (JSON file of defaults), --seed, and --out;
-flags given on the command line override the config file. Each run writes its
-fully-resolved configuration into the output directory, so any result can be
-reproduced from the artifacts alone.
+Each option is declared once, with its default, in `_build_parser`. An option
+takes its value from, in order of precedence:
+
+1. its flag on the command line;
+2. the --config JSON file, whose keys are option names as resolved_config.json
+   spells them (`n_trees` for --n-trees);
+3. its declared default.
+
+A config key that names no option of the subcommand, or names --out or an
+option the command line must give, is refused; so is a value that fails the
+flag's type conversion, and a switch set to anything but JSON true or false.
+Each refusal names the key. Only the commands that draw random numbers take
+--seed: synth, augment, train-gbm, pretrain-ae, train-cnn, stack and curve.
+The CLI builds and trains networks in float32 (`DTYPE`).
+
+Each run writes its fully-resolved configuration into the output directory as
+resolved_config.json, so any result can be reproduced from the artifacts alone.
 
 Each model is one file that carries its own serving preprocessing, including
 the fill angle (the training split's mean incidence angle, used wherever a
@@ -23,144 +36,168 @@ import numpy as np
 
 from . import data, ensemble, features, gbm, harness, imageops, metrics, nn
 
-SUBCOMMANDS = (
-    "synth", "ingest", "augment", "features", "train-gbm", "pretrain-ae",
-    "train-cnn", "predict", "stack", "eval", "curve", "report",
-)
+DTYPE = "float32"
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON file with option defaults")
-    p.add_argument("--seed", type=int, help="random seed (overrides config)")
-    p.add_argument("--out", type=Path, required=True, help="output directory")
+class _CommandParser(argparse.ArgumentParser):
+    """One subcommand's parser; `settable` maps each option a config file may
+    set (neither required nor --config) to its action."""
+
+    def __init__(self, *args, **kwargs):
+        self.settable: dict[str, argparse.Action] = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if not action.required and action.dest not in ("help", "config"):
+            self.settable[action.dest] = action
+        return action
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _training_flags(p: argparse.ArgumentParser, epochs: int) -> None:
+    p.add_argument("--epochs", type=int, default=epochs)
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--lr0", type=float, default=0.001, help="initial learning rate")
+    p.add_argument("--channels", type=str, default="hh,hv,diff",
+                   help="comma-separated channel recipe")
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
     parser = argparse.ArgumentParser(
         prog="sarberg",
         description="Iceberg-vs-ship SAR classification pipeline.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    commands: dict[str, _CommandParser] = {}
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
-    _common_flags(p)
-    p.add_argument("--n-samples", type=int)
-    p.add_argument("--iceberg-fraction", type=float)
-    p.add_argument("--speckle-looks", type=int)
+    def command(name: str, help: str, seeded: bool = False) -> _CommandParser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", type=Path, help="JSON file of option values")
+        p.add_argument("--out", type=Path, required=True, help="output directory")
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="random seed")
+        commands[name] = p
+        return p
 
-    p = sub.add_parser("ingest", help="validate a dataset file and summarize it")
-    _common_flags(p)
+    p = command("synth", "generate a synthetic labeled dataset", seeded=True)
+    p.add_argument("--n-samples", type=int, default=64)
+    p.add_argument("--iceberg-fraction", type=float, default=0.5)
+    p.add_argument("--speckle-looks", type=int, default=2)
+
+    p = command("ingest", "validate a dataset file and summarize it")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--unlabeled", action="store_true")
 
-    p = sub.add_parser("augment", help="expand a dataset with random transforms")
-    _common_flags(p)
+    p = command("augment", "expand a dataset with random transforms", seeded=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--unlabeled", action="store_true")
-    p.add_argument("--multiplier", type=int)
-    p.add_argument("--width-shift", type=float)
-    p.add_argument("--height-shift", type=float)
-    p.add_argument("--rotation-max", type=float)
+    p.add_argument("--multiplier", type=int, default=2)
+    p.add_argument("--width-shift", type=float, default=0.1)
+    p.add_argument("--height-shift", type=float, default=0.1)
+    p.add_argument("--rotation-max", type=float, default=15.0)
 
-    p = sub.add_parser("features", help="export the statistics feature table")
-    _common_flags(p)
+    p = command("features", "export the statistics feature table")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--unlabeled", action="store_true")
 
-    p = sub.add_parser("train-gbm", help="fit the boosted-tree baseline")
-    _common_flags(p)
+    p = command("train-gbm", "fit the boosted-tree baseline", seeded=True)
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--n-trees", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--shrinkage", type=float)
-    p.add_argument("--min-samples-leaf", type=int)
-    p.add_argument("--val-ratio", type=float)
+    p.add_argument("--n-trees", type=int, default=200)
+    p.add_argument("--max-depth", type=int, default=3)
+    p.add_argument("--shrinkage", type=float, default=0.1)
+    p.add_argument("--min-samples-leaf", type=int, default=5)
+    p.add_argument("--val-ratio", type=float, default=0.2)
 
-    p = sub.add_parser("pretrain-ae", help="train the convolutional autoencoder")
-    _common_flags(p)
+    p = command("pretrain-ae", "train the convolutional autoencoder", seeded=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--unlabeled", action="store_true")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--channels", type=str)
+    _training_flags(p, epochs=30)
 
-    p = sub.add_parser("train-cnn", help="train the reference CNN classifier")
-    _common_flags(p)
+    p = command("train-cnn", "train the reference CNN classifier", seeded=True)
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr0", type=float)
-    p.add_argument("--channels", type=str)
-    p.add_argument("--val-ratio", type=float)
+    _training_flags(p, epochs=30)
+    p.add_argument("--val-ratio", type=float, default=0.2)
     p.add_argument("--init-from", type=Path, help="autoencoder checkpoint to transfer")
-    p.add_argument("--multiplier", type=int, help="augmentation multiplier")
+    p.add_argument("--multiplier", type=int, default=1, help="augmentation multiplier")
 
-    p = sub.add_parser("predict", help="score a dataset with a saved model")
-    _common_flags(p)
+    p = command("predict", "score a dataset with a saved model")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--labeled", action="store_true")
 
-    p = sub.add_parser("stack", help="out-of-fold stacking of GBM + CNN members")
-    _common_flags(p)
+    p = command("stack", "out-of-fold stacking of GBM + CNN members", seeded=True)
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--k-folds", type=int)
-    p.add_argument("--cnn-epochs", type=int)
-    p.add_argument("--n-trees", type=int)
+    p.add_argument("--k-folds", type=int, default=5)
+    p.add_argument("--cnn-epochs", type=int, default=5)
+    p.add_argument("--n-trees", type=int, default=100)
 
-    p = sub.add_parser("eval", help="metrics for a submission against labels")
-    _common_flags(p)
+    p = command("eval", "metrics for a submission against labels")
     p.add_argument("--pred", type=Path, required=True)
     p.add_argument("--truth", type=Path, required=True)
 
-    p = sub.add_parser("curve", help="learning curve over training-set fractions")
-    _common_flags(p)
+    p = command("curve", "learning curve over training-set fractions", seeded=True)
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--fractions", type=str)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--multiplier", type=int)
+    p.add_argument("--fractions", type=str, default="0.1,0.3,1.0")
+    _training_flags(p, epochs=10)
+    p.add_argument("--multiplier", type=int, default=1)
 
-    p = sub.add_parser("report", help="write metrics/report files for a run")
-    _common_flags(p)
+    p = command("report", "write metrics/report files for a run")
     p.add_argument("--pred", type=Path, required=True)
     p.add_argument("--truth", type=Path, required=True)
     p.add_argument("--history", type=Path)
     p.add_argument("--input", type=Path, help="dataset for composites")
     p.add_argument("--ids", type=str, help="comma-separated ids to render")
 
-    return parser
+    return parser, commands
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge config-file values under CLI flags; CLI wins when given."""
-    resolved = dict(defaults)
-    if args.config is not None:
-        if not args.config.exists():
-            raise ValueError(f"config file not found: {args.config}")
-        with open(args.config) as f:
-            file_cfg = json.load(f)
-        if not isinstance(file_cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        for key, value in file_cfg.items():
-            resolved[key.replace("-", "_")] = value
-    for key, value in vars(args).items():
-        if key in ("config", "out", "command"):
-            continue
-        if value is not None and value is not False:
-            resolved[key] = value
-    for key, value in defaults.items():
-        resolved.setdefault(key, value)
-    return resolved
+def _config_values(path: Path, command: _CommandParser) -> dict:
+    """The option values a config file sets, each converted as its flag's."""
+    if not path.exists():
+        raise ValueError(f"config file not found: {path}")
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise ValueError(f"config file {path} is not JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise ValueError("config file must hold a JSON object")
+    values = {}
+    for key, value in doc.items():
+        action = command.settable.get(key)
+        if action is None:
+            raise ValueError(f"config key {key!r} names no option of {command.prog}")
+        if action.nargs == 0:  # a switch
+            if not isinstance(value, bool):
+                raise ValueError(f"config key {key!r} is a switch: give true or false")
+        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config key {key!r}: {value!r} is not a string or a number")
+        else:
+            try:
+                value = action.type(str(value))
+            except ValueError:
+                raise ValueError(
+                    f"config key {key!r}: {value!r} is not a valid {action.type.__name__}"
+                ) from None
+        values[key] = value
+    return values
 
 
-def _write_resolved(out: Path, command: str, resolved: dict) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    doc = dict(resolved)
-    doc["command"] = command
+def _settings(args: argparse.Namespace) -> dict:
+    """The run's option values, as resolved_config.json and metrics.json record them."""
+    return {
+        k: str(v) if isinstance(v, Path) else v
+        for k, v in vars(args).items()
+        if k not in ("command", "config", "out")
+    }
+
+
+def _write_resolved(args: argparse.Namespace) -> None:
+    args.out.mkdir(parents=True, exist_ok=True)
+    doc = _settings(args)
+    doc["command"] = args.command
     doc["created_utc"] = datetime.now(timezone.utc).isoformat()
-    with open(out / "resolved_config.json", "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=2, default=str)
+    with open(args.out / "resolved_config.json", "w") as f:
+        json.dump(doc, f, sort_keys=True, indent=2)
         f.write("\n")
 
 
@@ -170,21 +207,14 @@ def _load_set(path: Path, labeled: bool) -> data.SampleSet:
     return data.parse_samples(path.read_bytes(), labeled=labeled)
 
 
-def _train_config(resolved: dict) -> nn.TrainConfig:
-    channels = resolved.get("channels", "hh,hv,diff")
-    if isinstance(channels, str):
-        channels = tuple(t.strip() for t in channels.split(",") if t.strip())
+def _train_config(args: argparse.Namespace) -> nn.TrainConfig:
     return nn.TrainConfig(
-        epochs=int(resolved.get("epochs", 30)),
-        batch_size=int(resolved.get("batch_size", 32)),
-        lr0=float(resolved.get("lr0", 0.001)),
-        plateau_patience=int(resolved.get("plateau_patience", 5)),
-        plateau_factor=float(resolved.get("plateau_factor", 0.1)),
-        min_lr=float(resolved.get("min_lr", 1e-6)),
-        seed=int(resolved.get("seed", 0)),
-        channels=tuple(channels),
-        normalize_angle=bool(resolved.get("normalize_angle", True)),
-        dtype=str(resolved.get("dtype", "float32")),
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        lr0=args.lr0,
+        seed=args.seed,
+        channels=tuple(t.strip() for t in args.channels.split(",") if t.strip()),
+        dtype=DTYPE,
     )
 
 
@@ -197,24 +227,16 @@ def _labels_of(sset: data.SampleSet) -> dict[str, int]:
     return out
 
 
-def _config_echo(resolved: dict) -> dict:
-    return {k: (str(v) if isinstance(v, Path) else v) for k, v in resolved.items()}
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 
 
 def _cmd_synth(args) -> None:
-    resolved = _resolve(
-        args, {"n_samples": 64, "iceberg_fraction": 0.5, "speckle_looks": 2, "seed": 0}
-    )
-    _write_resolved(args.out, "synth", resolved)
     cfg = data.SynthConfig(
-        n_samples=int(resolved["n_samples"]),
-        iceberg_fraction=float(resolved["iceberg_fraction"]),
-        speckle_looks=int(resolved["speckle_looks"]),
-        seed=int(resolved["seed"]),
+        n_samples=args.n_samples,
+        iceberg_fraction=args.iceberg_fraction,
+        speckle_looks=args.speckle_looks,
+        seed=args.seed,
     )
     sset = data.synth_dataset(cfg)
     (args.out / "samples.json").write_text(data.serialize_samples(sset))
@@ -222,9 +244,7 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_ingest(args) -> None:
-    resolved = _resolve(args, {"seed": 0, "unlabeled": False})
-    _write_resolved(args.out, "ingest", resolved)
-    sset = _load_set(args.input, labeled=not resolved.get("unlabeled", False))
+    sset = _load_set(args.input, labeled=not args.unlabeled)
     labels = [s.label for s in sset]
     summary = {
         "n_samples": len(sset),
@@ -240,35 +260,19 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_augment(args) -> None:
-    resolved = _resolve(
-        args,
-        {
-            "seed": 0,
-            "unlabeled": False,
-            "multiplier": 2,
-            "width_shift": 0.1,
-            "height_shift": 0.1,
-            "rotation_max": 15.0,
-        },
-    )
-    _write_resolved(args.out, "augment", resolved)
-    sset = _load_set(args.input, labeled=not resolved.get("unlabeled", False))
+    sset = _load_set(args.input, labeled=not args.unlabeled)
     policy = imageops.AugmentationPolicy(
-        width_shift_frac=float(resolved["width_shift"]),
-        height_shift_frac=float(resolved["height_shift"]),
-        rotation_max_deg=float(resolved["rotation_max"]),
+        width_shift_frac=args.width_shift,
+        height_shift_frac=args.height_shift,
+        rotation_max_deg=args.rotation_max,
     )
-    out_set = imageops.augment_dataset(
-        sset, policy, int(resolved["multiplier"]), int(resolved["seed"])
-    )
+    out_set = imageops.augment_dataset(sset, policy, args.multiplier, args.seed)
     (args.out / "augmented.json").write_text(data.serialize_samples(out_set))
     print(f"wrote {len(out_set)} samples to {args.out / 'augmented.json'}")
 
 
 def _cmd_features(args) -> None:
-    resolved = _resolve(args, {"seed": 0, "unlabeled": False})
-    _write_resolved(args.out, "features", resolved)
-    sset = _load_set(args.input, labeled=not resolved.get("unlabeled", False))
+    sset = _load_set(args.input, labeled=not args.unlabeled)
     imputed, mean_angle = data.impute_incidence(sset)
     ids, X, y = features.feature_matrix(imputed, mean_angle)
     features.write_features_csv(args.out / "features.csv", ids, X, y)
@@ -283,30 +287,15 @@ def _cmd_features(args) -> None:
 
 
 def _cmd_train_gbm(args) -> None:
-    resolved = _resolve(
-        args,
-        {
-            "seed": 0,
-            "n_trees": 200,
-            "max_depth": 3,
-            "shrinkage": 0.1,
-            "min_samples_leaf": 5,
-            "val_ratio": 0.2,
-        },
-    )
-    _write_resolved(args.out, "train-gbm", resolved)
     sset = _load_set(args.input, labeled=True)
     params = gbm.GbmParams(
-        n_trees=int(resolved["n_trees"]),
-        max_depth=int(resolved["max_depth"]),
-        shrinkage=float(resolved["shrinkage"]),
-        min_samples_leaf=int(resolved["min_samples_leaf"]),
+        n_trees=args.n_trees,
+        max_depth=args.max_depth,
+        shrinkage=args.shrinkage,
+        min_samples_leaf=args.min_samples_leaf,
     )
-    val_ratio = float(resolved["val_ratio"])
-    if val_ratio > 0:
-        train_set, val_set = data.split_train_validation(
-            sset, val_ratio, int(resolved["seed"])
-        )
+    if args.val_ratio > 0:
+        train_set, val_set = data.split_train_validation(sset, args.val_ratio, args.seed)
     else:
         train_set, val_set = sset, None
 
@@ -315,7 +304,7 @@ def _cmd_train_gbm(args) -> None:
 
     eval_set = val_set if val_set is not None else train_set
     preds = ensemble.gbm_predictor(model)(eval_set)
-    summary = harness.metrics_summary(preds, _labels_of(eval_set), _config_echo(resolved))
+    summary = harness.metrics_summary(preds, _labels_of(eval_set), _settings(args))
     harness.write_metrics_json(args.out / "metrics.json", summary)
     print(
         f"gbm trained: final train logloss {model.train_losses[-1]:.4f}, "
@@ -324,12 +313,8 @@ def _cmd_train_gbm(args) -> None:
 
 
 def _cmd_pretrain_ae(args) -> None:
-    resolved = _resolve(
-        args, {"seed": 0, "epochs": 30, "batch_size": 32, "unlabeled": False}
-    )
-    _write_resolved(args.out, "pretrain-ae", resolved)
-    sset = _load_set(args.input, labeled=not resolved.get("unlabeled", False))
-    cfg = _train_config(resolved)
+    sset = _load_set(args.input, labeled=not args.unlabeled)
+    cfg = _train_config(args)
     net = nn.build_autoencoder(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
     net, losses = nn.fit_autoencoder(net, sset, cfg)
     nn.save_network(net, args.out / "ae.ckpt")
@@ -341,30 +326,16 @@ def _cmd_pretrain_ae(args) -> None:
 
 
 def _cmd_train_cnn(args) -> None:
-    resolved = _resolve(
-        args,
-        {
-            "seed": 0,
-            "epochs": 30,
-            "batch_size": 32,
-            "val_ratio": 0.2,
-            "multiplier": 1,
-        },
-    )
-    _write_resolved(args.out, "train-cnn", resolved)
     sset = _load_set(args.input, labeled=True)
-    cfg = _train_config(resolved)
-    train_set, val_set = data.split_train_validation(
-        sset, float(resolved["val_ratio"]), cfg.seed
-    )
-    multiplier = int(resolved["multiplier"])
-    if multiplier > 1:
+    cfg = _train_config(args)
+    train_set, val_set = data.split_train_validation(sset, args.val_ratio, cfg.seed)
+    if args.multiplier > 1:
         train_set = imageops.augment_dataset(
-            train_set, imageops.AugmentationPolicy(), multiplier, cfg.seed
+            train_set, imageops.AugmentationPolicy(), args.multiplier, cfg.seed
         )
 
     net = nn.build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
-    if getattr(args, "init_from", None):
+    if args.init_from is not None:
         ae = nn.load_network(args.init_from)
         net = nn.transfer_encoder(ae, net)
     net, history = nn.fit(net, train_set, val_set, cfg)
@@ -372,7 +343,7 @@ def _cmd_train_cnn(args) -> None:
     nn.write_history_csv(args.out / "history.csv", history)
 
     preds = ensemble.cnn_predictor(net)(val_set)
-    summary = harness.metrics_summary(preds, _labels_of(val_set), _config_echo(resolved))
+    summary = harness.metrics_summary(preds, _labels_of(val_set), _settings(args))
     harness.write_metrics_json(args.out / "metrics.json", summary)
     best = history.best_epoch()
     print(
@@ -394,9 +365,7 @@ def _load_model_predictor(model_path: Path):
 
 
 def _cmd_predict(args) -> None:
-    resolved = _resolve(args, {"seed": 0, "labeled": False})
-    _write_resolved(args.out, "predict", resolved)
-    sset = _load_set(args.input, labeled=bool(resolved.get("labeled", False)))
+    sset = _load_set(args.input, labeled=args.labeled)
     kind, predictor = _load_model_predictor(args.model)
     preds = predictor(sset)
     harness.write_submission(preds, args.out / "submission.csv")
@@ -404,20 +373,14 @@ def _cmd_predict(args) -> None:
 
 
 def _cmd_stack(args) -> None:
-    resolved = _resolve(
-        args, {"seed": 0, "k_folds": 5, "cnn_epochs": 5, "n_trees": 100}
-    )
-    _write_resolved(args.out, "stack", resolved)
     sset = _load_set(args.input, labeled=True)
-    seed = int(resolved["seed"])
-    cnn_cfg = nn.TrainConfig(
-        epochs=int(resolved["cnn_epochs"]), seed=seed, dtype="float32"
-    )
     trainers = {
-        "gbm": ensemble.gbm_trainer(gbm.GbmParams(n_trees=int(resolved["n_trees"]))),
-        "cnn": ensemble.cnn_trainer(cnn_cfg, seed=seed),
+        "gbm": ensemble.gbm_trainer(gbm.GbmParams(n_trees=args.n_trees)),
+        "cnn": ensemble.cnn_trainer(
+            nn.TrainConfig(epochs=args.cnn_epochs, seed=args.seed, dtype=DTYPE)
+        ),
     }
-    oof = ensemble.oof_predictions(sset, trainers, int(resolved["k_folds"]), seed)
+    oof = ensemble.oof_predictions(sset, trainers, args.k_folds, args.seed)
     y = np.asarray([s.label for s in sset], dtype=np.float64)
     stacker = ensemble.fit_stacker(oof, y)
 
@@ -445,7 +408,7 @@ def _cmd_stack(args) -> None:
     ]
     stacked = ensemble.predict_stacker(stacker, member_preds)
     labels = _labels_of(sset)
-    summary = harness.metrics_summary(stacked, labels, _config_echo(resolved))
+    summary = harness.metrics_summary(stacked, labels, _settings(args))
     summary["member_logloss"] = {
         name: metrics.metric_logloss(member_preds[m], labels)
         for m, name in enumerate(oof.members)
@@ -458,13 +421,11 @@ def _cmd_stack(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    resolved = _resolve(args, {"seed": 0})
-    _write_resolved(args.out, "eval", resolved)
     if not args.pred.exists():
         raise ValueError(f"prediction file not found: {args.pred}")
     preds = harness.read_submission(args.pred)
     truth = _load_set(args.truth, labeled=True)
-    summary = harness.metrics_summary(preds, _labels_of(truth), _config_echo(resolved))
+    summary = harness.metrics_summary(preds, _labels_of(truth), _settings(args))
     harness.write_metrics_json(args.out / "metrics.json", summary)
     print(
         f"logloss {summary['logloss']:.6f}, accuracy {summary['accuracy']:.4f} "
@@ -473,24 +434,10 @@ def _cmd_eval(args) -> None:
 
 
 def _cmd_curve(args) -> None:
-    resolved = _resolve(
-        args,
-        {
-            "seed": 0,
-            "fractions": "0.1,0.3,1.0",
-            "epochs": 10,
-            "batch_size": 32,
-            "multiplier": 1,
-        },
-    )
-    _write_resolved(args.out, "curve", resolved)
     sset = _load_set(args.input, labeled=True)
-    fractions = resolved["fractions"]
-    if isinstance(fractions, str):
-        fractions = [float(t) for t in fractions.split(",") if t.strip()]
-    cfg = _train_config(resolved)
+    fractions = [float(t) for t in args.fractions.split(",") if t.strip()]
     rows = harness.learning_curve(
-        sset, fractions, cfg, multiplier=int(resolved["multiplier"])
+        sset, fractions, _train_config(args), multiplier=args.multiplier
     )
     harness.write_curve_csv(args.out / "curve.csv", rows)
     for r in rows:
@@ -501,8 +448,6 @@ def _cmd_curve(args) -> None:
 
 
 def _cmd_report(args) -> None:
-    resolved = _resolve(args, {"seed": 0})
-    _write_resolved(args.out, "report", resolved)
     missing = [str(p) for p in (args.pred, args.truth) if not p.exists()]
     if args.history is not None and not args.history.exists():
         missing.append(str(args.history))
@@ -521,7 +466,7 @@ def _cmd_report(args) -> None:
         if absent:
             raise ValueError(f"ids not in dataset: {sorted(absent)}")
     harness.write_report(
-        args.out, preds, _labels_of(truth), _config_echo(resolved), composites=composites
+        args.out, preds, _labels_of(truth), _settings(args), composites=composites
     )
     if args.history is not None:
         (args.out / "history.csv").write_text(args.history.read_text())
@@ -545,12 +490,17 @@ _HANDLERS = {
 
 
 def cli_main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if args.config is not None:
+            command = commands[args.command]
+            command.set_defaults(**_config_values(args.config, command))
+            args = parser.parse_args(argv)  # flags still win over the new defaults
+        _write_resolved(args)
         _HANDLERS[args.command](args)
     except (ValueError, OSError) as e:
         print(f"sarberg {args.command}: {e}", file=sys.stderr)

@@ -248,19 +248,15 @@ def gbm_trainer(params: GbmParams | None = None) -> Trainer:
     return lambda train_set: gbm_predictor(train_gbm(train_set, params))
 
 
-def cnn_trainer(
-    cfg=None, seed: int = 0, val_ratio: float = 0.2, builder=None
-) -> Trainer:
-    """Reference CNN member; holds out an inner validation split for the
-    plateau monitor and best-epoch restore."""
+def cnn_trainer(cfg=None, val_ratio: float = 0.2) -> Trainer:
+    """Reference CNN member, built from cfg's seed and dtype; holds out an
+    inner validation split for the plateau monitor and best-epoch restore."""
     cfg = cfg or nn.TrainConfig(epochs=5)
 
     def train(train_set: SampleSet) -> Predictor:
         inner_train, inner_val = split_train_validation(train_set, val_ratio, cfg.seed)
-        make = builder or (
-            lambda: nn.build_classifier(len(cfg.channels), seed, dtype=np.dtype(cfg.dtype))
-        )
-        net, _ = nn.fit(make(), inner_train, inner_val, cfg)
+        net = nn.build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
+        net, _ = nn.fit(net, inner_train, inner_val, cfg)
         return cnn_predictor(net)
 
     return train

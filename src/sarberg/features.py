@@ -60,7 +60,8 @@ def derived_bands(hh: np.ndarray, hv: np.ndarray) -> tuple[np.ndarray, np.ndarra
     not finite is refused: HH = 4000 dB is finite, but overflows 10^(v/10).
     """
     diff = hh - hv
-    ratio = np.power(10.0, hh / 10.0) / np.power(10.0, hv / 10.0)
+    with np.errstate(all="ignore"):  # the check below reports a non-finite ratio
+        ratio = np.power(10.0, hh / 10.0) / np.power(10.0, hv / 10.0)
     if not np.isfinite(ratio).all():
         raise ValueError("ratio band is not finite: 10^(dB/10) leaves the float64 range")
     return diff, ratio
@@ -118,7 +119,10 @@ def feature_vector(s: SarSample, mean_angle: float | None) -> np.ndarray:
     The angle slot holds the sample's angle, or mean_angle when absent; the
     final slot flags angles that are imputed (either upstream or here).
     """
-    diff, ratio = derived_bands(s.hh, s.hv)
+    try:
+        diff, ratio = derived_bands(s.hh, s.hv)
+    except ValueError as e:
+        raise ValueError(f"sample {s.id!r}: {e}") from None
     parts: list[float] = []
     for band in (s.hh, s.hv, diff, ratio):
         parts.extend(band_stats(band).as_tuple())

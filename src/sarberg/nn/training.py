@@ -25,9 +25,6 @@ class TrainConfig:
     plateau_patience: int = 5
     plateau_factor: float = 0.1
     min_lr: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     channels: tuple[str, ...] = DEFAULT_CHANNELS
     normalize_angle: bool = True
@@ -109,7 +106,10 @@ def channel_planes(
         elif token == "hv":
             out.append(hv)
         elif token in ("diff", "ratio"):
-            diff, ratio = derived_bands(hh, hv)
+            try:
+                diff, ratio = derived_bands(hh, hv)
+            except ValueError as e:
+                raise ValueError(f"sample {s.id!r}: {e}") from None
             out.append(diff if token == "diff" else ratio)
         elif token in ("gradmag_hh", "gradmag_hv"):
             out.append(gradient_magnitude(hh if token.endswith("hh") else hv))
@@ -234,7 +234,7 @@ def fit(
     y_val = label_vector(val)
 
     rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(net, cfg.beta1, cfg.beta2, cfg.eps)
+    optimizer = Adam(net)
     scheduler = PlateauScheduler(
         cfg.lr0,
         patience=cfg.plateau_patience,
@@ -288,7 +288,7 @@ def fit_autoencoder(
     x = _fit_inputs(net, train, cfg)
 
     rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(net, cfg.beta1, cfg.beta2, cfg.eps)
+    optimizer = Adam(net)
     scheduler = PlateauScheduler(
         cfg.lr0,
         patience=cfg.plateau_patience,

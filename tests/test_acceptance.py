@@ -305,7 +305,7 @@ def test_criterion_10_ensemble_property():
     trainers = {
         "gbm": gbm_trainer(GbmParams(n_trees=80, max_depth=3)),
         "cnn": cnn_trainer(
-            TrainConfig(epochs=3, batch_size=32, seed=55, dtype="float32"), seed=55
+            TrainConfig(epochs=3, batch_size=32, seed=55, dtype="float32")
         ),
     }
     oof = oof_predictions(sset, trainers, k_folds=5, seed=55)

@@ -1,15 +1,22 @@
 """Command-line wiring: exit codes, artifacts, and reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 import zipfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sarberg
 from sarberg.cli import cli_main
 from sarberg.data import (
     SampleSet,
+    SarSample,
     SynthConfig,
     parse_samples,
     serialize_samples,
@@ -41,8 +48,36 @@ class TestParsing:
         assert "usage" in capsys.readouterr().err.lower()
 
     def test_unknown_flag_exits_2(self, capsys):
-        assert run("synth", "--out", "x", "--bogus-flag", "1") == 2
-        assert "usage" in capsys.readouterr().err.lower()
+        for argv in [
+            ("synth", "--out", "x", "--bogus-flag", "1"),
+            # --seed belongs only to the commands that draw random numbers.
+            ("ingest", "--input", "d.json", "--out", "x", "--seed", "1"),
+            ("features", "--input", "d.json", "--out", "x", "--seed", "1"),
+            ("predict", "--input", "d.json", "--model", "m", "--out", "x", "--seed", "1"),
+            ("eval", "--pred", "p.csv", "--truth", "d.json", "--out", "x", "--seed", "1"),
+            ("report", "--pred", "p.csv", "--truth", "d.json", "--out", "x", "--seed", "1"),
+        ]:
+            assert run(*argv) == 2, argv
+            assert "usage" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize(
+        "command",
+        ["synth", "ingest", "augment", "features", "train-gbm", "pretrain-ae",
+         "train-cnn", "predict", "stack", "eval", "curve", "report"],
+    )
+    def test_subcommand_help_exits_0(self, command, capsys):
+        assert run(command, "--help") == 0
+        assert f"usage: sarberg {command}" in capsys.readouterr().out
+
+    def test_module_help_exits_0(self):
+        src = str(Path(sarberg.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "sarberg.cli", "--help"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        assert "usage: sarberg" in done.stdout
 
     def test_missing_input_exits_1(self, tmp_path, capsys):
         assert run("ingest", "--input", tmp_path / "nope.json", "--out", tmp_path) == 1
@@ -66,6 +101,27 @@ class TestSynthIngest:
         resolved = json.loads((out / "resolved_config.json").read_text())
         assert resolved["n_samples"] == 8  # flag wins
         assert resolved["seed"] == 9  # from config file
+
+    def test_unknown_config_key_names_it(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"n_sample": 4}))
+        assert run("synth", "--config", cfg, "--out", tmp_path / "run") == 1
+        assert "'n_sample'" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "samples.json").exists()
+
+    @pytest.mark.parametrize(
+        "command,doc",
+        [
+            ("ingest", {"unlabeled": "false"}),  # a switch takes only true/false
+            ("train-gbm", {"n_trees": 2.5}),  # --n-trees takes an integer
+        ],
+    )
+    def test_mistyped_config_value_names_key(self, tmp_path, dataset_file, command, doc, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        code = run(command, "--config", cfg, "--input", dataset_file, "--out", tmp_path / "run")
+        assert code == 1
+        assert repr(next(iter(doc))) in capsys.readouterr().err
 
     def test_ingest_summary(self, tmp_path, dataset_file):
         out = tmp_path / "run"
@@ -142,6 +198,19 @@ class TestPipeline:
         assert (rep_out / "metrics.json").exists()
         assert (rep_out / "composite_synth_000001.ppm").exists()
 
+    def test_features_overflowing_ratio_names_record(self, tmp_path, capsys):
+        hh = np.full((75, 75), -20.0)
+        hh[2, 2] = 4000.0  # 10^(4000/10) overflows float64
+        hv = np.full((75, 75), -25.0)
+        cold = SarSample(id="cold", hh=hv + 5.0, hv=hv, inc_angle=35.0, label=0)
+        hot = SarSample(id="hot", hh=hh, hv=hv, inc_angle=35.0, label=1)
+        path = _write_set(tmp_path / "hot.json", [cold, hot])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the refusal alone reports the overflow
+            assert run("features", "--input", path, "--out", tmp_path / "f") == 1
+        err = capsys.readouterr().err
+        assert "sample 'hot'" in err and "ratio band is not finite" in err
+
     def test_report_missing_artifact_lists_it(self, tmp_path, dataset_file, capsys):
         code = run(
             "report", "--pred", tmp_path / "absent.csv", "--truth", dataset_file,
@@ -205,6 +274,10 @@ class TestModelArtifacts:
         expected = _present_mean(train)
         assert expected != _present_mean(sset)  # the val angles would move it
         assert load_network(cnn_ckpt).fill_angle == expected
+
+    def test_train_cnn_records_every_option(self, cnn_ckpt):
+        resolved = json.loads((cnn_ckpt.parent / "resolved_config.json").read_text())
+        assert resolved["lr0"] == 0.001 and resolved["channels"] == "hh,hv,diff"
 
     def test_cnn_missing_angle_scored_with_stored_angle(self, tmp_path, cnn_ckpt):
         scores = []

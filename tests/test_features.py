@@ -124,9 +124,9 @@ class TestDerivedBands:
         sset = SampleSet((sample(hh, np.full((5, 5), -25.0)),))
         with pytest.raises(ValueError, match="ratio band is not finite"):
             derived_bands(sset[0].hh, sset[0].hv)
-        with pytest.raises(ValueError, match="ratio band is not finite"):
+        with pytest.raises(ValueError, match="sample 's': ratio band is not finite"):
             feature_matrix(sset, None)
-        with pytest.raises(ValueError, match="ratio band is not finite"):
+        with pytest.raises(ValueError, match="sample 's': ratio band is not finite"):
             input_tensor(sset, ("hh", "hv", "ratio"), normalize_angle=True)
 
 class TestBandStats:
