@@ -3,7 +3,8 @@
 Each option is declared once, with its default, in `_build_parser`. An option
 takes its value from, in order of precedence:
 
-1. its flag on the command line;
+1. its flag on the command line (a switch such as --unlabeled also has a
+   --no- form, which turns off what a config file turned on);
 2. the --config JSON file, whose keys are option names as resolved_config.json
    spells them (`n_trees` for --n-trees);
 3. its declared default.
@@ -54,6 +55,11 @@ class _CommandParser(argparse.ArgumentParser):
         return action
 
 
+def _switch(p: argparse.ArgumentParser, flag: str) -> None:
+    """An off-by-default switch, given as `flag` or `--no-...`."""
+    p.add_argument(flag, action=argparse.BooleanOptionalAction, default=False)
+
+
 def _training_flags(p: argparse.ArgumentParser, epochs: int) -> None:
     p.add_argument("--epochs", type=int, default=epochs)
     p.add_argument("--batch-size", type=int, default=32)
@@ -86,11 +92,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
 
     p = command("ingest", "validate a dataset file and summarize it")
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--unlabeled", action="store_true")
+    _switch(p, "--unlabeled")
 
     p = command("augment", "expand a dataset with random transforms", seeded=True)
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--unlabeled", action="store_true")
+    _switch(p, "--unlabeled")
     p.add_argument("--multiplier", type=int, default=2)
     p.add_argument("--width-shift", type=float, default=0.1)
     p.add_argument("--height-shift", type=float, default=0.1)
@@ -98,7 +104,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
 
     p = command("features", "export the statistics feature table")
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--unlabeled", action="store_true")
+    _switch(p, "--unlabeled")
 
     p = command("train-gbm", "fit the boosted-tree baseline", seeded=True)
     p.add_argument("--input", type=Path, required=True)
@@ -110,7 +116,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
 
     p = command("pretrain-ae", "train the convolutional autoencoder", seeded=True)
     p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--unlabeled", action="store_true")
+    _switch(p, "--unlabeled")
     _training_flags(p, epochs=30)
 
     p = command("train-cnn", "train the reference CNN classifier", seeded=True)
@@ -123,7 +129,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
     p = command("predict", "score a dataset with a saved model")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True)
-    p.add_argument("--labeled", action="store_true")
+    _switch(p, "--labeled")
 
     p = command("stack", "out-of-fold stacking of GBM + CNN members", seeded=True)
     p.add_argument("--input", type=Path, required=True)

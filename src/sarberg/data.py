@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -293,16 +293,22 @@ def fill_incidence(sset: SampleSet, angle: float) -> SampleSet:
     return SampleSet(out, provenance=sset.provenance)
 
 
+def mean_incidence(angles: Iterable[float | None]) -> float:
+    """The fill angle of a training set: the mean of its present angles
+    (None marks a missing one), in their order."""
+    present = [a for a in angles if a is not None]
+    if not present:
+        raise ValueError("cannot impute: every sample is missing inc_angle")
+    return float(np.mean(present))
+
+
 def impute_incidence(sset: SampleSet) -> tuple[SampleSet, float]:
     """Replace missing incidence angles by the mean of the present ones.
 
     Returns the imputed set and the mean angle, so the same fill value can be
     reused on test data (`fill_incidence`).
     """
-    present = [s.inc_angle for s in sset if s.inc_angle is not None]
-    if not present:
-        raise ValueError("cannot impute: every sample is missing inc_angle")
-    mean_angle = float(np.mean(present))
+    mean_angle = mean_incidence(s.inc_angle for s in sset)
     return fill_incidence(sset, mean_angle), mean_angle
 
 

@@ -1,27 +1,35 @@
 """Out-of-fold prediction generation, blending, and logistic stacking.
 
-A member is anything callable as trainer(train_set) -> predict_fn, where
-predict_fn maps a SampleSet to {id: probability}. Factories for the two
-built-in members (boosted trees on the statistics features, and the CNN)
-live at the bottom.
+An out-of-fold member is called in three steps: member(full_set) -> fit,
+fit(train_rows) -> predict, predict(hold_rows) -> probabilities. Rows are
+integer indices into the full set, and predict returns one probability per
+held-out row, in their order. The first call is made once per out-of-fold
+run, so a member does there the work that does not depend on the fold: the
+boosted-tree member featurises every scene once and per fold only fills the
+missing angles. Factories for the two built-in members (boosted trees on the
+statistics features, and the CNN) live at the bottom, next to the predictors
+that score a whole SampleSet with one saved model.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import nn
-from .data import SampleSet, split_train_validation, impute_incidence
-from .features import feature_matrix
+from .data import SampleSet, mean_incidence, split_train_validation
+from .features import FEATURE_NAMES, feature_matrix
 from .gbm import GbmModel, GbmParams, fit_gbm, predict_gbm
-from .mathutil import binary_logloss, logit, sigmoid
+from .mathutil import logit, sigmoid
 
 PredictionSet = dict[str, float]
 Predictor = Callable[[SampleSet], PredictionSet]
-Trainer = Callable[[SampleSet], Predictor]
+# An out-of-fold member (see above): member(full_set) -> fit(train_rows) ->
+# predict(hold_rows) -> one probability per held-out row.
+Trainer = Callable[[SampleSet], Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]]
 
 
 @dataclass(frozen=True)
@@ -69,8 +77,9 @@ def oof_predictions(
     k_folds: int = 5,
     seed: int = 0,
 ) -> OofMatrix:
-    """Retrain every member per fold; each row is predicted by the model
-    that never saw it."""
+    """Refit every member per fold on the other folds' rows; each row is
+    predicted by the model that never saw it. Each member sees the full set
+    once, before the first fold. A member's refusal names the fold."""
     labels = sset.labels()
     if any(l is None for l in labels):
         raise ValueError("out-of-fold generation needs a fully labeled set")
@@ -78,22 +87,18 @@ def oof_predictions(
     fold_of = stratified_folds(y, k_folds, seed)
 
     members = tuple(trainers)
+    fits = [trainers[name](sset) for name in members]
     values = np.full((len(sset), len(members)), np.nan)
     for fold in range(k_folds):
         hold = fold_of == fold
-        train_samples = tuple(s for s, h in zip(sset, hold) if not h)
-        hold_samples = tuple(s for s, h in zip(sset, hold) if h)
-        train_labels = {s.label for s in train_samples}
-        if len(train_labels) < 2 or not hold_samples:
+        train_rows, hold_rows = np.flatnonzero(~hold), np.flatnonzero(hold)
+        if np.unique(y[train_rows]).size < 2 or not hold_rows.size:
             raise ValueError(f"fold {fold} leaves a single-class training split")
-        train_set = SampleSet(train_samples, provenance=sset.provenance)
-        hold_set = SampleSet(hold_samples, provenance=sset.provenance)
-        hold_rows = np.nonzero(hold)[0]
-        for m, name in enumerate(members):
-            predictor = trainers[name](train_set)
-            preds = predictor(hold_set)
-            for row, s in zip(hold_rows, hold_set):
-                values[row, m] = preds[s.id]
+        for m, fit in enumerate(fits):
+            try:
+                values[hold_rows, m] = fit(train_rows)(hold_rows)
+            except ValueError as e:
+                raise ValueError(f"fold {fold}, member {members[m]!r}: {e}") from None
     if not np.all(np.isfinite(values)):
         raise ValueError("a member produced non-finite out-of-fold predictions")
     return OofMatrix(
@@ -102,19 +107,27 @@ def oof_predictions(
 
 
 def _stack_loss_grad(theta: np.ndarray, Z: np.ndarray, y: np.ndarray):
+    """Mean logistic loss, its gradient and the probabilities at theta. The
+    loss is taken from z as log(1 + e^z) - y*z, so it stays exact where a
+    clamped probability would saturate."""
     z = Z @ theta
     p = sigmoid(z)
-    loss = binary_logloss(p, y)
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
     grad = Z.T @ (p - y) / y.size
-    return loss, grad
+    return loss, grad, p
 
 
 def fit_stacker(oof: OofMatrix, y) -> Stacker:
     """Logistic regression on member logits, zero-initialized.
 
-    Full-batch gradient descent with backtracking on the step size, run until
-    the gradient norm falls below 1e-8 or 10000 iterations. The objective is
-    convex, so the fit can always recover any single member (w=e_i, b=0).
+    Damped Newton (IRLS): each step is the minimum-norm solution of H d = -g
+    (lstsq), so a singular Hessian, from two identical members or a member
+    at logit 0 throughout, moves tied weights alike and leaves a zero column's
+    weight at 0. The step is halved until the loss falls by at least 1e-4 of
+    the decrease its slope predicts (Armijo). The fit stops when the gradient
+    norm falls below 1e-8, when no step lowers the loss, or after 100 steps.
+    The objective is convex, so the fit can always recover any single member
+    (w=e_i, b=0).
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape[0] != len(oof.ids):
@@ -127,21 +140,23 @@ def fit_stacker(oof: OofMatrix, y) -> Stacker:
     Z = np.concatenate([logits, np.ones((logits.shape[0], 1))], axis=1)
 
     theta = np.zeros(Z.shape[1])
-    # Lipschitz bound for the logistic loss Hessian gives a safe opening step.
-    lipschitz = max(float(np.mean(np.sum(Z * Z, axis=1))) / 4.0, 1e-12)
-    step = 1.0 / lipschitz
-    loss, grad = _stack_loss_grad(theta, Z, y)
-    for _ in range(10000):
+    loss, grad, p = _stack_loss_grad(theta, Z, y)
+    for _ in range(100):
         if float(np.linalg.norm(grad)) < 1e-8:
             break
+        hessian = (Z.T * (p * (1.0 - p))) @ Z / y.size
+        direction = -np.linalg.lstsq(hessian, grad, rcond=None)[0]
+        slope = float(grad @ direction)
+        step = 1.0
         while True:
-            candidate = theta - step * grad
-            new_loss, new_grad = _stack_loss_grad(candidate, Z, y)
-            if new_loss <= loss - 0.5 * step * float(grad @ grad) or step < 1e-18:
+            candidate = theta + step * direction
+            new_loss, new_grad, new_p = _stack_loss_grad(candidate, Z, y)
+            if new_loss <= loss + 1e-4 * step * slope or step < 1e-10:
                 break
             step *= 0.5
-        theta, loss, grad = candidate, new_loss, new_grad
-        step *= 1.2
+        if not new_loss < loss:
+            break
+        theta, loss, grad, p = candidate, new_loss, new_grad, new_p
     return Stacker(
         members=oof.members, weights=theta[:-1].copy(), bias=float(theta[-1])
     )
@@ -208,14 +223,34 @@ def blend(
 # Built-in members
 
 
+_ANGLE_COLUMN = FEATURE_NAMES.index("inc_angle")
+
+
+def _gbm_features(sset: SampleSet) -> tuple[np.ndarray, np.ndarray, list]:
+    """Feature rows and labels of a labelled set, and its angles (None where
+    missing). A missing angle's slot holds NaN until `_fit_gbm_rows` fills it,
+    so a row left unfilled fails fit_gbm's finite check."""
+    _, X, y = feature_matrix(sset, math.nan)
+    return X, y, [s.inc_angle for s in sset]
+
+
+def _fit_gbm_rows(X, y, angles, rows, params: GbmParams) -> tuple[GbmModel, np.ndarray]:
+    """Boosted trees on `rows` of X. The fill angle is the mean of the present
+    angles among `rows`; every row whose angle is missing takes it, and so does
+    the model's fill_angle. Returns the model and the filled copy of X."""
+    fill_angle = mean_incidence(angles[r] for r in rows)
+    X = X.copy()
+    X[[a is None for a in angles], _ANGLE_COLUMN] = fill_angle
+    model = fit_gbm(X[rows], y[rows], params)
+    model.fill_angle = fill_angle
+    return model, X
+
+
 def train_gbm(train_set: SampleSet, params: GbmParams) -> GbmModel:
     """Boosted trees on the 30 statistics features of a labelled set; the mean
     of its present angles fills missing ones and becomes the model's fill_angle."""
-    imputed, fill_angle = impute_incidence(train_set)
-    _, X, y = feature_matrix(imputed, fill_angle)
-    model = fit_gbm(X, y, params)
-    model.fill_angle = fill_angle
-    return model
+    X, y, angles = _gbm_features(train_set)
+    return _fit_gbm_rows(X, y, angles, np.arange(len(train_set)), params)[0]
 
 
 def gbm_predictor(model: GbmModel) -> Predictor:
@@ -239,24 +274,47 @@ def cnn_predictor(net) -> Predictor:
 
 
 def gbm_trainer(params: GbmParams | None = None) -> Trainer:
-    """Boosted trees on the 30 statistics features.
+    """Out-of-fold boosted trees on the 30 statistics features.
 
-    Angle imputation is fit inside each training fold and its mean reused at
-    prediction time, so no information leaks across folds.
+    Every scene is featurised once, on the full set. Per fold, the angle fill
+    is the training rows' mean (as in `train_gbm`) and reused for the held-out
+    rows, so no information leaks across folds.
     """
     params = params or GbmParams()
-    return lambda train_set: gbm_predictor(train_gbm(train_set, params))
+
+    def member(sset: SampleSet):
+        X, y, angles = _gbm_features(sset)
+
+        def fit(train_rows: np.ndarray):
+            model, filled = _fit_gbm_rows(X, y, angles, train_rows, params)
+            return lambda hold_rows: predict_gbm(model, filled[hold_rows])
+
+        return fit
+
+    return member
+
+
+def _rows(sset: SampleSet, rows: np.ndarray) -> SampleSet:
+    return SampleSet(tuple(sset[r] for r in rows), provenance=sset.provenance)
 
 
 def cnn_trainer(cfg=None, val_ratio: float = 0.2) -> Trainer:
-    """Reference CNN member, built from cfg's seed and dtype; holds out an
-    inner validation split for the plateau monitor and best-epoch restore."""
+    """Out-of-fold reference CNN, built from cfg's seed and dtype; holds out
+    an inner validation split for the plateau monitor and best-epoch restore."""
     cfg = cfg or nn.TrainConfig(epochs=5)
 
-    def train(train_set: SampleSet) -> Predictor:
-        inner_train, inner_val = split_train_validation(train_set, val_ratio, cfg.seed)
-        net = nn.build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
-        net, _ = nn.fit(net, inner_train, inner_val, cfg)
-        return cnn_predictor(net)
+    def member(sset: SampleSet):
+        def fit(train_rows: np.ndarray):
+            inner_train, inner_val = split_train_validation(
+                _rows(sset, train_rows), val_ratio, cfg.seed
+            )
+            net = nn.build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
+            net, _ = nn.fit(net, inner_train, inner_val, cfg)
+            predict = cnn_predictor(net)
+            return lambda hold_rows: np.fromiter(
+                predict(_rows(sset, hold_rows)).values(), np.float64
+            )
 
-    return train
+        return fit
+
+    return member

@@ -102,6 +102,18 @@ class TestSynthIngest:
         assert resolved["n_samples"] == 8  # flag wins
         assert resolved["seed"] == 9  # from config file
 
+    def test_no_switch_overrides_config_switch(self, tmp_path, dataset_file):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"unlabeled": True}))
+        out = tmp_path / "run"
+        argv = ("ingest", "--config", cfg, "--input", dataset_file, "--out", out)
+        assert run(*argv, "--no-unlabeled") == 0
+        summary = json.loads((out / "ingest_summary.json").read_text())
+        assert summary["n_unlabeled"] == 0
+        assert json.loads((out / "resolved_config.json").read_text())["unlabeled"] is False
+        assert run(*argv) == 0  # the config file alone turns the switch on
+        assert json.loads((out / "ingest_summary.json").read_text())["n_unlabeled"] == 24
+
     def test_unknown_config_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"n_sample": 4}))

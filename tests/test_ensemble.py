@@ -1,5 +1,7 @@
 """Out-of-fold generation, the logistic stacker, and fixed blends."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from sarberg.ensemble import (
     Stacker,
     blend,
     fit_stacker,
+    gbm_predictor,
     gbm_trainer,
     oof_predictions,
     predict_stacker,
     stratified_folds,
+    train_gbm,
 )
 from sarberg.gbm import GbmParams
 from sarberg.mathutil import binary_logloss, logit, sigmoid
@@ -36,19 +40,17 @@ def labeled_set(n=40, seed=0):
 
 
 def constant_trainer(p):
-    def train(_train_set):
-        return lambda sset: {s.id: p for s in sset}
-
-    return train
+    return lambda _sset: lambda _train_rows: lambda hold_rows: np.full(len(hold_rows), p)
 
 
 def cheating_trainer(lo=0.001, hi=0.999):
     """Returns the true label as a (slightly soft) probability."""
 
-    def train(_train_set):
-        return lambda sset: {s.id: (hi if s.label == 1 else lo) for s in sset}
+    def member(sset):
+        y = np.array(sset.labels())
+        return lambda _train_rows: lambda hold_rows: np.where(y[hold_rows] == 1, hi, lo)
 
-    return train
+    return member
 
 
 class TestStratifiedFolds:
@@ -103,6 +105,41 @@ class TestOofPredictions:
         y = np.array([float(s.label) for s in sset])
         assert binary_logloss(oof.column("gbm"), y) < 0.4
 
+    def test_gbm_member_equals_per_fold_training_bitwise(self):
+        # Featurised once with the angle filled per fold, the GBM column must
+        # equal training each fold on its own SampleSet and scoring the
+        # held-out scenes through the CLI's predictor.
+        base = labeled_set(45, seed=11)
+        samples = [
+            replace(s, inc_angle=None) if i % 6 == 2 else s for i, s in enumerate(base)
+        ]
+        samples[7] = replace(samples[7], angle_imputed=True)  # keeps its angle 30.0
+        sset = SampleSet(tuple(samples), provenance="synthetic")
+        params = GbmParams(n_trees=12, max_depth=2, min_samples_leaf=2)
+        oof = oof_predictions(sset, {"gbm": gbm_trainer(params)}, k_folds=3, seed=6)
+
+        expected = np.full(len(sset), np.nan)
+        for fold in range(3):
+            hold = oof.fold_of == fold
+            train = SampleSet(tuple(s for s, h in zip(sset, hold) if not h), "synthetic")
+            held = SampleSet(tuple(s for s, h in zip(sset, hold) if h), "synthetic")
+            preds = gbm_predictor(train_gbm(train, params))(held)
+            expected[hold] = [preds[s.id] for s in held]
+        assert oof.values[:, 0].tobytes() == expected.tobytes()
+
+    def test_fold_without_present_training_angle_named(self):
+        sset = labeled_set(20, seed=3)
+        y = np.array(sset.labels())
+        # With two folds, fold 0 trains on fold 1's rows: leave those no angle.
+        fold_of = stratified_folds(y, 2, seed=4)
+        sset = SampleSet(
+            tuple(replace(s, inc_angle=None) if f == 1 else s for s, f in zip(sset, fold_of)),
+            provenance="synthetic",
+        )
+        trainers = {"gbm": gbm_trainer(GbmParams(n_trees=3, min_samples_leaf=1))}
+        with pytest.raises(ValueError, match="fold 0.*inc_angle"):
+            oof_predictions(sset, trainers, k_folds=2, seed=4)
+
 
 class TestFitStacker:
     def _oof(self, columns, ids=None):
@@ -150,6 +187,19 @@ class TestFitStacker:
         stacker = fit_stacker(oof, y)
         stacked = sigmoid(logit(oof.values) @ stacker.weights + stacker.bias)
         assert binary_logloss(stacked, y) <= binary_logloss(good, y) + 1e-9
+
+    def test_extreme_misclassified_logit_reaches_optimum(self):
+        # One member whose logits sit at +-10.73, with one positive scene on
+        # the negative side. Capped gradient descent stopped short here, at a
+        # gradient norm of 1.5e-5; the fit must reach a stationary point.
+        y = np.array([1.0] * 100 + [0.0] * 100)
+        z = np.where(y == 1, 10.73, -10.73)
+        z[0] = -10.73
+        oof = self._oof({"m": sigmoid(z)})
+        stacker = fit_stacker(oof, y)
+        Z = np.stack([logit(oof.values[:, 0]), np.ones(y.size)], axis=1)
+        p = sigmoid(Z @ np.append(stacker.weights, stacker.bias))
+        assert np.linalg.norm(Z.T @ (p - y) / y.size) < 1e-8
 
     def test_single_class_rejected(self):
         oof = self._oof({"m": [0.2, 0.4, 0.6]})

@@ -71,3 +71,20 @@ def test_fit_gbm_calls_traced_split_search():
         tracer.uninstall()
     for name in ("gbm.fit_gbm", "gbm.best_split"):
         assert name in tracer.names, name
+
+
+def test_gbm_oof_featurises_once():
+    # The benchmark's gbm_oof metrics come from these spans: the member must
+    # featurise the whole set once, through `sarberg.ensemble.feature_matrix`,
+    # and fit every fold through the traced GBM names.
+    scenes = synth_dataset(SynthConfig(n_samples=12, seed=5))
+    trainers = {"gbm": sarberg.ensemble.gbm_trainer(GbmParams(n_trees=2, min_samples_leaf=1))}
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        sarberg.ensemble.oof_predictions(scenes, trainers, k_folds=3, seed=1)
+    finally:
+        tracer.uninstall()
+    assert tracer.names.count("features.feature_matrix") == 1
+    for name in ("gbm.fit_gbm", "gbm.best_split", "gbm.predict_gbm"):
+        assert name in tracer.names, name
