@@ -298,15 +298,16 @@ def _rows(sset: SampleSet, rows: np.ndarray) -> SampleSet:
     return SampleSet(tuple(sset[r] for r in rows), provenance=sset.provenance)
 
 
-def cnn_trainer(cfg=None, val_ratio: float = 0.2) -> Trainer:
+def cnn_trainer(cfg=None) -> Trainer:
     """Out-of-fold reference CNN, built from cfg's seed and dtype; holds out
-    an inner validation split for the plateau monitor and best-epoch restore."""
+    a fifth of each fold's training rows as the validation split for the
+    plateau monitor and best-epoch restore."""
     cfg = cfg or nn.TrainConfig(epochs=5)
 
     def member(sset: SampleSet):
         def fit(train_rows: np.ndarray):
             inner_train, inner_val = split_train_validation(
-                _rows(sset, train_rows), val_ratio, cfg.seed
+                _rows(sset, train_rows), 0.2, cfg.seed
             )
             net = nn.build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
             net, _ = nn.fit(net, inner_train, inner_val, cfg)

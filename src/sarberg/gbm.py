@@ -326,11 +326,9 @@ def _load_tree(t: int, flat, feature_count: int) -> Tree:
 
 
 def deserialize_gbm(raw: bytes | str) -> GbmModel:
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as e:
+        doc = json.loads(raw.decode("utf-8") if isinstance(raw, bytes) else raw)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ValueError(f"corrupt model file: {e}") from e
     if not isinstance(doc, dict) or doc.get("format") != SERIAL_FORMAT:
         raise ValueError("not a sarberg GBM model file")

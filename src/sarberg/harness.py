@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -42,7 +43,6 @@ def learning_curve(
     base: SampleSet,
     fractions: Sequence[float],
     cfg: TrainConfig,
-    policy: AugmentationPolicy | None = None,
     multiplier: int = 1,
     val_ratio: float = 0.2,
 ) -> list[CurveRow]:
@@ -57,13 +57,12 @@ def learning_curve(
         raise ValueError("fractions must be ascending and non-empty")
     if not all(0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
-    policy = policy or AugmentationPolicy()
     train_side, val_side = split_train_validation(base, val_ratio, cfg.seed)
 
     rows = []
     for fraction in fractions:
         subset = _stratified_fraction(train_side, fraction, cfg.seed)
-        augmented = augment_dataset(subset, policy, multiplier, cfg.seed)
+        augmented = augment_dataset(subset, AugmentationPolicy(), multiplier, cfg.seed)
         if len(augmented) < 2 * cfg.batch_size:
             raise ValueError(
                 f"fraction {fraction} yields {len(augmented)} samples, "
@@ -107,12 +106,30 @@ def write_submission(preds: Mapping[str, float], path) -> None:
 
 
 def read_submission(path) -> PredictionSet:
+    """The probabilities of a submission file, by id. A row that is not
+    `id,p`, a p that is not a finite number in [0, 1], or a repeated id is
+    refused, naming its line and id."""
+    preds: PredictionSet = {}
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["id", "is_iceberg"]:
             raise ValueError(f"unexpected submission header {header!r}")
-        return {row[0]: float(row[1]) for row in reader}
+        for row in reader:
+            sample_id = row[0] if row else None
+            where = f"{path} line {reader.line_num}, id {sample_id!r}"
+            if len(row) != 2:
+                raise ValueError(f"{where}: expected 2 fields (id,is_iceberg), got {len(row)}")
+            try:
+                p = float(row[1])
+            except ValueError:
+                p = math.nan
+            if not 0.0 <= p <= 1.0:  # NaN fails too
+                raise ValueError(f"{where}: probability {row[1]!r} is not a number in [0, 1]")
+            if sample_id in preds:
+                raise ValueError(f"{where}: repeated id")
+            preds[sample_id] = p
+    return preds
 
 
 # ---------------------------------------------------------------------------

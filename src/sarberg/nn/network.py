@@ -24,7 +24,9 @@ from .layers import (
 )
 
 CHECKPOINT_FORMAT = "sarberg-net"
-CHECKPOINT_VERSION = 1
+# Version 2: the input is always corrected for incidence angle, so meta.json no
+# longer says whether it is; a version-1 file is refused, not reinterpreted.
+CHECKPOINT_VERSION = 2
 # Fixed zip entry timestamp so checkpoints are byte-deterministic.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 # Scenes per evaluation-mode pass. Small chunks keep the activations near the
@@ -37,7 +39,7 @@ EVAL_CHUNK = 32
 class Network:
     """An ordered layer stack with its input contract.
 
-    channels, normalize_angle, fill_angle (the training set's mean angle) and
+    channels, fill_angle (the training set's mean angle) and
     channel_mean/channel_std are the preprocessing fit on the training set;
     they travel with the model so inference applies the identical transform.
     """
@@ -56,7 +58,6 @@ class Network:
         self.kind = kind  # "classifier" | "autoencoder"
         self.dtype = np.dtype(dtype)
         self.channels: tuple[str, ...] | None = None
-        self.normalize_angle: bool = True
         self.fill_angle: float | None = None
         self.channel_mean: np.ndarray | None = None
         self.channel_std: np.ndarray | None = None
@@ -284,7 +285,6 @@ def save_network(net: Network, path) -> None:
         "dtype": net.dtype.name,
         "layers": [layer.spec() for layer in net.layers],
         "channels": list(net.channels) if net.channels is not None else None,
-        "normalize_angle": net.normalize_angle,
         "fill_angle": net.fill_angle,
         "channel_mean": (
             net.channel_mean.tolist() if net.channel_mean is not None else None
@@ -332,7 +332,6 @@ def _check_meta(meta) -> None:
             isinstance(v, list) and len(v) == meta["input_ch"]
             and all(isinstance(t, str) for t in v)
         ),
-        "normalize_angle": lambda v: isinstance(v, bool),
         "fill_angle": lambda v: v is None or _are_numbers(v, ()),
         "channel_mean": lambda v: v is None or _are_numbers(v, (meta["input_ch"],)),
         "channel_std": lambda v: v is None or _are_numbers(v, (meta["input_ch"],)),
@@ -365,7 +364,6 @@ def load_network(path) -> Network:
         raise ValueError(f"corrupt checkpoint: {e}") from e
     if meta["channels"] is not None:
         net.channels = tuple(meta["channels"])
-    net.normalize_angle = meta["normalize_angle"]
     net.fill_angle = None if meta["fill_angle"] is None else float(meta["fill_angle"])
     for key in ("channel_mean", "channel_std"):
         if meta[key] is not None:

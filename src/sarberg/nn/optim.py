@@ -48,13 +48,10 @@ def adam_step(
 
 
 class Adam:
-    """Adam over a network's named parameters."""
+    """Adam over a network's named parameters, with `adam_step`'s defaults."""
 
-    def __init__(self, net, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, net):
         self.net = net
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.state = {
             key: AdamState.zeros_like(arr) for key, arr in net.parameters()
         }
@@ -67,13 +64,7 @@ class Adam:
                 if key not in grads:
                     raise ValueError(f"no gradient for parameter {key!r}")
                 layer.params[name] = adam_step(
-                    layer.params[name],
-                    grads[key],
-                    self.state[key],
-                    lr,
-                    self.beta1,
-                    self.beta2,
-                    self.eps,
+                    layer.params[name], grads[key], self.state[key], lr
                 )
 
 

@@ -1,9 +1,11 @@
-"""Training loops: mini-batch Adam with plateau scheduling and best-epoch restore."""
+"""The training loop of both CNN stages: mini-batch Adam with plateau scheduling,
+and best-epoch restore for the classifier."""
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -19,15 +21,19 @@ DEFAULT_CHANNELS = ("hh", "hv", "diff")
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run's settings.
+
+    The rate starts at lr0 and follows `PlateauScheduler`'s fixed rule: it is
+    cut to a tenth after 5 epochs without improvement of the monitored loss,
+    never below 1e-6. Inputs are always corrected for incidence angle
+    (`channel_planes`).
+    """
+
     epochs: int = 30
     batch_size: int = 32
     lr0: float = 0.001
-    plateau_patience: int = 5
-    plateau_factor: float = 0.1
-    min_lr: float = 1e-6
     seed: int = 0
     channels: tuple[str, ...] = DEFAULT_CHANNELS
-    normalize_angle: bool = True
     dtype: str = "float64"  # parameter/activation dtype for nets built from this config
 
     def __post_init__(self):
@@ -35,10 +41,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (0.0 < self.plateau_factor < 1.0):
-            raise ValueError("plateau_factor must lie in (0, 1)")
-        if self.lr0 <= self.min_lr:
-            raise ValueError("lr0 must exceed min_lr")
+        if self.lr0 <= PlateauScheduler.min_lr:
+            raise ValueError(f"lr0 must exceed the scheduler's floor {PlateauScheduler.min_lr}")
         if not self.channels:
             raise ValueError("channel recipe is empty")
         if self.dtype not in ("float32", "float64"):
@@ -83,22 +87,16 @@ def write_history_csv(path, history: History) -> None:
 # Input assembly
 
 
-def channel_planes(
-    s: SarSample, channels: tuple[str, ...], normalize_angle: bool
-) -> list[np.ndarray]:
+def channel_planes(s: SarSample, channels: tuple[str, ...]) -> list[np.ndarray]:
     """Resolve a channel recipe to 2-D arrays for one sample.
 
-    Incidence normalization (when enabled) is applied to the polarization
-    bands before any derived channel is computed.
+    Both bands are corrected for incidence angle before any derived channel
+    is computed.
     """
-    hh, hv = s.hh, s.hv
-    if normalize_angle:
-        if s.inc_angle is None:
-            raise ValueError(
-                f"sample {s.id!r} has no incidence angle; impute before training"
-            )
-        hh = normalize_incidence(hh, s.inc_angle)
-        hv = normalize_incidence(hv, s.inc_angle)
+    if s.inc_angle is None:
+        raise ValueError(f"sample {s.id!r} has no incidence angle; impute before training")
+    hh = normalize_incidence(s.hh, s.inc_angle)
+    hv = normalize_incidence(s.hv, s.inc_angle)
     out = []
     for token in channels:
         if token == "hh":
@@ -122,13 +120,11 @@ def channel_planes(
     return out
 
 
-def input_tensor(
-    sset: SampleSet, channels: tuple[str, ...], normalize_angle: bool
-) -> np.ndarray:
+def input_tensor(sset: SampleSet, channels: tuple[str, ...]) -> np.ndarray:
     """Stack a sample set into an (N, C, H, W) float64 tensor."""
     if len(sset) == 0:
         raise ValueError("empty sample set")
-    planes = [channel_planes(s, channels, normalize_angle) for s in sset]
+    planes = [channel_planes(s, channels) for s in sset]
     return np.stack([np.stack(p) for p in planes])
 
 
@@ -141,15 +137,12 @@ def label_vector(sset: SampleSet) -> np.ndarray:
 
 def _fit_inputs(net: Network, train: SampleSet, cfg: TrainConfig) -> np.ndarray:
     """Set the network's preprocessing from the training set and return the
-    set standardized. With normalize_angle, the mean of its present angles
-    fills the missing ones, here and (as net.fill_angle) when serving."""
-    fill_angle = None
-    if cfg.normalize_angle:
-        train, fill_angle = impute_incidence(train)
-    x = input_tensor(train, cfg.channels, cfg.normalize_angle)
+    set standardized. The mean of its present angles fills the missing ones,
+    here and (as net.fill_angle) when serving."""
+    train, fill_angle = impute_incidence(train)
+    x = input_tensor(train, cfg.channels)
     std = x.std(axis=(0, 2, 3))
     net.channels = tuple(cfg.channels)
-    net.normalize_angle = cfg.normalize_angle
     net.fill_angle = fill_angle
     net.channel_mean = x.mean(axis=(0, 2, 3))
     net.channel_std = np.where(std > 0, std, 1.0)
@@ -166,11 +159,10 @@ def _standardize(net: Network, x: np.ndarray) -> np.ndarray:
 def prepare_inputs(net: Network, sset: SampleSet) -> np.ndarray:
     """Inference-side input assembly with the preprocessing stored in the
     model: its fill angle for missing angles, its recipe and its stats."""
-    if net.channels is None or net.channel_mean is None:
-        raise ValueError("network has no stored channel recipe/statistics; fit first")
-    if net.fill_angle is not None:
-        sset = fill_incidence(sset, net.fill_angle)
-    return _standardize(net, input_tensor(sset, net.channels, net.normalize_angle))
+    if net.channels is None or net.channel_mean is None or net.fill_angle is None:
+        raise ValueError("network has no stored preprocessing; fit first")
+    sset = fill_incidence(sset, net.fill_angle)
+    return _standardize(net, input_tensor(sset, net.channels))
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +208,41 @@ def _backprop_loss(net: Network, pred: np.ndarray, y, loss: str = "logloss") -> 
 # Training loops
 
 
+def _train(net: Network, x: np.ndarray, target: np.ndarray, loss: str,
+           cfg: TrainConfig, end_epoch: Callable[[float], float]) -> None:
+    """The epoch loop of both stages: Adam on the mean `loss` of net(x)
+    against target, over mini-batches reshuffled every epoch.
+
+    The seeded generator draws the shuffles and the dropout masks, so a fixed
+    seed reproduces a run bitwise. After each epoch end_epoch(lr) scores the
+    net, with lr the rate that epoch used, and returns the loss the plateau
+    rule watches.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    optimizer = Adam(net)
+    scheduler = PlateauScheduler(cfg.lr0)
+    lr = cfg.lr0
+    n = x.shape[0]
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            pred = net.forward(x[idx], training=True, rng=rng)
+            _backprop_loss(net, pred, target[idx], loss)
+            optimizer.step(lr)
+        lr = scheduler.update(end_epoch(lr))
+
+
 def fit(
     net: Network, train: SampleSet, val: SampleSet, cfg: TrainConfig
 ) -> tuple[Network, History]:
     """Train the classifier; returns the parameters of the best-val-loss epoch.
 
-    The preprocessing is fit on the training set and stored on the network;
-    the validation set goes through `prepare_inputs`, as served. Mini-batches
-    reshuffle every epoch from the seeded generator, which also drives the
-    dropout masks, so a fixed seed reproduces the History bitwise.
+    The preprocessing (incidence correction, the training set's fill angle
+    and channel statistics) is fit on the training set and stored on the
+    network; the validation set goes through `prepare_inputs`, as served.
+    The rate is cut to a tenth after 5 epochs without a lower validation
+    loss, never below 1e-6.
     """
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and validation sets must be non-empty")
@@ -233,30 +251,11 @@ def fit(
     x_val = prepare_inputs(net, val)
     y_val = label_vector(val)
 
-    rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(net)
-    scheduler = PlateauScheduler(
-        cfg.lr0,
-        patience=cfg.plateau_patience,
-        factor=cfg.plateau_factor,
-        min_lr=cfg.min_lr,
-    )
     history = History()
-    lr = cfg.lr0
-    best_loss = np.inf
-    best_state = net.get_state()
+    best_loss, best_state = np.inf, net.get_state()
 
-    n = x_train.shape[0]
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            xb = x_train[idx]
-            yb = y_train[idx]
-            p = net.forward(xb, training=True, rng=rng)
-            _backprop_loss(net, p, yb)
-            optimizer.step(lr)
-
+    def end_epoch(lr: float) -> float:
+        nonlocal best_loss, best_state
         p_tr = net.forward(x_train).ravel()
         p_va = net.forward(x_val).ravel()
         val_loss = loss_logloss(p_va, y_val)
@@ -265,12 +264,11 @@ def fit(
         history.train_acc.append(binary_accuracy(p_tr, y_train))
         history.val_acc.append(binary_accuracy(p_va, y_val))
         history.lr.append(lr)
-
         if val_loss < best_loss:
-            best_loss = val_loss
-            best_state = net.get_state()
-        lr = scheduler.update(val_loss)
+            best_loss, best_state = val_loss, net.get_state()
+        return val_loss
 
+    _train(net, x_train, y_train, "logloss", cfg, end_epoch)
     net.set_state(best_state)
     return net, history
 
@@ -281,35 +279,19 @@ def fit_autoencoder(
     """Train the autoencoder on reconstruction MSE of its standardized input.
 
     Returns the network (last epoch; reconstruction has no validation
-    monitor) and the per-epoch MSE measured at each epoch's end.
+    monitor) and the per-epoch MSE measured at each epoch's end, which the
+    plateau rule watches.
     """
     if len(train) == 0:
         raise ValueError("training set must be non-empty")
     x = _fit_inputs(net, train, cfg)
-
-    rng = np.random.default_rng(cfg.seed)
-    optimizer = Adam(net)
-    scheduler = PlateauScheduler(
-        cfg.lr0,
-        patience=cfg.plateau_patience,
-        factor=cfg.plateau_factor,
-        min_lr=cfg.min_lr,
-    )
     losses: list[float] = []
-    lr = cfg.lr0
-    n = x.shape[0]
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            xb = x[idx]
-            recon = net.forward(xb, training=True, rng=rng)
-            _backprop_loss(net, recon, xb, "mse")
-            optimizer.step(lr)
-        recon = net.forward(x)
-        epoch_mse = loss_mse(recon, x)
-        losses.append(epoch_mse)
-        lr = scheduler.update(epoch_mse)
+
+    def end_epoch(lr: float) -> float:
+        losses.append(loss_mse(net.forward(x), x))
+        return losses[-1]
+
+    _train(net, x, x, "mse", cfg, end_epoch)
     return net, losses
 
 

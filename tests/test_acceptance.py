@@ -119,6 +119,7 @@ def test_criterion_02_real_data_gbm_cv():
     assert elapsed <= 300.0
 
 
+@pytest.mark.slow
 def test_criterion_03_synthetic_cnn_benchmark(bench_run):
     net, history, val, elapsed = bench_run
     best = history.best_epoch()
@@ -300,6 +301,7 @@ def test_criterion_09_boosting_properties():
               f"separable logloss {sep.train_losses[-1]:.4f} < 0.05")
 
 
+@pytest.mark.slow
 def test_criterion_10_ensemble_property():
     sset = synth_dataset(SynthConfig(n_samples=300, iceberg_fraction=0.5, seed=55))
     trainers = {
@@ -335,6 +337,7 @@ def test_criterion_10_ensemble_property():
                f"mean blend bounded per id")
 
 
+@pytest.mark.slow
 def test_criterion_11_learning_curve_gap(bench_dataset):
     cfg = TrainConfig(epochs=8, batch_size=32, seed=BENCH_SEED, dtype="float32")
     rows = learning_curve(
@@ -361,6 +364,7 @@ def speckle_mse_floor(looks: int, channels, channel_std) -> float:
     return float(np.mean(mult * noise_db / np.asarray(channel_std) ** 2))
 
 
+@pytest.mark.slow
 def test_criterion_12_transfer_learning(ae_run, ae_scenes):
     ae, losses = ae_run
     synth_cfg, scenes = ae_scenes

@@ -223,6 +223,25 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert "sample 'hot'" in err and "ratio band is not finite" in err
 
+    def test_malformed_submission_exits_1_naming_line(self, tmp_path, dataset_file, capsys):
+        ids = parse_samples(dataset_file.read_bytes(), labeled=True).ids()
+        rows = {
+            "one field": f"{ids[1]}",
+            "NaN": f"{ids[1]},nan",
+            "above 1": f"{ids[1]},7.5",
+            "repeated id": f"{ids[0]},0.25",
+        }
+        pred = tmp_path / "submission.csv"
+        for name, row in rows.items():
+            rest = "".join(f"{i},0.5\n" for i in ids[2:])
+            pred.write_text(f"id,is_iceberg\n{ids[0]},0.5\n{row}\n{rest}")
+            for command in ("eval", "report"):
+                out = tmp_path / command
+                code = run(command, "--pred", pred, "--truth", dataset_file, "--out", out)
+                assert code == 1, (name, command)
+                assert "line 3" in capsys.readouterr().err, (name, command)
+                assert not (out / "metrics.json").exists(), (name, command)
+
     def test_report_missing_artifact_lists_it(self, tmp_path, dataset_file, capsys):
         code = run(
             "report", "--pred", tmp_path / "absent.csv", "--truth", dataset_file,
@@ -350,6 +369,13 @@ class TestModelArtifacts:
         path, _ = _scoring_file(tmp_path / "score.json", 30.0)
         assert run("predict", "--input", path, "--model", bad, "--out", tmp_path / "p") == 1
         assert "corrupt model" in capsys.readouterr().err
+
+    def test_binary_model_file_reports_corrupt_model_file(self, tmp_path, capsys):
+        bad = tmp_path / "model.bin"
+        bad.write_bytes(b"\xff\xd8\xff\xe0\x00\x10JFIF\x00")  # not UTF-8, not a zip
+        path, _ = _scoring_file(tmp_path / "score.json", 30.0)
+        assert run("predict", "--input", path, "--model", bad, "--out", tmp_path / "p") == 1
+        assert "corrupt model file" in capsys.readouterr().err
 
     def test_gbm_json_alone_scores_with_training_mean(self, tmp_path):
         # Labels follow the angle (6 icebergs at 45-47.5 degrees, 18 ships at

@@ -127,7 +127,7 @@ class TestDerivedBands:
         with pytest.raises(ValueError, match="sample 's': ratio band is not finite"):
             feature_matrix(sset, None)
         with pytest.raises(ValueError, match="sample 's': ratio band is not finite"):
-            input_tensor(sset, ("hh", "hv", "ratio"), normalize_angle=True)
+            input_tensor(sset, ("hh", "hv", "ratio"))
 
 class TestBandStats:
     def test_constant_plane(self):

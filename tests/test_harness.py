@@ -16,7 +16,6 @@ from sarberg.harness import (
     write_report,
     write_submission,
 )
-from sarberg.imageops import AugmentationPolicy, augment_dataset
 from sarberg.mathutil import binary_logloss
 from sarberg.metrics import ConfusionMatrix, metric_accuracy, metric_confusion, metric_logloss
 from sarberg.nn import TrainConfig, build_classifier, fit
@@ -106,6 +105,26 @@ class TestSubmission:
         with pytest.raises(ValueError, match="header"):
             read_submission(path)
 
+    def test_malformed_rows_refused_naming_line_and_id(self, tmp_path):
+        path = tmp_path / "sub.csv"
+        cases = {
+            "x2": "line 3, id 'x2': expected 2 fields (id,is_iceberg), got 1",
+            "x2,0.5,0.5": "line 3, id 'x2': expected 2 fields (id,is_iceberg), got 3",
+            "": "line 3, id None: expected 2 fields (id,is_iceberg), got 0",
+            "x2,nan": "line 3, id 'x2': probability 'nan' is not a number in [0, 1]",
+            "x2,inf": "line 3, id 'x2': probability 'inf' is not a number in [0, 1]",
+            "x2,7.5": "line 3, id 'x2': probability '7.5' is not a number in [0, 1]",
+            "x2,-0.0001": "line 3, id 'x2': probability '-0.0001' is not a number in [0, 1]",
+            "x2,high": "line 3, id 'x2': probability 'high' is not a number in [0, 1]",
+            "x2,": "line 3, id 'x2': probability '' is not a number in [0, 1]",
+            "x1,0.25": "line 3, id 'x1': repeated id",
+        }
+        for row, message in cases.items():
+            path.write_text(f"id,is_iceberg\nx1,0.5\n{row}\nx3,0.5\n")
+            with pytest.raises(ValueError) as err:
+                read_submission(path)
+            assert str(err.value) == f"{path} {message}", row
+
 
 class TestReport:
     def test_metrics_json_recomputable(self, tmp_path):
@@ -168,10 +187,7 @@ class TestLearningCurve:
 
     def test_augmentation_multiplier_grows_n(self, small_base):
         cfg = TrainConfig(epochs=1, batch_size=8, seed=6)
-        rows = learning_curve(
-            small_base, [1.0], cfg, policy=AugmentationPolicy(), multiplier=2,
-            val_ratio=0.25,
-        )
+        rows = learning_curve(small_base, [1.0], cfg, multiplier=2, val_ratio=0.25)
         assert rows[0].n_samples == 2 * 60
 
     def test_row_count_matches_fractions(self, small_base):

@@ -410,17 +410,17 @@ class TestCheckpoint:
             "unknown dtype": set_("dtype", "foo"),
             "integer dtype": set_("dtype", "int64"),
             "malformed JSON": lambda meta: "{",
+            # Version 1 could turn off the incidence correction now always applied.
+            "version 1": set_("version", 1),
             "missing dtype": drop("dtype"),
             "missing kind": drop("kind"),
             "missing channels": drop("channels"),
-            "missing normalize_angle": drop("normalize_angle"),
             "unknown kind": set_("kind", "regressor"),
             "one-long input_hw": set_("input_hw", [8]),
             "boolean input_ch": set_("input_ch", True),
             "two channel names on three channels": set_("channels", ["hh", "hv"]),
             "two channel means on three channels": set_("channel_mean", [0.0, 0.0]),
             "text channel std": set_("channel_std", ["a", "b", "c"]),
-            "text normalize_angle": set_("normalize_angle", "yes"),
             "text fill_angle": set_("fill_angle", "38.5"),
             "unknown layer argument": lambda meta: meta["layers"][0].__setitem__("bogus", 1),
             "layers not a list": set_("layers", 5),

@@ -44,6 +44,7 @@ def test_predictors_call_traced_names():
     net = sarberg.nn.build_classifier(3, seed=1, conv_widths=(2, 2, 2), dense_width=4)
     net.channels = ("hh", "hv", "diff")
     net.channel_mean, net.channel_std = np.zeros(3), np.ones(3)
+    net.fill_angle = 38.0
     model = fit_gbm(np.arange(8.0).reshape(4, 2).repeat(15, axis=1),
                     np.array([0.0, 0.0, 1.0, 1.0]), GbmParams(n_trees=2, min_samples_leaf=1))
     tracer = load_spans().Tracer()

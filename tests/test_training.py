@@ -5,8 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sarberg.data import SampleSet, SarSample, SynthConfig, synth_dataset
+from sarberg.data import (
+    SampleSet,
+    SarSample,
+    SynthConfig,
+    split_train_validation,
+    synth_dataset,
+)
 from sarberg.nn import (
+    PlateauScheduler,
     TrainConfig,
     build_autoencoder,
     build_classifier,
@@ -43,37 +50,36 @@ def tiny_net(seed=0, dtype=np.float64):
 class TestChannels:
     def test_default_recipe_planes(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        planes = channel_planes(s, ("hh", "hv", "diff"), normalize_angle=False)
+        planes = channel_planes(s, ("hh", "hv", "diff"))
         assert len(planes) == 3
         assert np.allclose(planes[2], s.hh - s.hv)
 
     def test_normalization_applied_before_derivation(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        raw = channel_planes(s, ("hh",), normalize_angle=False)[0]
-        norm = channel_planes(s, ("hh",), normalize_angle=True)[0]
+        norm = channel_planes(s, ("hh",))[0]
         correction = -10.0 * np.log10(np.cos(np.deg2rad(s.inc_angle)))
-        assert np.allclose(norm - raw, correction, atol=1e-12)
+        assert np.allclose(norm - s.hh, correction, atol=1e-12)
 
     def test_derived_channel_tokens(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
         for token in ("ratio", "gradmag_hh", "laplacian_hv", "smooth_hh"):
-            planes = channel_planes(s, (token,), normalize_angle=False)
+            planes = channel_planes(s, (token,))
             assert planes[0].shape == (75, 75)
 
     def test_unknown_token(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
         with pytest.raises(ValueError, match="unknown channel"):
-            channel_planes(s, ("fft",), normalize_angle=False)
+            channel_planes(s, ("fft",))
 
     def test_missing_angle_needs_imputation(self):
         p = np.zeros((5, 5))
         s = SarSample(id="x", hh=p, hv=p, inc_angle=None, label=0)
         with pytest.raises(ValueError, match="impute"):
-            channel_planes(s, ("hh",), normalize_angle=True)
+            channel_planes(s, ("hh",))
 
     def test_input_tensor_shape(self):
         sset = synth_dataset(SynthConfig(n_samples=3, seed=1))
-        x = input_tensor(sset, ("hh", "hv", "diff"), normalize_angle=True)
+        x = input_tensor(sset, ("hh", "hv", "diff"))
         assert x.shape == (3, 3, 75, 75)
 
 
@@ -98,7 +104,7 @@ class TestFit:
         cfg = tiny_cfg()
         net, _ = fit(tiny_net(), train, val, cfg)
         assert net.channel_mean is not None and net.channels == cfg.channels
-        x = input_tensor(train, cfg.channels, cfg.normalize_angle)
+        x = input_tensor(train, cfg.channels)
         z = (x - net.channel_mean[None, :, None, None]) / net.channel_std[
             None, :, None, None
         ]
@@ -112,6 +118,14 @@ class TestFit:
         net, _ = fit(tiny_net(), train, val, cfg)
         z = prepare_inputs(net, val)
         assert z.shape == (6, 3, 75, 75)
+
+    def test_prepare_inputs_needs_stored_fill_angle(self):
+        train, val = tiny_sets(n=12, seed=3)
+        net, _ = fit(tiny_net(), train, val, tiny_cfg(epochs=1))
+        prepare_inputs(net, val)
+        net.fill_angle = None
+        with pytest.raises(ValueError, match="no stored preprocessing"):
+            prepare_inputs(net, val)
 
     def test_missing_angles_filled_from_training_set(self):
         train, val = tiny_sets(n=12, seed=11)
@@ -155,18 +169,22 @@ class TestFit:
         head = net.layers[-2]
         head.params["W"][:] = 0.0
         head.params["b"][:] = 17.0
-        x = input_tensor(ships, ("hh", "hv", "diff"), normalize_angle=True)
+        x = input_tensor(ships, ("hh", "hv", "diff"))
         assert np.all(net.forward(x) == 1.0)
         before = loss_logloss(np.ones(len(ships)), np.zeros(len(ships)))
         cfg = tiny_cfg(epochs=1, batch_size=len(ships), lr0=1.0, dtype="float32")
         _, history = fit(net, ships, ships, cfg)
         assert history.train_loss[0] < before
 
-    def test_lr_history_non_increasing(self):
-        train, val = tiny_sets(n=12, seed=6)
-        cfg = tiny_cfg(epochs=6, plateau_patience=1)
-        _, history = fit(tiny_net(seed=6), train, val, cfg)
-        assert all(a >= b for a, b in zip(history.lr, history.lr[1:]))
+    def test_lr_history_replays_fixed_plateau_rule(self):
+        base = synth_dataset(SynthConfig(n_samples=16, iceberg_fraction=0.5, seed=5))
+        train, val = split_train_validation(base, 0.25, 2)
+        cfg = tiny_cfg(epochs=16, lr0=0.01, seed=2, dtype="float32")
+        _, history = fit(tiny_net(seed=2, dtype=np.float32), train, val, cfg)
+        replay = PlateauScheduler(cfg.lr0)
+        expected = [cfg.lr0] + [replay.update(v) for v in history.val_loss[:-1]]
+        assert history.lr == expected
+        assert min(history.lr) < cfg.lr0
 
 
 class TestAutoencoderFit:
