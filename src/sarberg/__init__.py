@@ -12,7 +12,18 @@ Submodules:
     cli       -- command-line pipeline (`sarberg --help`)
 """
 
-from .data import (
+import os
+import sys
+
+# BLAS threads would compete with the CNN layers' shard worker for the cores
+# (see `sarberg.nn.layers`), so BLAS gets one thread unless the caller chose
+# otherwise. BLAS reads these when numpy loads; after that they change nothing.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" not in sys.modules:
+    for _var in BLAS_THREAD_VARS:
+        os.environ.setdefault(_var, "1")
+
+from .data import (  # noqa: E402
     SampleSet,
     SarSample,
     SynthConfig,

@@ -28,6 +28,7 @@ channel stats) and one .npy per parameter; a GBM is one JSON file, gbm.json.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -391,10 +392,10 @@ def _cmd_stack(args) -> None:
     stacker = ensemble.fit_stacker(oof, y)
 
     with open(args.out / "oof.csv", "w", newline="") as f:
-        f.write("id,fold," + ",".join(oof.members) + "\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["id", "fold", *oof.members])
         for i, sample_id in enumerate(oof.ids):
-            vals = ",".join(repr(float(v)) for v in oof.values[i])
-            f.write(f"{sample_id},{oof.fold_of[i]},{vals}\n")
+            writer.writerow([sample_id, int(oof.fold_of[i]), *map(float, oof.values[i])])
     with open(args.out / "stacker.json", "w") as f:
         json.dump(
             {

@@ -98,11 +98,12 @@ def write_curve_csv(path, rows: Sequence[CurveRow]) -> None:
 
 def write_submission(preds: Mapping[str, float], path) -> None:
     """Competition-format CSV: header `id,is_iceberg`, each probability as its
-    shortest round-trip repr, so the file gives back the exact values."""
+    shortest round-trip repr, so the file gives back the exact values. An id
+    that holds a comma or a quote is quoted; other rows are `id,p`."""
     with open(path, "w", newline="") as f:
-        f.write("id,is_iceberg\n")
-        for sample_id, p in preds.items():
-            f.write(f"{sample_id},{float(p)!r}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["id", "is_iceberg"])
+        writer.writerows((sample_id, float(p)) for sample_id, p in preds.items())
 
 
 def read_submission(path) -> PredictionSet:

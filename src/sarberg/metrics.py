@@ -21,9 +21,6 @@ class ConfusionMatrix:
     def n(self) -> int:
         return self.tn + self.fp + self.fn + self.tp
 
-    def accuracy(self) -> float:
-        return (self.tp + self.tn) / self.n
-
 
 def _aligned(preds: Mapping[str, float], labels: Mapping[str, int]):
     if set(preds) != set(labels):

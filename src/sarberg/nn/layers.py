@@ -5,13 +5,134 @@ float64. A training-mode forward keeps what backward needs, nothing more; an
 evaluation-mode forward keeps nothing. Every parameterized layer keeps
 parameters in `self.params` and writes gradients of the mean batch loss into
 `self.grads` during backward.
+
+Scene shards. Conv2d, Relu, MaxPool2, Upsample2 and PadTo compute each scene
+on its own, so their forward and backward split the scene axis into
+`_SHARDS` contiguous shards (fewer when the batch has fewer scenes) and write
+each shard's result into its slice of a preallocated output. The calling
+thread and one worker thread run the shards together (`_map_shards`). Each
+layer method is still called once per pass, on the calling thread.
+Dropout, Flatten, Dense and Sigmoid run whole: dropout draws its mask from the
+generator in one call, and a dense layer's BLAS call rounds differently with
+its row count.
+
+Determinism. A sharded forward output and input gradient are bitwise equal to
+running the scenes one at a time. Conv2d sums its dW and db over each shard
+and adds the partial sums in shard order. The shard count is fixed, so these
+sums round the same on every run, on any number of cores, and whether the
+worker runs or the shards run inline.
+
+BLAS threads. BLAS threads would compete with the worker for the cores.
+Importing `sarberg` before numpy pins OpenBLAS, OpenMP and MKL to one thread.
+The worker runs only when all three variables read "1"; otherwise the shards
+run inline on the calling thread, with the same results.
 """
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+from functools import reduce
+
 import numpy as np
 
+from .. import BLAS_THREAD_VARS
 from ..mathutil import sigmoid
+
+# Shards per batch. Fixed, so that sums over shards round the same everywhere.
+_SHARDS = 4
+_USE_WORKER = all(os.environ.get(var) == "1" for var in BLAS_THREAD_VARS)
+
+
+def _shard_slices(n: int) -> list[slice]:
+    """min(_SHARDS, n) contiguous slices that cover range(n) in order."""
+    k = min(_SHARDS, n)
+    return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+class _ShardRun:
+    """The shards of one call. The worker takes shards from the front and the
+    caller from the back, so each shard runs once and the caller waits only
+    for a shard the worker has already started."""
+
+    def __init__(self, fn, slices: list[slice]):
+        self.fn = fn
+        self.slices = slices
+        self.results: list = [None] * len(slices)
+        self.front, self.back = 0, len(slices)
+        self.busy = 0  # shards the worker has taken and not finished
+        self.error: Exception | None = None
+        self.cond = threading.Condition()
+
+    def _take(self, from_front: bool) -> int | None:
+        with self.cond:
+            if self.front == self.back:
+                return None
+            if from_front:
+                self.busy += 1
+                self.front += 1
+                return self.front - 1
+            self.back -= 1
+            return self.back
+
+    def run_front(self) -> None:
+        """Worker side: run shards from the front until none is left."""
+        while (i := self._take(True)) is not None:
+            try:
+                self.results[i] = self.fn(self.slices[i])
+            except Exception as e:  # raised again on the calling thread
+                self.error = e
+            with self.cond:
+                self.busy -= 1
+                self.cond.notify()
+
+    def run_back(self) -> list:
+        """Caller side: run shards from the back, then wait for the worker's."""
+        try:
+            while (i := self._take(False)) is not None:
+                self.results[i] = self.fn(self.slices[i])
+        finally:
+            with self.cond:
+                self.cond.wait_for(lambda: self.busy == 0)
+        if self.error is not None:
+            raise self.error
+        return self.results
+
+
+_worker: threading.Thread | None = None
+_inbox: queue.SimpleQueue | None = None
+_worker_lock = threading.Lock()
+
+
+def _work(inbox: queue.SimpleQueue) -> None:
+    while True:
+        inbox.get().run_front()
+
+
+def _worker_inbox() -> queue.SimpleQueue:
+    """The worker's queue of runs. Starts the worker on first use, and again
+    in a forked child, which inherits no threads."""
+    global _worker, _inbox
+    with _worker_lock:
+        if _worker is None or not _worker.is_alive():
+            _inbox = queue.SimpleQueue()
+            _worker = threading.Thread(
+                target=_work, args=(_inbox,), name="sarberg-shards", daemon=True
+            )
+            _worker.start()
+        return _inbox
+
+
+def _map_shards(fn, n: int) -> list:
+    """[fn(s) for s in _shard_slices(n)], run by the calling thread and the
+    worker together when the worker is on."""
+    slices = _shard_slices(n)
+    if not _USE_WORKER or len(slices) < 2:
+        return [fn(s) for s in slices]
+    run = _ShardRun(fn, slices)
+    _worker_inbox().put(run)
+    return run.run_back()
 
 
 def he_uniform(
@@ -38,18 +159,20 @@ class Layer:
         raise NotImplementedError
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """3x3 same-padded windows as (N, C*9, H*W), tap-major within channel.
+def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """3x3 same-padded windows as (N, C*9, H*W), tap-major within channel,
+    written into `out` when given.
 
     The (n, c, i, j, H, W) copy order keeps rows contiguous, so the gather
     runs at memcpy speed instead of a strided shuffle.
     """
     n, c, h, w = x.shape
+    if out is None:
+        out = np.empty((n, c * 9, h * w), dtype=x.dtype)
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        n, c * 9, h * w
-    )
+    np.copyto(out.reshape(n, c, 3, 3, h, w), win.transpose(0, 1, 4, 5, 2, 3))
+    return out
 
 
 # Output rows/cols that tap offset 0, 1, 2 reaches inside the image, and the
@@ -58,8 +181,11 @@ _TAP_DST = (slice(1, None), slice(None), slice(None, -1))
 _TAP_SRC = (slice(None, -1), slice(None), slice(1, None))
 
 
-def _conv3x3(x: np.ndarray, w: np.ndarray, cols: np.ndarray | None = None) -> np.ndarray:
-    """Same-padded 3x3 cross-correlation of x (N, C, H, W) with w (O, C, 3, 3).
+def _conv3x3(
+    x: np.ndarray, w: np.ndarray, out: np.ndarray, cols: np.ndarray | None = None
+) -> None:
+    """Same-padded 3x3 cross-correlation of x (N, C, H, W) with w (O, C, 3, 3),
+    written into the contiguous out (N, O, H, W).
 
     The nine-fold copy is made on the side with fewer channels. With C <= O
     the input windows are gathered (`_im2col`, or `cols` when the caller
@@ -71,17 +197,17 @@ def _conv3x3(x: np.ndarray, w: np.ndarray, cols: np.ndarray | None = None) -> np
     o = w.shape[0]
     if c <= o:
         cols = _im2col(x) if cols is None else cols
-        return (w.reshape(o, c * 9) @ cols).reshape(n, o, h, wd)
+        np.matmul(w.reshape(o, c * 9), cols, out=out.reshape(n, o, h * wd))
+        return
     w_taps = w.transpose(2, 3, 0, 1).reshape(9 * o, c)
     taps = (w_taps @ x.reshape(n, c, h * wd)).reshape(n, 3, 3, o, h, wd)
-    out = taps[:, 1, 1].copy()
+    out[...] = taps[:, 1, 1]
     for i in range(3):
         for j in range(3):
             if (i, j) != (1, 1):
                 out[:, :, _TAP_DST[i], _TAP_DST[j]] += taps[
                     :, i, j, :, _TAP_SRC[i], _TAP_SRC[j]
                 ]
-    return out
 
 
 class Conv2d(Layer):
@@ -109,41 +235,59 @@ class Conv2d(Layer):
     def forward(self, x, training, rng):
         if x.shape[1] != self.in_ch:
             raise ValueError(f"conv expects {self.in_ch} channels, got {x.shape[1]}")
+        n, c, h, w = x.shape
+        weights, bias = self.params["W"], self.params["b"]
+        out = np.empty((n, self.out_ch, h, w), dtype=np.result_type(x, weights))
         cols = None
         if training:
             # dW contracts dout with the windows of the side that has fewer
             # channels: those of x, which the gather path makes here anyway,
             # or those of dout, which backward makes from dout and x.
             if self.in_ch <= self.out_ch:
-                cols = _im2col(x)
+                cols = np.empty((n, c * 9, h * w), dtype=x.dtype)
                 self._x, self._cols = None, cols
             else:
                 self._x, self._cols = x, None
-        out = _conv3x3(x, self.params["W"], cols)
-        out += self.params["b"][:, None, None]
+
+        def shard(s):
+            _conv3x3(x[s], weights, out[s], None if cols is None else _im2col(x[s], cols[s]))
+            out[s] += bias[:, None, None]
+
+        _map_shards(shard, n)
         return out
 
     def backward(self, dout):
         n, o, h, w = dout.shape
         c = self.in_ch
+        x, cols = self._x, self._cols
+        w_flip = self.params["W"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         dout_m = dout.reshape(n, o, h * w)
-        dcols = None
-        if self._cols is not None:
-            dw = np.matmul(dout_m, self._cols.transpose(0, 2, 1)).sum(axis=0)
+        dx = np.empty((n, c, h, w), dtype=np.result_type(dout, w_flip))
+
+        def shard(s):
+            dcols = None
+            if cols is not None:
+                dw = np.matmul(dout_m[s], cols[s].transpose(0, 2, 1)).sum(axis=0)
+            else:
+                # Windows of dout instead of x: entry (c, o, i, j) pairs x
+                # with dout shifted the opposite way, so the taps come out
+                # flipped. dx gathers from the same windows.
+                dcols = _im2col(dout[s])
+                x_m = x[s].reshape(-1, c, h * w)
+                dw = np.matmul(x_m, dcols.transpose(0, 2, 1)).sum(axis=0)
+            _conv3x3(dout[s], w_flip, dx[s], dcols)
+            return dw, dout_m[s].sum(axis=(0, 2))
+
+        partials = _map_shards(shard, n)
+        dw = reduce(np.add, [p[0] for p in partials])
+        if cols is not None:
             self.grads["W"] = dw.reshape(o, c, 3, 3)
         else:
-            # Windows of dout instead of x: entry (c, o, i, j) pairs x with
-            # dout shifted the opposite way, so the taps come out flipped.
-            # dx gathers from the same windows.
-            dcols = _im2col(dout)
-            x_m = self._x.reshape(n, c, h * w)
-            dw = np.matmul(x_m, dcols.transpose(0, 2, 1)).sum(axis=0)
             self.grads["W"] = np.ascontiguousarray(
                 dw.reshape(c, o, 3, 3).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
             )
-        self.grads["b"] = dout_m.sum(axis=(0, 2))
-        w_flip = self.params["W"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        return _conv3x3(dout, w_flip, dcols)
+        self.grads["b"] = reduce(np.add, [p[1] for p in partials])
+        return dx
 
     def spec(self):
         return {"type": "conv2d", "in_ch": self.in_ch, "out_ch": self.out_ch}
@@ -151,13 +295,28 @@ class Conv2d(Layer):
 
 class Relu(Layer):
     def forward(self, x, training, rng):
-        out = np.maximum(x, 0.0)
+        out = np.empty(x.shape, dtype=x.dtype)
+        active = np.empty(x.shape, dtype=bool) if training else None
+
+        def shard(s):
+            np.maximum(x[s], 0.0, out=out[s])
+            if active is not None:
+                np.greater(out[s], 0, out=active[s])
+
+        _map_shards(shard, len(x))
         if training:
-            self._active = out > 0
+            self._active = active
         return out
 
     def backward(self, dout):
-        return dout * self._active
+        dx = np.empty(dout.shape, dtype=dout.dtype)
+        active = self._active
+
+        def shard(s):
+            np.multiply(dout[s], active[s], out=dx[s])
+
+        _map_shards(shard, len(dout))
+        return dx
 
     def spec(self):
         return {"type": "relu"}
@@ -182,30 +341,47 @@ class MaxPool2(Layer):
     """
 
     def forward(self, x, training, rng):
-        q = _quads(x)
-        left = np.maximum(q[:, :, :, 0, :, 0], q[:, :, :, 1, :, 0])
-        right = np.maximum(q[:, :, :, 0, :, 1], q[:, :, :, 1, :, 1])
-        out = np.maximum(left, right)
+        n, c, h, w = x.shape
+        out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
+        masks = None
         if training:
+            masks = tuple(np.empty(out.shape, dtype=bool) for _ in range(3))
             self._in_shape = x.shape
-            self._bottom_left = q[:, :, :, 1, :, 0] > q[:, :, :, 0, :, 0]
-            self._bottom_right = q[:, :, :, 1, :, 1] > q[:, :, :, 0, :, 1]
-            self._right = right > left
+            self._bottom_left, self._bottom_right, self._right = masks
+
+        def shard(s):
+            q = _quads(x[s])
+            left = np.maximum(q[:, :, :, 0, :, 0], q[:, :, :, 1, :, 0])
+            right = np.maximum(q[:, :, :, 0, :, 1], q[:, :, :, 1, :, 1])
+            np.maximum(left, right, out=out[s])
+            if masks is not None:
+                bottom_left, bottom_right, right_wins = (m[s] for m in masks)
+                np.greater(q[:, :, :, 1, :, 0], q[:, :, :, 0, :, 0], out=bottom_left)
+                np.greater(q[:, :, :, 1, :, 1], q[:, :, :, 0, :, 1], out=bottom_right)
+                np.greater(right, left, out=right_wins)
+
+        _map_shards(shard, n)
         return out
 
     def backward(self, dout):
         n, c, h, w = self._in_shape
         dx = np.empty((n, c, h, w), dtype=dout.dtype)
-        dx[:, :, 2 * (h // 2) :] = 0.0
-        dx[:, :, :, 2 * (w // 2) :] = 0.0
-        q = _quads(dx)
-        # Each split sends dout to the winner and dout - dout = 0 elsewhere.
-        d_right = dout * self._right
-        d_left = dout - d_right
-        np.multiply(d_left, self._bottom_left, out=q[:, :, :, 1, :, 0])
-        np.subtract(d_left, q[:, :, :, 1, :, 0], out=q[:, :, :, 0, :, 0])
-        np.multiply(d_right, self._bottom_right, out=q[:, :, :, 1, :, 1])
-        np.subtract(d_right, q[:, :, :, 1, :, 1], out=q[:, :, :, 0, :, 1])
+        bottom_left, bottom_right, right = self._bottom_left, self._bottom_right, self._right
+
+        def shard(s):
+            d = dx[s]
+            d[:, :, 2 * (h // 2) :] = 0.0
+            d[:, :, :, 2 * (w // 2) :] = 0.0
+            q = _quads(d)
+            # Each split sends dout to the winner and dout - dout = 0 elsewhere.
+            d_right = dout[s] * right[s]
+            d_left = dout[s] - d_right
+            np.multiply(d_left, bottom_left[s], out=q[:, :, :, 1, :, 0])
+            np.subtract(d_left, q[:, :, :, 1, :, 0], out=q[:, :, :, 0, :, 0])
+            np.multiply(d_right, bottom_right[s], out=q[:, :, :, 1, :, 1])
+            np.subtract(d_right, q[:, :, :, 1, :, 1], out=q[:, :, :, 0, :, 1])
+
+        _map_shards(shard, n)
         return dx
 
     def spec(self):
@@ -317,13 +493,34 @@ class Upsample2(Layer):
     """Nearest-neighbor 2x upsampling."""
 
     def forward(self, x, training, rng):
-        return x.repeat(2, axis=2).repeat(2, axis=3)
+        n, c, h, w = x.shape
+        out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
+
+        def shard(s):
+            # One strided copy per block position: a broadcast into the 2x2
+            # blocks runs an inner loop of length 2 and takes twice as long.
+            q = _quads(out[s])
+            for i in range(2):
+                for j in range(2):
+                    q[:, :, :, i, :, j] = x[s]
+
+        _map_shards(shard, n)
+        return out
 
     def backward(self, dout):
-        q = _quads(dout)
-        return (q[:, :, :, 0, :, 0] + q[:, :, :, 0, :, 1]) + (
-            q[:, :, :, 1, :, 0] + q[:, :, :, 1, :, 1]
-        )
+        n, c, h, w = dout.shape
+        dx = np.empty((n, c, h // 2, w // 2), dtype=dout.dtype)
+
+        def shard(s):
+            q = _quads(dout[s])
+            np.add(
+                q[:, :, :, 0, :, 0] + q[:, :, :, 0, :, 1],
+                q[:, :, :, 1, :, 0] + q[:, :, :, 1, :, 1],
+                out=dx[s],
+            )
+
+        _map_shards(shard, n)
+        return dx
 
     def spec(self):
         return {"type": "upsample2"}
@@ -351,21 +548,35 @@ class PadTo(Layer):
             self._in_hw = (h, w)
         if (h, w) == (self.height, self.width):
             return x
-        return np.pad(
-            x, ((0, 0), (0, 0), (0, self.height - h), (0, self.width - w)), mode="edge"
-        )
+        out = np.empty((n, c, self.height, self.width), dtype=x.dtype)
+
+        def shard(s):
+            o = out[s]
+            o[:, :, :h, :w] = x[s]
+            o[:, :, h:, :w] = o[:, :, h - 1 : h, :w]
+            o[:, :, :, w:] = o[:, :, :, w - 1 : w]
+
+        _map_shards(shard, n)
+        return out
 
     def backward(self, dout):
         h, w = self._in_hw
         if (h, w) == (self.height, self.width):
             return dout
-        dx = dout[:, :, :h, :w].copy()
-        if self.height > h:
-            dx[:, :, h - 1, :] += dout[:, :, h:, :w].sum(axis=2)
-        if self.width > w:
-            dx[:, :, :, w - 1] += dout[:, :, :h, w:].sum(axis=3)
-        if self.height > h and self.width > w:
-            dx[:, :, h - 1, w - 1] += dout[:, :, h:, w:].sum(axis=(2, 3))
+        n, c = dout.shape[:2]
+        dx = np.empty((n, c, h, w), dtype=dout.dtype)
+
+        def shard(s):
+            d, g = dx[s], dout[s]
+            d[...] = g[:, :, :h, :w]
+            if self.height > h:
+                d[:, :, h - 1, :] += g[:, :, h:, :w].sum(axis=2)
+            if self.width > w:
+                d[:, :, :, w - 1] += g[:, :, :h, w:].sum(axis=3)
+            if self.height > h and self.width > w:
+                d[:, :, h - 1, w - 1] += g[:, :, h:, w:].sum(axis=(2, 3))
+
+        _map_shards(shard, n)
         return dx
 
     def spec(self):

@@ -145,9 +145,6 @@ class Network:
             for name in layer.params:
                 layer.params[name] = state[f"{i}.{name}"].copy()
 
-    def clone(self) -> "Network":
-        return copy.deepcopy(self)
-
 
 def _trunk_layers(input_ch: int, widths, rng, dtype) -> list[Layer]:
     layers: list[Layer] = []
@@ -262,7 +259,7 @@ def transfer_encoder(ae: Network, clf: Network) -> Network:
             raise ValueError(
                 f"conv shape mismatch: {a.params['W'].shape} vs {c.params['W'].shape}"
             )
-    out = clf.clone()
+    out = copy.deepcopy(clf)
     out_convs = [l for l in out.layers[: encoder_span(out)] if isinstance(l, Conv2d)]
     for a, c in zip(ae_convs, out_convs):
         c.params["W"] = a.params["W"].copy()

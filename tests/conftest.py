@@ -4,6 +4,9 @@ suite and the acceptance criteria reuse the same artifacts."""
 import time
 from dataclasses import replace
 
+# Before numpy: importing sarberg first pins BLAS to one thread, so the suite
+# runs the CNN layers' shard worker as the CLI and the benchmark do.
+import sarberg  # noqa: F401  isort: skip
 import numpy as np
 import pytest
 

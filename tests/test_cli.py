@@ -1,5 +1,6 @@
 """Command-line wiring: exit codes, artifacts, and reproducibility."""
 
+import csv
 import json
 import os
 import subprocess
@@ -404,3 +405,39 @@ class TestModelArtifacts:
         expected = tmp_path / "expected.csv"
         write_submission({i: float(v) for i, v in zip(ids, p)}, expected)
         assert (tmp_path / "p" / "submission.csv").read_bytes() == expected.read_bytes()
+
+
+# Ids a plain `id,p` row would split or misquote.
+AWKWARD_IDS = ["a,0", 'b"1', " c", 'd,"e"', "plain"]
+
+
+def _awkward_set(path, labeled):
+    base = synth_dataset(SynthConfig(n_samples=len(AWKWARD_IDS), iceberg_fraction=0.5, seed=17))
+    samples = [replace(s, id=i, label=s.label if labeled else None)
+               for s, i in zip(base, AWKWARD_IDS)]
+    return _write_set(path, samples)
+
+
+class TestAwkwardIds:
+    """Ids holding a comma, a quote or a leading space survive every CSV."""
+
+    def test_predict_then_eval(self, tmp_path, gbm_file):
+        truth = _awkward_set(tmp_path / "odd.json", labeled=True)
+        assert run("predict", "--input", truth, "--model", gbm_file, "--out", tmp_path / "p") == 0
+        sub = tmp_path / "p" / "submission.csv"
+        assert list(read_submission(sub)) == AWKWARD_IDS
+        assert sub.read_text().splitlines()[-1].startswith("plain,")
+        assert run("eval", "--pred", sub, "--truth", truth, "--out", tmp_path / "e") == 0
+        assert json.loads((tmp_path / "e" / "metrics.json").read_text())["n"] == len(AWKWARD_IDS)
+
+    def test_stack_oof_csv(self, tmp_path):
+        base = synth_dataset(SynthConfig(n_samples=12, iceberg_fraction=0.5, seed=17))
+        ids = [AWKWARD_IDS[i % len(AWKWARD_IDS)] + str(i) for i in range(len(base))]
+        path = _write_set(tmp_path / "odd.json", [replace(s, id=i) for s, i in zip(base, ids)])
+        assert run("stack", "--input", path, "--k-folds", 2, "--cnn-epochs", 1,
+                   "--n-trees", 5, "--seed", 1, "--out", tmp_path / "s") == 0
+        with open(tmp_path / "s" / "oof.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["id", "fold", "gbm", "cnn"]
+        assert [r[0] for r in rows[1:]] == ids
+        assert all(len(r) == 4 for r in rows[1:])

@@ -1,23 +1,34 @@
 """Layer, network, gradient, transfer, and checkpoint tests."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
 import zipfile
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sarberg
 import sarberg.nn.layers as layers_mod
+from sarberg.data import SynthConfig, split_train_validation, synth_dataset
 from sarberg.nn import (
     Conv2d,
     Dense,
     Flatten,
     MaxPool2,
     Network,
+    PadTo,
     Relu,
     Sigmoid,
+    TrainConfig,
     Upsample2,
     build_autoencoder,
     build_classifier,
+    fit,
     gradient_check,
     load_network,
     loss_logloss,
@@ -446,3 +457,162 @@ class TestCheckpoint:
         save_network(net, path)
         after = load_network(path).forward(x)
         assert np.array_equal(before, after)
+
+
+# One shape per sharded layer path: (layer factory, per-scene input shape).
+SHARDED_LAYERS = {
+    "conv gather": (lambda rng: Conv2d(2, 3, rng), (2, 9, 7)),
+    "conv scatter": (lambda rng: Conv2d(3, 2, rng), (3, 9, 7)),
+    "relu": (lambda rng: Relu(), (3, 6, 5)),
+    "maxpool odd": (lambda rng: MaxPool2(), (3, 7, 9)),
+    "upsample": (lambda rng: Upsample2(), (3, 4, 5)),
+    "pad_to": (lambda rng: PadTo(7, 6), (3, 5, 5)),
+}
+SHARD_SIZES = (1, 2, 3, 5, 32)
+
+
+def _sharded_layer(name, dtype=np.float64):
+    make, shape = SHARDED_LAYERS[name]
+    rng = np.random.default_rng(31)
+    layer = make(rng)
+    for key, value in layer.params.items():
+        layer.params[key] = rng.normal(size=value.shape).astype(dtype)
+    return layer, shape
+
+
+def _forward_backward(layer, x, dout_rng):
+    out = layer.forward(x, True, None)
+    dout = dout_rng.normal(size=out.shape).astype(x.dtype)
+    dx = layer.backward(dout)
+    return out, dout, dx, {k: v.copy() for k, v in layer.grads.items()}
+
+
+class TestSceneShards:
+    """Sharded layers give the bits of one scene at a time (layers docstring)."""
+
+    @pytest.mark.parametrize("n", SHARD_SIZES)
+    def test_shards_cover_the_batch_in_order(self, n):
+        slices = layers_mod._shard_slices(n)
+        assert len(slices) == min(layers_mod._SHARDS, n)
+        assert [i for s in slices for i in range(n)[s]] == list(range(n))
+        assert all(s.stop > s.start for s in slices)
+
+    @pytest.mark.parametrize("worker", [True, False])
+    @pytest.mark.parametrize("name", list(SHARDED_LAYERS))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_forward_and_dx_match_one_scene_at_a_time(self, monkeypatch, name, dtype, worker):
+        monkeypatch.setattr(layers_mod, "_USE_WORKER", worker)
+        layer, shape = _sharded_layer(name, dtype)
+        for n in SHARD_SIZES:
+            x = np.random.default_rng(n).normal(size=(n, *shape)).astype(dtype)
+            out, dout, dx, _ = _forward_backward(layer, x, np.random.default_rng(100 + n))
+            assert np.array_equal(layer.forward(x, False, None), out), (name, n)
+            for i in range(n):
+                assert np.array_equal(layer.forward(x[i : i + 1], True, None), out[i : i + 1])
+                assert np.array_equal(layer.backward(dout[i : i + 1]), dx[i : i + 1]), (name, n, i)
+
+    @pytest.mark.parametrize("worker", [True, False])
+    @pytest.mark.parametrize("name", ["conv gather", "conv scatter"])
+    def test_conv_grads_add_shard_partials_in_order(self, monkeypatch, name, worker):
+        monkeypatch.setattr(layers_mod, "_USE_WORKER", worker)
+        layer, shape = _sharded_layer(name, np.float32)
+        for n in SHARD_SIZES:
+            x = np.random.default_rng(n).normal(size=(n, *shape)).astype(np.float32)
+            _, dout, _, grads = _forward_backward(layer, x, np.random.default_rng(100 + n))
+            slices = layers_mod._shard_slices(n)
+            partials = []
+            with monkeypatch.context() as whole:
+                # One shard: the layer's unsharded sums over the scenes of s.
+                whole.setattr(layers_mod, "_SHARDS", 1)
+                for s in slices:
+                    layer.forward(x[s], True, None)
+                    layer.backward(dout[s])
+                    partials.append({k: v.copy() for k, v in layer.grads.items()})
+            for key in ("W", "b"):
+                expect = reduce(np.add, [p[key] for p in partials])
+                assert np.array_equal(grads[key], expect), (name, n, key)
+
+    def test_fit_identical_with_worker_and_inline(self, monkeypatch):
+        sset = synth_dataset(SynthConfig(n_samples=16, iceberg_fraction=0.5, seed=5))
+        train, val = split_train_validation(sset, 0.25, 2)
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=2, dtype="float32")
+        runs = []
+        for worker in (True, False):
+            monkeypatch.setattr(layers_mod, "_USE_WORKER", worker)
+            net = build_classifier(
+                3, seed=4, conv_widths=(4, 8, 8), dense_width=8, dtype=np.float32
+            )
+            runs.append(fit(net, train, val, cfg))
+        (net_a, hist_a), (net_b, hist_b) = runs
+        assert vars(hist_a) == vars(hist_b)
+        for (key, a), (_, b) in zip(net_a.parameters(), net_b.parameters()):
+            assert np.array_equal(a, b), key
+
+    def test_shard_error_reaches_caller_and_worker_survives(self, monkeypatch):
+        monkeypatch.setattr(layers_mod, "_USE_WORKER", True)
+
+        def fail_first(s):
+            if s.start == 0:
+                raise RuntimeError("shard 0 failed")
+            return s.start
+
+        for _ in range(5):  # whichever thread runs shard 0
+            with pytest.raises(RuntimeError, match="shard 0 failed"):
+                layers_mod._map_shards(fail_first, 8)
+        assert layers_mod._map_shards(lambda s: s.start, 8) == [0, 2, 4, 6]
+
+    def test_concurrent_callers_run_each_shard_once(self, monkeypatch):
+        monkeypatch.setattr(layers_mod, "_USE_WORKER", True)
+        old_interval = sys.getswitchinterval()
+        failures = []
+
+        def caller(seed):
+            x = np.random.default_rng(seed).normal(size=(9, 64))
+            for _ in range(50):
+                ran = []
+
+                def shard(s):
+                    ran.append(s.start)
+                    return float(np.sum(x[s] * 2.0))
+
+                got = layers_mod._map_shards(shard, len(x))
+                slices = layers_mod._shard_slices(len(x))
+                if sorted(ran) != [s.start for s in slices]:
+                    failures.append(("ran", sorted(ran)))
+                if got != [float(np.sum(x[s] * 2.0)) for s in slices]:
+                    failures.append(("results", got))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+
+
+_BLAS_PROBE = """
+import json, os{pre}
+import sarberg
+from sarberg.nn import layers
+print(json.dumps([[os.environ.get(v) for v in sarberg.BLAS_THREAD_VARS], layers._USE_WORKER]))
+"""
+
+
+@pytest.mark.parametrize("pre,expect", [
+    ("", [["1", "1", "1"], True]),
+    ("\nimport numpy", [[None, None, None], False]),
+])
+def test_import_order_decides_blas_threads_and_worker(pre, expect):
+    env = {k: v for k, v in os.environ.items() if k not in sarberg.BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(sarberg.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE.format(pre=pre)],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == expect
