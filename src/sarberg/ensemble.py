@@ -182,41 +182,18 @@ def predict_stacker(
     return out
 
 
-def blend(
-    preds: Sequence[PredictionSet],
-    mode: str = "mean",
-    weights: Sequence[float] | None = None,
-) -> PredictionSet:
-    """Fixed combination of aligned prediction sets.
-
-    mean: arithmetic mean of probabilities; logit_mean: sigmoid of the mean
-    logit; weights: convex combination with the given nonnegative weights.
-    """
+def blend(preds: Sequence[PredictionSet], mode: str = "mean") -> PredictionSet:
+    """Per id, the arithmetic mean of aligned prediction sets' probabilities.
+    `mode` names the combination; "mean" is the only one."""
     if not preds:
         raise ValueError("nothing to blend")
+    if mode != "mean":
+        raise ValueError(f"unknown blend mode {mode!r}")
     ids = list(preds[0])
     for p in preds[1:]:
         if set(p) != set(ids):
             raise ValueError("prediction sets cover different ids")
-    if mode == "weights":
-        if weights is None or len(weights) != len(preds):
-            raise ValueError("weights mode needs one weight per prediction set")
-        w = np.asarray(weights, dtype=np.float64)
-        if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-            raise ValueError("weights must be nonnegative and sum to 1")
-    elif mode not in ("mean", "logit_mean"):
-        raise ValueError(f"unknown blend mode {mode!r}")
-
-    out: PredictionSet = {}
-    for sample_id in ids:
-        values = np.array([p[sample_id] for p in preds])
-        if mode == "mean":
-            out[sample_id] = float(values.mean())
-        elif mode == "logit_mean":
-            out[sample_id] = float(sigmoid(np.mean(logit(values))))
-        else:
-            out[sample_id] = float(w @ values)
-    return out
+    return {sample_id: float(np.mean([p[sample_id] for p in preds])) for sample_id in ids}
 
 
 # ---------------------------------------------------------------------------

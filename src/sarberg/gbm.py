@@ -5,8 +5,12 @@ y - p by exact greedy split search (no histogram binning: datasets here are
 small enough that exactness is affordable and lets tests brute-force the same
 scan). As in XGBoost's exact greedy algorithm (Chen & Guestrin 2016), every
 column is sorted once per fit; each node then scores the splits of all
-features in one array pass over that presorted index array. Leaf values are
-Newton steps clamped to [-4, 4], scaled by shrinkage.
+features from one cumulative sum of the residuals along that presorted index
+array. A split is ranked by its gain L²/n_L + R²/n_R (the side sums of the
+residuals over the side row counts), evaluated only where both sides keep
+min_samples_leaf rows; the node's residual SSE minus the gain is the split's
+SSE, so ranks and ties are those of the SSE (see `best_split`). Leaf values
+are Newton steps clamped to [-4, 4], scaled by shrinkage.
 
 A tree has one form, in memory and on disk: five preorder node arrays
 (feature, threshold, left, right, value) with the root at node 0. A leaf has
@@ -19,6 +23,7 @@ walk ends on a leaf.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -63,6 +68,10 @@ class GbmParams:
     min_samples_leaf: int = 5
 
     def __post_init__(self):
+        for name in ("n_trees", "max_depth", "min_samples_leaf"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.max_depth < 1:
@@ -97,10 +106,22 @@ def best_split(
 
     `orders` is the (features, rows) index array that sorts each column of X
     once (stable). The node's rows are taken from every sorted column in one
-    selection, and the residual SSE of every (feature, boundary) pair comes
-    from one pass of cumulative sums along the sorted rows.
+    selection (the root uses `orders` as it is), and every (feature,
+    boundary) pair is scored from one cumulative sum along the sorted rows.
 
     Minimizes the summed squared error of the residuals over the two sides.
+    With S the node's sum of squared residuals, L and R the residual sums of
+    the two sides and n_L, n_R their row counts, that SSE is S - G, where
+    G = L²/n_L + R²/n_R is the split's gain (Chen & Guestrin 2016, eq. 7).
+    So only the gain is evaluated, and only at the boundary columns
+    [min_samples_leaf - 1, n - min_samples_leaf) that leave min_samples_leaf
+    rows on each side. Each feature's lowest SSE is S - max(G): rounding is
+    monotone, so that equals the smallest rounded S - G, and S - G is formed
+    in full only on the winning feature's row, to find its lowest tied
+    threshold. Ranks and ties are thus taken on the SSE; an SSE formed this
+    way differs from one summed in another order only in rounding, far
+    inside the tie slack below.
+
     Ties break toward the lowest feature index, then the lowest threshold.
     Candidates within a 1e-9 relative slack count as tied, so an independent
     rescan with a different summation order ranks them identically (exact
@@ -110,30 +131,37 @@ def best_split(
     slack.
     """
     n = rows.size
+    if n < 2 * min_samples_leaf:
+        return None
     n_features = orders.shape[0]
-    in_node = np.zeros(X.shape[0], dtype=bool)
-    in_node[rows] = True
-    order = orders[in_node[orders]].reshape(n_features, n)
-    xs = X[order, np.arange(n_features)[:, None]]
-    rs = residual[order]
-
+    if n == X.shape[0]:
+        order = orders
+    else:
+        in_node = np.zeros(X.shape[0], dtype=bool)
+        in_node[rows] = True
+        flat = orders.ravel()  # compress/take: half the time of a boolean index
+        order = flat.compress(in_node.take(flat)).reshape(n_features, n)
+    rs = residual.take(order)
     s1 = np.cumsum(rs, axis=1)
-    s2 = np.cumsum(rs * rs, axis=1)
-    # Column b splits after sorted row b: b + 1 rows go left.
-    n_left = np.arange(1, n)
-    n_right = n - n_left
-    left_s1 = s1[:, :-1]
-    left_s2 = s2[:, :-1]
-    sse = (
-        left_s2
-        - left_s1**2 / n_left
-        + (s2[:, -1:] - left_s2)
-        - (s1[:, -1:] - left_s1) ** 2 / n_right
-    )
-    sse[xs[:, :-1] >= xs[:, 1:]] = np.inf  # no threshold between equal values
-    sse[:, (n_left < min_samples_leaf) | (n_right < min_samples_leaf)] = np.inf
 
-    lows = sse.min(axis=1)
+    # Column b splits after sorted row b: b + 1 rows go left. Columns lo..hi-1
+    # leave at least min_samples_leaf rows on each side.
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    left = s1[:, lo:hi]  # L; R = T - L, with T the last cumulative sum
+    right = s1[:, -1:] - left
+    gain = left * left
+    gain /= n_left
+    right *= right
+    right /= n - n_left
+    gain += right
+    # X[order, feature] over the columns in use, as one flat take (faster
+    # than the 2-D fancy index).
+    xs = X.ravel().take(order[:, lo : hi + 1] * n_features + np.arange(n_features)[:, None])
+    np.copyto(gain, -np.inf, where=xs[:, :-1] >= xs[:, 1:])  # no threshold between equal values
+
+    total = float(rs[0] @ rs[0])
+    lows = total - gain.max(axis=1)
     tols = SPLIT_TIE_RTOL * (1.0 + np.abs(lows))
     best: tuple[float, int] | None = None
     for j, (low, tol) in enumerate(zip(lows.tolist(), tols.tolist())):
@@ -143,7 +171,7 @@ def best_split(
         return None
 
     j = best[1]
-    b = int(np.argmax(sse[j] <= lows[j] + tols[j]))  # lowest tied threshold
+    b = int(np.argmax(total - gain[j] <= lows[j] + tols[j]))  # lowest tied threshold
     thr = (xs[j, b] + xs[j, b + 1]) / 2.0
     if thr >= xs[j, b + 1]:  # midpoint rounded up between adjacent floats
         thr = xs[j, b]
@@ -151,9 +179,9 @@ def best_split(
 
 
 def _leaf_value(residual, hessian, rows) -> float:
-    num = float(np.sum(residual[rows]))
-    den = max(float(np.sum(hessian[rows])), HESSIAN_FLOOR)
-    return float(np.clip(num / den, -LEAF_VALUE_CLAMP, LEAF_VALUE_CLAMP))
+    num = float(residual[rows].sum())
+    den = max(float(hessian[rows].sum()), HESSIAN_FLOOR)
+    return min(max(num / den, -LEAF_VALUE_CLAMP), LEAF_VALUE_CLAMP)
 
 
 def _build_tree(

@@ -441,3 +441,50 @@ class TestAwkwardIds:
         assert rows[0] == ["id", "fold", "gbm", "cnn"]
         assert [r[0] for r in rows[1:]] == ids
         assert all(len(r) == 4 for r in rows[1:])
+
+
+class TestRepeatRuns:
+    """Commands run twice with the same flags into the same directory write
+    the same bytes (`resolved_config.json` holds a timestamp and is left
+    out)."""
+
+    @staticmethod
+    def twice(out, names, *argv):
+        snapshots = []
+        for _ in range(2):
+            assert run(*argv, "--out", out) == 0
+            snapshots.append({name: (out / name).read_bytes() for name in names})
+        assert snapshots[0] == snapshots[1]
+        return snapshots[0]
+
+    def test_train_gbm(self, tmp_path, dataset_file):
+        files = self.twice(
+            tmp_path / "g", ("gbm.json", "metrics.json"),
+            "train-gbm", "--input", dataset_file, "--n-trees", 20, "--max-depth", 4,
+            "--min-samples-leaf", 2, "--val-ratio", 0.25, "--seed", 4,
+        )
+        assert len(deserialize_gbm(files["gbm.json"]).trees) == 20
+
+    def test_pretrain_ae_then_train_cnn_from_it(self, tmp_path, dataset_file):
+        ae_out = tmp_path / "ae"
+        self.twice(
+            ae_out, ("ae.ckpt", "ae_history.csv"),
+            "pretrain-ae", "--input", dataset_file, "--epochs", 1, "--batch-size", 8,
+            "--seed", 2,
+        )
+        files = self.twice(
+            tmp_path / "cnn", ("cnn.ckpt", "history.csv", "metrics.json"),
+            "train-cnn", "--input", dataset_file, "--init-from", ae_out / "ae.ckpt",
+            "--epochs", 1, "--batch-size", 8, "--val-ratio", 0.25, "--seed", 2,
+        )
+        config = json.loads(files["metrics.json"])["config"]
+        assert config["init_from"] == str(ae_out / "ae.ckpt")
+
+    def test_curve(self, tmp_path, dataset_file):
+        files = self.twice(
+            tmp_path / "c", ("curve.csv",),
+            "curve", "--input", dataset_file, "--fractions", "0.5,1.0", "--epochs", 1,
+            "--batch-size", 4, "--seed", 2,
+        )
+        rows = files["curve.csv"].decode().splitlines()
+        assert rows[0] == "fraction,n_samples,train_loss,val_loss,gap" and len(rows) == 3

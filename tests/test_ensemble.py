@@ -236,14 +236,6 @@ class TestBlend:
         out = blend([{"a": 0.2}, {"a": 0.8}], mode="mean")
         assert out["a"] == pytest.approx(0.5)
 
-    def test_weights_identity(self):
-        out = blend([{"a": 0.31}, {"a": 0.99}], mode="weights", weights=[1.0, 0.0])
-        assert out["a"] == pytest.approx(0.31)
-
-    def test_logit_mean_fixed_points(self):
-        assert blend([{"a": 0.5}, {"a": 0.5}], mode="logit_mean")["a"] == pytest.approx(0.5)
-        assert blend([{"a": 0.9}, {"a": 0.9}], mode="logit_mean")["a"] == pytest.approx(0.9, abs=1e-9)
-
     def test_mean_bounded_by_members(self):
         rng = np.random.default_rng(10)
         sets = [{f"i{k}": float(rng.random()) for k in range(20)} for _ in range(4)]
@@ -256,6 +248,7 @@ class TestBlend:
         with pytest.raises(ValueError, match="ids"):
             blend([{"a": 0.5}, {"b": 0.5}], mode="mean")
 
-    def test_bad_weights(self):
-        with pytest.raises(ValueError, match="weights"):
-            blend([{"a": 0.5}, {"a": 0.6}], mode="weights", weights=[0.7, 0.7])
+    def test_only_the_mean_mode(self):
+        for mode in ("weights", "logit_mean"):
+            with pytest.raises(ValueError, match="unknown blend mode"):
+                blend([{"a": 0.5}, {"a": 0.6}], mode=mode)

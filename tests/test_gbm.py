@@ -9,6 +9,7 @@ from sarberg.gbm import (
     GbmModel,
     GbmParams,
     Tree,
+    best_split,
     deserialize_gbm,
     fit_gbm,
     predict_gbm,
@@ -62,6 +63,14 @@ class TestParams:
         with pytest.raises(ValueError):
             GbmParams(shrinkage=1.5)
 
+    def test_integer_fields_refuse_other_types(self):
+        # A max_depth of 2.5 would grow three levels, and True would pass as 1.
+        for name in ("n_trees", "max_depth", "min_samples_leaf"):
+            for bad in (2.5, 3.0, True, "3", np.float64(2.0), np.bool_(True)):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    GbmParams(**{name: bad})
+            assert getattr(GbmParams(**{name: np.int64(2)}), name) == 2
+
 
 class TestFit:
     def test_single_class_rejected(self):
@@ -107,36 +116,21 @@ class TestFit:
         rng = np.random.default_rng(15)
         checked = 0
         for trial in range(12):
-            n = int(rng.integers(20, 61))
-            base = rng.integers(0, 4, size=(n, int(rng.integers(2, 5)))).astype(float)
-            X = np.concatenate([base, base[:, ::-1], base[:, :1]], axis=1)
-            y = (rng.random(n) < 0.5).astype(float)
-            y[:2] = (0.0, 1.0)
-            min_leaf = 1 + trial % 3
-            params = GbmParams(n_trees=3, max_depth=3, min_samples_leaf=min_leaf)
-            model = fit_gbm(X, y, params)
-
-            def check(tree, i, rows, depth_left, residual):
-                nonlocal checked
-                is_leaf = tree.feature[i] < 0
-                if depth_left == 0 or rows.size < 2 * min_leaf:
-                    assert is_leaf
-                    return
-                expect = brute_force_split(X, residual, rows, min_leaf)
-                if is_leaf:
-                    assert expect is None, trial
-                    return
-                assert (tree.feature[i], tree.threshold[i]) == expect, trial
-                checked += 1
-                go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
-                check(tree, tree.left[i], rows[go_left], depth_left - 1, residual)
-                check(tree, tree.right[i], rows[~go_left], depth_left - 1, residual)
-
-            for t, tree in enumerate(model.trees):
-                so_far = GbmModel(model.base_score, model.shrinkage, X.shape[1],
-                                  trees=model.trees[:t])
-                check(tree, 0, np.arange(n), params.max_depth, y - predict_gbm(so_far, X))
+            X, y = tied_integer_set(rng)
+            params = GbmParams(n_trees=3, max_depth=3, min_samples_leaf=1 + trial % 3)
+            checked += check_every_node(X, y, params, trial)
         assert checked > 100
+
+    def test_deep_trees_on_tied_features_match_exhaustive_scan(self):
+        # Depth 5 reaches nodes of a few rows, where gains tie across the
+        # duplicated columns and the legal boundary range is narrow.
+        rng = np.random.default_rng(16)
+        checked = 0
+        for trial in range(6):
+            X, y = tied_integer_set(rng)
+            params = GbmParams(n_trees=3, max_depth=5, min_samples_leaf=1 + trial % 3)
+            checked += check_every_node(X, y, params, trial)
+        assert checked > 150
 
     def test_training_loss_non_increasing(self):
         rng = np.random.default_rng(8)
@@ -174,6 +168,84 @@ class TestFit:
         for ta, tb in zip(model_a.trees, model_b.trees):
             assert structure(ta, 0, 1) == structure(tb, 0, 1)
         assert np.array_equal(predict_gbm(model_a, X), predict_gbm(model_b, X2))
+
+
+def tied_integer_set(rng):
+    """20-60 rows of small integer features, each column repeated (reversed,
+    and the first once more), with both classes present."""
+    n = int(rng.integers(20, 61))
+    base = rng.integers(0, 4, size=(n, int(rng.integers(2, 5)))).astype(float)
+    X = np.concatenate([base, base[:, ::-1], base[:, :1]], axis=1)
+    y = (rng.random(n) < 0.5).astype(float)
+    y[:2] = (0.0, 1.0)
+    return X, y
+
+
+def check_every_node(X, y, params, trial):
+    """Fit, then require every node of every tree to hold the exhaustive
+    scan's split of its rows, or to be a leaf where the scan finds none.
+    Returns the number of internal nodes checked."""
+    model = fit_gbm(X, y, params)
+    min_leaf = params.min_samples_leaf
+    checked = 0
+
+    def check(tree, i, rows, depth_left, residual):
+        nonlocal checked
+        is_leaf = tree.feature[i] < 0
+        if depth_left == 0 or rows.size < 2 * min_leaf:
+            assert is_leaf
+            return
+        expect = brute_force_split(X, residual, rows, min_leaf)
+        if is_leaf:
+            assert expect is None, trial
+            return
+        assert (tree.feature[i], tree.threshold[i]) == expect, trial
+        checked += 1
+        go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
+        check(tree, tree.left[i], rows[go_left], depth_left - 1, residual)
+        check(tree, tree.right[i], rows[~go_left], depth_left - 1, residual)
+
+    for t, tree in enumerate(model.trees):
+        so_far = GbmModel(model.base_score, model.shrinkage, X.shape[1], trees=model.trees[:t])
+        check(tree, 0, np.arange(X.shape[0]), params.max_depth, y - predict_gbm(so_far, X))
+    return checked
+
+
+class TestScanEdges:
+    """best_split called directly, against the exhaustive scan."""
+
+    @staticmethod
+    def scan(X, residual, rows, min_leaf):
+        orders = np.argsort(X.T, axis=1, kind="stable")
+        return best_split(X, residual, rows, min_leaf, orders)
+
+    def test_node_of_two_min_leaves_has_one_boundary(self):
+        rng = np.random.default_rng(17)
+        for min_leaf in (1, 2, 3, 5):
+            X = rng.integers(0, 3, size=(40, 6)).astype(float)
+            X[:, 3:] = rng.normal(size=(40, 3))
+            residual = rng.normal(size=40)
+            for rows in (rng.choice(40, 2 * min_leaf, replace=False), np.arange(2 * min_leaf)):
+                rows = np.sort(rows)
+                got = self.scan(X, residual, rows, min_leaf)
+                assert got == brute_force_split(X, residual, rows, min_leaf), (min_leaf, rows)
+                assert got is not None  # the continuous columns always split
+                assert self.scan(np.asfortranarray(X), residual, rows, min_leaf) == got
+                left = X[rows, got[0]] <= got[1]
+                assert left.sum() == min_leaf
+            root_X, root_r = X[: 2 * min_leaf], residual[: 2 * min_leaf]
+            rows = np.arange(2 * min_leaf)
+            got = self.scan(root_X, root_r, rows, min_leaf)
+            assert got == brute_force_split(root_X, root_r, rows, min_leaf), min_leaf
+            assert self.scan(X, residual, np.arange(2 * min_leaf - 1), min_leaf) is None
+
+    def test_every_feature_constant_gives_no_split(self):
+        X = np.tile([1.5, -2.0, 0.0], (12, 1))
+        residual = np.random.default_rng(19).normal(size=12)
+        for rows in (np.arange(12), np.arange(2, 9)):
+            for min_leaf in (1, 3):
+                assert self.scan(X, residual, rows, min_leaf) is None
+                assert brute_force_split(X, residual, rows, min_leaf) is None
 
 
 class TestPredict:
