@@ -3,18 +3,23 @@
 Each option is declared once, with its default, in `_build_parser`. An option
 takes its value from, in order of precedence:
 
-1. its flag on the command line (a switch such as --unlabeled also has a
-   --no- form, which turns off what a config file turned on);
+1. its flag on the command line;
 2. the --config JSON file, whose keys are option names as resolved_config.json
    spells them (`n_trees` for --n-trees);
 3. its declared default.
 
 A config key that names no option of the subcommand, or names --out or an
 option the command line must give, is refused; so is a value that fails the
-flag's type conversion, and a switch set to anything but JSON true or false.
-Each refusal names the key. Only the commands that draw random numbers take
---seed: synth, augment, train-gbm, pretrain-ae, train-cnn, stack and curve.
-The CLI builds and trains networks in float32 (`DTYPE`).
+flag's type conversion. Each refusal names the key. Only the commands that
+draw random numbers take --seed: synth, augment, train-gbm, pretrain-ae,
+train-cnn, stack and curve. The CLI builds and trains networks in float32
+(`DTYPE`).
+
+Every command reads a scene's is_iceberg label where its record has one and
+refuses a malformed one. train-gbm, train-cnn, stack, curve and eval's --truth
+need a label on every record; the other commands take unlabeled scenes too.
+eval also copies a run's history CSV (--history) and renders composite_<id>.ppm
+for the --ids it names from --input.
 
 Each run writes its fully-resolved configuration into the output directory as
 resolved_config.json, so any result can be reproduced from the artifacts alone.
@@ -56,11 +61,6 @@ class _CommandParser(argparse.ArgumentParser):
         return action
 
 
-def _switch(p: argparse.ArgumentParser, flag: str) -> None:
-    """An off-by-default switch, given as `flag` or `--no-...`."""
-    p.add_argument(flag, action=argparse.BooleanOptionalAction, default=False)
-
-
 def _training_flags(p: argparse.ArgumentParser, epochs: int) -> None:
     p.add_argument("--epochs", type=int, default=epochs)
     p.add_argument("--batch-size", type=int, default=32)
@@ -93,11 +93,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
 
     p = command("ingest", "validate a dataset file and summarize it")
     p.add_argument("--input", type=Path, required=True)
-    _switch(p, "--unlabeled")
 
     p = command("augment", "expand a dataset with random transforms", seeded=True)
     p.add_argument("--input", type=Path, required=True)
-    _switch(p, "--unlabeled")
     p.add_argument("--multiplier", type=int, default=2)
     p.add_argument("--width-shift", type=float, default=0.1)
     p.add_argument("--height-shift", type=float, default=0.1)
@@ -105,7 +103,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
 
     p = command("features", "export the statistics feature table")
     p.add_argument("--input", type=Path, required=True)
-    _switch(p, "--unlabeled")
 
     p = command("train-gbm", "fit the boosted-tree baseline", seeded=True)
     p.add_argument("--input", type=Path, required=True)
@@ -117,7 +114,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
 
     p = command("pretrain-ae", "train the convolutional autoencoder", seeded=True)
     p.add_argument("--input", type=Path, required=True)
-    _switch(p, "--unlabeled")
     _training_flags(p, epochs=30)
 
     p = command("train-cnn", "train the reference CNN classifier", seeded=True)
@@ -130,7 +126,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
     p = command("predict", "score a dataset with a saved model")
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--model", type=Path, required=True)
-    _switch(p, "--labeled")
 
     p = command("stack", "out-of-fold stacking of GBM + CNN members", seeded=True)
     p.add_argument("--input", type=Path, required=True)
@@ -138,22 +133,18 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
     p.add_argument("--cnn-epochs", type=int, default=5)
     p.add_argument("--n-trees", type=int, default=100)
 
-    p = command("eval", "metrics for a submission against labels")
+    p = command("eval", "metrics for a submission against labels, plus run artifacts")
     p.add_argument("--pred", type=Path, required=True)
     p.add_argument("--truth", type=Path, required=True)
+    p.add_argument("--history", type=Path, help="training history CSV to copy")
+    p.add_argument("--input", type=Path, help="dataset for composites")
+    p.add_argument("--ids", type=str, help="comma-separated ids to render")
 
     p = command("curve", "learning curve over training-set fractions", seeded=True)
     p.add_argument("--input", type=Path, required=True)
     p.add_argument("--fractions", type=str, default="0.1,0.3,1.0")
     _training_flags(p, epochs=10)
     p.add_argument("--multiplier", type=int, default=1)
-
-    p = command("report", "write metrics/report files for a run")
-    p.add_argument("--pred", type=Path, required=True)
-    p.add_argument("--truth", type=Path, required=True)
-    p.add_argument("--history", type=Path)
-    p.add_argument("--input", type=Path, help="dataset for composites")
-    p.add_argument("--ids", type=str, help="comma-separated ids to render")
 
     return parser, commands
 
@@ -173,19 +164,14 @@ def _config_values(path: Path, command: _CommandParser) -> dict:
         action = command.settable.get(key)
         if action is None:
             raise ValueError(f"config key {key!r} names no option of {command.prog}")
-        if action.nargs == 0:  # a switch
-            if not isinstance(value, bool):
-                raise ValueError(f"config key {key!r} is a switch: give true or false")
-        elif isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
             raise ValueError(f"config key {key!r}: {value!r} is not a string or a number")
-        else:
-            try:
-                value = action.type(str(value))
-            except ValueError:
-                raise ValueError(
-                    f"config key {key!r}: {value!r} is not a valid {action.type.__name__}"
-                ) from None
-        values[key] = value
+        try:
+            values[key] = action.type(str(value))
+        except ValueError:
+            raise ValueError(
+                f"config key {key!r}: {value!r} is not a valid {action.type.__name__}"
+            ) from None
     return values
 
 
@@ -208,7 +194,9 @@ def _write_resolved(args: argparse.Namespace) -> None:
         f.write("\n")
 
 
-def _load_set(path: Path, labeled: bool) -> data.SampleSet:
+def _load_set(path: Path, labeled: bool = False) -> data.SampleSet:
+    """The scenes of a dataset file, each with its label if the record has one;
+    `labeled` requires a label on every record."""
     if not path.exists():
         raise ValueError(f"input file not found: {path}")
     return data.parse_samples(path.read_bytes(), labeled=labeled)
@@ -226,12 +214,8 @@ def _train_config(args: argparse.Namespace) -> nn.TrainConfig:
 
 
 def _labels_of(sset: data.SampleSet) -> dict[str, int]:
-    out = {}
-    for s in sset:
-        if s.label is None:
-            raise ValueError(f"sample {s.id!r} has no label")
-        out[s.id] = s.label
-    return out
+    """The labels of a set loaded with `labeled=True`, by id."""
+    return {s.id: s.label for s in sset}
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +235,7 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_ingest(args) -> None:
-    sset = _load_set(args.input, labeled=not args.unlabeled)
+    sset = _load_set(args.input)
     labels = [s.label for s in sset]
     summary = {
         "n_samples": len(sset),
@@ -267,7 +251,7 @@ def _cmd_ingest(args) -> None:
 
 
 def _cmd_augment(args) -> None:
-    sset = _load_set(args.input, labeled=not args.unlabeled)
+    sset = _load_set(args.input)
     policy = imageops.AugmentationPolicy(
         width_shift_frac=args.width_shift,
         height_shift_frac=args.height_shift,
@@ -279,12 +263,12 @@ def _cmd_augment(args) -> None:
 
 
 def _cmd_features(args) -> None:
-    sset = _load_set(args.input, labeled=not args.unlabeled)
+    sset = _load_set(args.input)
     imputed, mean_angle = data.impute_incidence(sset)
     ids, X, y = features.feature_matrix(imputed, mean_angle)
-    features.write_features_csv(args.out / "features.csv", ids, X, y)
     stat_cols = list(range(28))  # band statistics; angle columns can be constant
-    corr = features.correlation_matrix(X, stat_cols)
+    corr = features.correlation_matrix(X, stat_cols)  # refuses before any file is written
+    features.write_features_csv(args.out / "features.csv", ids, X, y)
     features.write_correlation_csv(
         args.out / "correlation.csv",
         [features.FEATURE_NAMES[i] for i in stat_cols],
@@ -320,7 +304,7 @@ def _cmd_train_gbm(args) -> None:
 
 
 def _cmd_pretrain_ae(args) -> None:
-    sset = _load_set(args.input, labeled=not args.unlabeled)
+    sset = _load_set(args.input)
     cfg = _train_config(args)
     net = nn.build_autoencoder(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
     net, losses = nn.fit_autoencoder(net, sset, cfg)
@@ -372,7 +356,7 @@ def _load_model_predictor(model_path: Path):
 
 
 def _cmd_predict(args) -> None:
-    sset = _load_set(args.input, labeled=args.labeled)
+    sset = _load_set(args.input)
     kind, predictor = _load_model_predictor(args.model)
     preds = predictor(sset)
     harness.write_submission(preds, args.out / "submission.csv")
@@ -428,12 +412,26 @@ def _cmd_stack(args) -> None:
 
 
 def _cmd_eval(args) -> None:
-    if not args.pred.exists():
-        raise ValueError(f"prediction file not found: {args.pred}")
+    given = (args.pred, args.truth, args.history, args.input)
+    missing = [str(p) for p in given if p is not None and not p.exists()]
+    if missing:
+        raise ValueError(f"missing run artifacts: {', '.join(missing)}")
+
     preds = harness.read_submission(args.pred)
     truth = _load_set(args.truth, labeled=True)
+    composites = []
+    if args.input is not None and args.ids:
+        wanted = {t.strip() for t in args.ids.split(",") if t.strip()}
+        composites = [s for s in _load_set(args.input) if s.id in wanted]
+        absent = wanted - {s.id for s in composites}
+        if absent:
+            raise ValueError(f"ids not in dataset: {sorted(absent)}")
     summary = harness.metrics_summary(preds, _labels_of(truth), _settings(args))
     harness.write_metrics_json(args.out / "metrics.json", summary)
+    for s in composites:
+        harness.write_composite_ppm(s, args.out / f"composite_{s.id}.ppm")
+    if args.history is not None:
+        (args.out / "history.csv").write_text(args.history.read_text())
     print(
         f"logloss {summary['logloss']:.6f}, accuracy {summary['accuracy']:.4f} "
         f"on {summary['n']} samples"
@@ -454,32 +452,6 @@ def _cmd_curve(args) -> None:
         )
 
 
-def _cmd_report(args) -> None:
-    missing = [str(p) for p in (args.pred, args.truth) if not p.exists()]
-    if args.history is not None and not args.history.exists():
-        missing.append(str(args.history))
-    if args.input is not None and not args.input.exists():
-        missing.append(str(args.input))
-    if missing:
-        raise ValueError(f"missing run artifacts: {', '.join(missing)}")
-
-    preds = harness.read_submission(args.pred)
-    truth = _load_set(args.truth, labeled=True)
-    composites = []
-    if args.input is not None and args.ids:
-        wanted = {t.strip() for t in args.ids.split(",") if t.strip()}
-        composites = [s for s in _load_set(args.input, labeled=False) if s.id in wanted]
-        absent = wanted - {s.id for s in composites}
-        if absent:
-            raise ValueError(f"ids not in dataset: {sorted(absent)}")
-    harness.write_report(
-        args.out, preds, _labels_of(truth), _settings(args), composites=composites
-    )
-    if args.history is not None:
-        (args.out / "history.csv").write_text(args.history.read_text())
-    print(f"report written to {args.out}")
-
-
 _HANDLERS = {
     "synth": _cmd_synth,
     "ingest": _cmd_ingest,
@@ -492,7 +464,6 @@ _HANDLERS = {
     "stack": _cmd_stack,
     "eval": _cmd_eval,
     "curve": _cmd_curve,
-    "report": _cmd_report,
 }
 
 

@@ -159,8 +159,8 @@ def parse_samples(raw: bytes | str, labeled: bool) -> SampleSet:
     """Parse the competition JSON layout into a SampleSet.
 
     Records carry id, band_1 (HH), band_2 (HV), inc_angle (number or "na"),
-    and is_iceberg when `labeled`. Bands are 5625 values read row-major into
-    75x75 planes.
+    and is_iceberg (0 or 1) where the scene is labeled; `labeled` requires it
+    on every record. Bands are 5625 values read row-major into 75x75 planes.
     """
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
@@ -195,15 +195,15 @@ def parse_samples(raw: bytes | str, labeled: bool) -> SampleSet:
             )
 
         label = None
-        if labeled:
-            if "is_iceberg" not in rec:
-                raise _record_error(i, rec_id, "missing field 'is_iceberg'")
+        if "is_iceberg" in rec:
             raw_label = rec["is_iceberg"]
             if raw_label not in (0, 1) or isinstance(raw_label, bool):
                 raise _record_error(
                     i, rec_id, f"is_iceberg must be 0 or 1, got {raw_label!r}"
                 )
             label = int(raw_label)
+        elif labeled:
+            raise _record_error(i, rec_id, "missing field 'is_iceberg'")
 
         samples.append(
             SarSample(id=rec_id, hh=hh, hv=hv, inc_angle=angle, label=label)

@@ -72,6 +72,8 @@ class GbmParams:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.shrinkage, bool) or not isinstance(self.shrinkage, numbers.Real):
+            raise ValueError(f"shrinkage must be a number, got {self.shrinkage!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
         if self.max_depth < 1:

@@ -1,4 +1,5 @@
-"""Experiment harness: the data-size learning curve, and report/submission writers."""
+"""Experiment harness: the data-size learning curve, and the submission,
+metrics and composite-image writers."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -178,26 +179,3 @@ def write_composite_ppm(sample: SarSample, path) -> None:
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         f.write(rgb.tobytes())
-
-
-def write_report(
-    outdir,
-    preds: Mapping[str, float],
-    labels: Mapping[str, int],
-    config: dict,
-    composites: Iterable[SarSample] = (),
-) -> dict:
-    """Write metrics.json and one composite_<id>.ppm per composite scene.
-
-    Returns the metrics summary. Deterministic: identical inputs produce
-    byte-identical files.
-    """
-    from pathlib import Path
-
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    summary = metrics_summary(preds, labels, config)
-    write_metrics_json(outdir / "metrics.json", summary)
-    for s in composites:
-        write_composite_ppm(s, outdir / f"composite_{s.id}.ppm")
-    return summary

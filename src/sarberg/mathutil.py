@@ -22,15 +22,16 @@ def sigmoid(z):
     return out
 
 
-def logit(p, clamp: float = PROB_CLAMP):
-    """Inverse sigmoid with probabilities clamped away from 0 and 1."""
-    p = np.clip(np.asarray(p, dtype=np.float64), clamp, 1.0 - clamp)
+def logit(p):
+    """Inverse sigmoid with probabilities clamped to [PROB_CLAMP, 1 - PROB_CLAMP]."""
+    p = np.clip(np.asarray(p, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
     return np.log(p / (1.0 - p))
 
 
-def binary_logloss(p, y, clamp: float = PROB_CLAMP) -> float:
-    """Mean negative log likelihood of labels y under probabilities p."""
-    p = np.clip(np.asarray(p, dtype=np.float64), clamp, 1.0 - clamp)
+def binary_logloss(p, y) -> float:
+    """Mean negative log likelihood of labels y under probabilities p, each
+    clamped to [PROB_CLAMP, 1 - PROB_CLAMP]."""
+    p = np.clip(np.asarray(p, dtype=np.float64), PROB_CLAMP, 1.0 - PROB_CLAMP)
     y = np.asarray(y, dtype=np.float64)
     if p.shape != y.shape:
         raise ValueError(f"shape mismatch: predictions {p.shape} vs labels {y.shape}")
@@ -39,8 +40,8 @@ def binary_logloss(p, y, clamp: float = PROB_CLAMP) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def binary_accuracy(p, y, threshold: float = 0.5) -> float:
-    """Fraction of correct calls; p == threshold counts as positive."""
+def binary_accuracy(p, y) -> float:
+    """Fraction of correct calls at threshold 0.5; p == 0.5 counts as positive."""
     p = np.asarray(p, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
-    return float(np.mean((p >= threshold) == (y == 1.0)))
+    return float(np.mean((p >= 0.5) == (y == 1.0)))

@@ -36,18 +36,17 @@ def _aligned(preds: Mapping[str, float], labels: Mapping[str, int]):
     return p, y
 
 
-def metric_accuracy(
-    preds: Mapping[str, float], labels: Mapping[str, int], threshold: float = 0.5
-) -> float:
-    """Fraction of correct calls; p == threshold counts as positive."""
-    return binary_accuracy(*_aligned(preds, labels), threshold)
+def metric_accuracy(preds: Mapping[str, float], labels: Mapping[str, int]) -> float:
+    """Fraction of correct calls at threshold 0.5; p == 0.5 counts as positive."""
+    return binary_accuracy(*_aligned(preds, labels))
 
 
 def metric_confusion(
-    preds: Mapping[str, float], labels: Mapping[str, int], threshold: float = 0.5
+    preds: Mapping[str, float], labels: Mapping[str, int]
 ) -> ConfusionMatrix:
+    """Counts of calls at threshold 0.5; p == 0.5 counts as positive."""
     p, y = _aligned(preds, labels)
-    pos = p >= threshold
+    pos = p >= 0.5
     truth = y == 1.0
     return ConfusionMatrix(
         tn=int(np.sum(~pos & ~truth)),

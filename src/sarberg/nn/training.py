@@ -4,6 +4,7 @@ and best-epoch restore for the classifier."""
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -37,6 +38,10 @@ class TrainConfig:
     dtype: str = "float64"  # parameter/activation dtype for nets built from this config
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

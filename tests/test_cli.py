@@ -26,7 +26,7 @@ from sarberg.data import (
 )
 from sarberg.features import feature_matrix
 from sarberg.gbm import deserialize_gbm, predict_gbm
-from sarberg.harness import read_submission, write_submission
+from sarberg.harness import read_submission, write_composite_ppm, write_submission
 from sarberg.nn import load_network, prepare_inputs
 
 
@@ -56,7 +56,19 @@ class TestParsing:
             ("features", "--input", "d.json", "--out", "x", "--seed", "1"),
             ("predict", "--input", "d.json", "--model", "m", "--out", "x", "--seed", "1"),
             ("eval", "--pred", "p.csv", "--truth", "d.json", "--out", "x", "--seed", "1"),
-            ("report", "--pred", "p.csv", "--truth", "d.json", "--out", "x", "--seed", "1"),
+        ]:
+            assert run(*argv) == 2, argv
+            assert "usage" in capsys.readouterr().err.lower()
+
+    def test_report_and_label_switches_are_gone(self, capsys):
+        # eval does what report did, and every command reads a label where a record has one.
+        for argv in [
+            ("report", "--pred", "p.csv", "--truth", "d.json", "--out", "x"),
+            *[(command, "--input", "d.json", "--out", "x", flag)
+              for command in ("ingest", "augment", "features", "pretrain-ae")
+              for flag in ("--unlabeled", "--no-unlabeled")],
+            *[("predict", "--input", "d.json", "--model", "m", "--out", "x", flag)
+              for flag in ("--labeled", "--no-labeled")],
         ]:
             assert run(*argv) == 2, argv
             assert "usage" in capsys.readouterr().err.lower()
@@ -64,7 +76,7 @@ class TestParsing:
     @pytest.mark.parametrize(
         "command",
         ["synth", "ingest", "augment", "features", "train-gbm", "pretrain-ae",
-         "train-cnn", "predict", "stack", "eval", "curve", "report"],
+         "train-cnn", "predict", "stack", "eval", "curve"],
     )
     def test_subcommand_help_exits_0(self, command, capsys):
         assert run(command, "--help") == 0
@@ -103,17 +115,18 @@ class TestSynthIngest:
         assert resolved["n_samples"] == 8  # flag wins
         assert resolved["seed"] == 9  # from config file
 
-    def test_no_switch_overrides_config_switch(self, tmp_path, dataset_file):
+    def test_label_switch_config_keys_refused(self, tmp_path, dataset_file, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"unlabeled": True}))
         out = tmp_path / "run"
-        argv = ("ingest", "--config", cfg, "--input", dataset_file, "--out", out)
-        assert run(*argv, "--no-unlabeled") == 0
-        summary = json.loads((out / "ingest_summary.json").read_text())
-        assert summary["n_unlabeled"] == 0
-        assert json.loads((out / "resolved_config.json").read_text())["unlabeled"] is False
-        assert run(*argv) == 0  # the config file alone turns the switch on
-        assert json.loads((out / "ingest_summary.json").read_text())["n_unlabeled"] == 24
+        for command, key, extra in [
+            *[(c, "unlabeled", ()) for c in ("ingest", "augment", "features", "pretrain-ae")],
+            ("predict", "labeled", ("--model", dataset_file)),
+        ]:
+            cfg.write_text(json.dumps({key: True}))
+            code = run(command, "--config", cfg, "--input", dataset_file, *extra, "--out", out)
+            assert code == 1, command
+            assert f"config key {key!r} names no option" in capsys.readouterr().err, command
+            assert not out.exists(), command
 
     def test_unknown_config_key_names_it(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -125,7 +138,7 @@ class TestSynthIngest:
     @pytest.mark.parametrize(
         "command,doc",
         [
-            ("ingest", {"unlabeled": "false"}),  # a switch takes only true/false
+            ("augment", {"multiplier": True}),  # JSON true is not a number
             ("train-gbm", {"n_trees": 2.5}),  # --n-trees takes an integer
         ],
     )
@@ -198,18 +211,31 @@ class TestPipeline:
         assert len(again) == 48
 
     def test_report_from_artifacts(self, tmp_path, dataset_file):
+        """eval's run report: metrics, the named composites and the history copy."""
         gbm_out = tmp_path / "g"
         run("train-gbm", "--input", dataset_file, "--n-trees", 5, "--out", gbm_out)
         pred_out = tmp_path / "p"
         run("predict", "--input", dataset_file, "--model", gbm_out / "gbm.json", "--out", pred_out)
+        history = tmp_path / "history.csv"
+        history.write_text("epoch,train_loss\n1,0.5\n")
         rep_out = tmp_path / "r"
         code = run(
-            "report", "--pred", pred_out / "submission.csv", "--truth", dataset_file,
-            "--input", dataset_file, "--ids", "synth_000001", "--out", rep_out,
+            "eval", "--pred", pred_out / "submission.csv", "--truth", dataset_file,
+            "--input", dataset_file, "--ids", "synth_000001, synth_000004",
+            "--history", history, "--out", rep_out,
         )
         assert code == 0
-        assert (rep_out / "metrics.json").exists()
-        assert (rep_out / "composite_synth_000001.ppm").exists()
+        doc = json.loads((rep_out / "metrics.json").read_text())
+        assert doc["n"] == 24
+        assert doc["config"]["ids"] == "synth_000001, synth_000004"
+        assert doc["config"]["history"] == str(history)
+        assert (rep_out / "history.csv").read_bytes() == history.read_bytes()
+        scenes = parse_samples(dataset_file.read_bytes(), labeled=True)
+        for i in (1, 4):
+            write_composite_ppm(scenes[i], tmp_path / "expected.ppm")
+            written = rep_out / f"composite_{scenes[i].id}.ppm"
+            assert written.read_bytes() == (tmp_path / "expected.ppm").read_bytes()
+        assert len(list(rep_out.glob("composite_*.ppm"))) == 2
 
     def test_features_overflowing_ratio_names_record(self, tmp_path, capsys):
         hh = np.full((75, 75), -20.0)
@@ -236,20 +262,47 @@ class TestPipeline:
         for name, row in rows.items():
             rest = "".join(f"{i},0.5\n" for i in ids[2:])
             pred.write_text(f"id,is_iceberg\n{ids[0]},0.5\n{row}\n{rest}")
-            for command in ("eval", "report"):
-                out = tmp_path / command
-                code = run(command, "--pred", pred, "--truth", dataset_file, "--out", out)
-                assert code == 1, (name, command)
-                assert "line 3" in capsys.readouterr().err, (name, command)
-                assert not (out / "metrics.json").exists(), (name, command)
+            out = tmp_path / "eval"
+            code = run("eval", "--pred", pred, "--truth", dataset_file, "--out", out)
+            assert code == 1, name
+            assert "line 3" in capsys.readouterr().err, name
+            assert not (out / "metrics.json").exists(), name
 
     def test_report_missing_artifact_lists_it(self, tmp_path, dataset_file, capsys):
+        out = tmp_path / "r2"
         code = run(
-            "report", "--pred", tmp_path / "absent.csv", "--truth", dataset_file,
-            "--out", tmp_path / "r2",
+            "eval", "--pred", tmp_path / "absent.csv", "--truth", dataset_file,
+            "--history", tmp_path / "no_history.csv", "--out", out,
         )
         assert code == 1
-        assert "absent.csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "missing run artifacts" in err and "absent.csv" in err and "no_history.csv" in err
+        assert not (out / "metrics.json").exists()
+
+    def test_report_refuses_absent_ids(self, tmp_path, dataset_file, capsys):
+        ids = parse_samples(dataset_file.read_bytes(), labeled=True).ids()
+        pred = tmp_path / "submission.csv"
+        write_submission({i: 0.5 for i in ids}, pred)
+        out = tmp_path / "r"
+        code = run(
+            "eval", "--pred", pred, "--truth", dataset_file, "--input", dataset_file,
+            "--ids", f"{ids[0]},ghost", "--out", out,
+        )
+        assert code == 1
+        assert "ids not in dataset: ['ghost']" in capsys.readouterr().err
+        assert not list(out.glob("*.ppm")) and not (out / "metrics.json").exists()
+
+    def test_features_refusal_writes_no_file(self, tmp_path, dataset_file, capsys):
+        one = parse_samples(dataset_file.read_bytes(), labeled=True)[0]
+        for name, scenes, message in [
+            ("one scene", [one], "need at least 2 feature vectors"),
+            ("tied statistics", [one, replace(one, id="twin")], "has zero variance"),
+        ]:
+            out = tmp_path / name.replace(" ", "_")
+            path = _write_set(tmp_path / f"{out.name}.json", scenes)
+            assert run("features", "--input", path, "--out", out) == 1, name
+            assert message in capsys.readouterr().err, name
+            assert not list(out.glob("*.csv")), name
 
 
 def _write_set(path, samples):
@@ -488,3 +541,112 @@ class TestRepeatRuns:
         )
         rows = files["curve.csv"].decode().splitlines()
         assert rows[0] == "fraction,n_samples,train_loss,val_loss,gap" and len(rows) == 3
+
+
+@pytest.fixture(scope="module")
+def unlabeled_file(tmp_path_factory):
+    """The 24 scenes of `dataset_file` with no is_iceberg field."""
+    base = synth_dataset(SynthConfig(n_samples=24, iceberg_fraction=0.5, seed=13))
+    samples = [replace(s, label=None) for s in base]
+    return _write_set(tmp_path_factory.mktemp("bare") / "test.json", samples)
+
+
+def _edit_record(src, path, index, edit):
+    """A copy of the dataset file src with record `index` changed by edit(record)."""
+    records = json.loads(src.read_text())
+    edit(records[index])
+    path.write_text(json.dumps(records))
+    return path, records[index]["id"]
+
+
+def _half_submission(dataset, path):
+    """A submission scoring every scene of the dataset file at 0.5."""
+    write_submission({i: 0.5 for i in parse_samples(dataset.read_bytes(), False).ids()}, path)
+    return path
+
+
+# Each command that reads a dataset file, given one with a malformed label ({bad}).
+MALFORMED_LABEL_RUNS = {
+    "ingest": ("ingest", "--input", "{bad}"),
+    "augment": ("augment", "--input", "{bad}"),
+    "features": ("features", "--input", "{bad}"),
+    "train-gbm": ("train-gbm", "--input", "{bad}"),
+    "pretrain-ae": ("pretrain-ae", "--input", "{bad}"),
+    "train-cnn": ("train-cnn", "--input", "{bad}"),
+    "predict": ("predict", "--input", "{bad}", "--model", "{gbm}"),
+    "stack": ("stack", "--input", "{bad}"),
+    "curve": ("curve", "--input", "{bad}"),
+    "eval-truth": ("eval", "--pred", "{pred}", "--truth", "{bad}"),
+    "eval-input": ("eval", "--pred", "{pred}", "--truth", "{good}", "--input", "{bad}",
+                   "--ids", "synth_000000"),
+}
+
+
+class TestLabels:
+    """Every command reads is_iceberg where a record has one; only the
+    commands that learn from labels, and eval's --truth, need it everywhere."""
+
+    @pytest.mark.parametrize("kind", ["labeled", "unlabeled"])
+    @pytest.mark.parametrize(
+        "command", ["ingest", "augment", "features", "pretrain-ae", "predict"]
+    )
+    def test_label_free_commands_run_with_or_without_labels(
+        self, tmp_path, command, kind, dataset_file, unlabeled_file, gbm_file
+    ):
+        path = dataset_file if kind == "labeled" else unlabeled_file
+        extra = {
+            "augment": ("--multiplier", 2),
+            "pretrain-ae": ("--epochs", 1, "--batch-size", 8),
+            "predict": ("--model", gbm_file),
+        }.get(command, ())
+        out = tmp_path / "out"
+        assert run(command, "--input", path, *extra, "--out", out) == 0
+        labels = parse_samples(path.read_bytes(), labeled=False).labels()
+        if command == "ingest":
+            summary = json.loads((out / "ingest_summary.json").read_text())
+            assert summary["n_unlabeled"] == labels.count(None)
+        elif command == "augment":
+            augmented = parse_samples((out / "augmented.json").read_bytes(), labeled=False)
+            assert augmented.labels() == [label for label in labels for _ in range(2)]
+        elif command == "features":
+            header = (out / "features.csv").read_text().splitlines()[0]
+            assert header.endswith(",label") == (kind == "labeled")
+
+    @pytest.mark.parametrize("name", list(MALFORMED_LABEL_RUNS))
+    def test_malformed_label_refused_naming_record(
+        self, tmp_path, name, dataset_file, gbm_file, capsys
+    ):
+        bad, rec_id = _edit_record(
+            dataset_file, tmp_path / "bad.json", 3, lambda r: r.update(is_iceberg=2)
+        )
+        pred = _half_submission(dataset_file, tmp_path / "submission.csv")
+        files = {"{bad}": bad, "{good}": dataset_file, "{gbm}": gbm_file, "{pred}": pred}
+        argv = [files.get(a, a) for a in MALFORMED_LABEL_RUNS[name]]
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"record 3 (id {rec_id!r}): is_iceberg must be 0 or 1, got 2" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("train-gbm", "--n-trees", 2),
+            ("train-gbm", "--n-trees", 2, "--val-ratio", 0),
+            ("train-cnn", "--epochs", 1),
+            ("stack", "--k-folds", 2),
+            ("curve", "--epochs", 1),
+            ("eval",),
+        ],
+    )
+    def test_learning_commands_need_every_label(self, tmp_path, argv, dataset_file, capsys):
+        bare, rec_id = _edit_record(
+            dataset_file, tmp_path / "bare.json", 5, lambda r: r.pop("is_iceberg")
+        )
+        if argv[0] == "eval":
+            pred = _half_submission(bare, tmp_path / "submission.csv")
+            argv = ("eval", "--pred", pred, "--truth", bare)
+        else:
+            argv = (*argv, "--input", bare)
+        assert run(*argv, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"record 5 (id {rec_id!r}): missing field 'is_iceberg'" in err
+        assert "Traceback" not in err

@@ -135,10 +135,17 @@ class TestParse:
         with pytest.raises(ValueError, match="is_iceberg"):
             parse_samples(raw, labeled=True)
 
-    def test_unlabeled_mode_drops_labels(self):
-        raw = json.dumps([make_record("a")])
-        s = parse_samples(raw, labeled=False)[0]
-        assert s.label is None
+    def test_unlabeled_mode_reads_labels_where_present(self):
+        bare = make_record("b")
+        del bare["is_iceberg"]
+        raw = json.dumps([make_record("a", label=0), bare])
+        assert parse_samples(raw, labeled=False).labels() == [0, None]
+        with pytest.raises(ValueError, match=r"record 1 \(id 'b'\): missing field 'is_iceberg'"):
+            parse_samples(raw, labeled=True)
+        for bad in (2, True, "1", None):
+            raw = json.dumps([make_record("a"), make_record("c", label=bad)])
+            with pytest.raises(ValueError, match=r"record 1 \(id 'c'\): is_iceberg must be"):
+                parse_samples(raw, labeled=False)
 
     def test_round_trip_identity(self):
         sset = synth_dataset(SynthConfig(n_samples=4, iceberg_fraction=0.5, seed=3))

@@ -71,6 +71,14 @@ class TestParams:
                     GbmParams(**{name: bad})
             assert getattr(GbmParams(**{name: np.int64(2)}), name) == 2
 
+    def test_shrinkage_refuses_non_numbers(self):
+        # True would boost at 1.0; a string would fail the range check with a TypeError.
+        for bad in (True, np.bool_(True), "0.1", None):
+            with pytest.raises(ValueError, match="shrinkage must be a number"):
+                GbmParams(shrinkage=bad)
+        assert GbmParams(shrinkage=np.float32(0.25)).shrinkage == 0.25
+        assert GbmParams(shrinkage=1).shrinkage == 1
+
 
 class TestFit:
     def test_single_class_rejected(self):

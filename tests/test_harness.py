@@ -13,7 +13,6 @@ from sarberg.harness import (
     write_composite_ppm,
     write_curve_csv,
     write_metrics_json,
-    write_report,
     write_submission,
 )
 from sarberg.mathutil import binary_logloss
@@ -139,10 +138,14 @@ class TestReport:
         assert doc["config"] == {"seed": 1}
 
     def test_report_writes_deterministic_bytes(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            write_report(out, HAND_PREDS, HAND_LABELS, {"seed": 2})
-        assert (a / "metrics.json").read_bytes() == (b / "metrics.json").read_bytes()
+        scene = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
+        written = []
+        for name in ("a", "b"):
+            summary = metrics_summary(HAND_PREDS, HAND_LABELS, {"seed": 2})
+            write_metrics_json(tmp_path / f"{name}.json", summary)
+            write_composite_ppm(scene, tmp_path / f"{name}.ppm")
+            written.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "ppm")])
+        assert written[0] == written[1]
 
     def test_composite_constant_sample_uniform(self, tmp_path):
         from sarberg.data import SarSample

@@ -2,9 +2,11 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
+import time
 import zipfile
 from functools import reduce
 from pathlib import Path
@@ -531,6 +533,27 @@ class TestSceneShards:
             for key in ("W", "b"):
                 expect = reduce(np.add, [p[key] for p in partials])
                 assert np.array_equal(grads[key], expect), (name, n, key)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_worker_restarts_in_forked_child(self, monkeypatch):
+        monkeypatch.setattr(layers_mod, "_USE_WORKER", True)
+        assert layers_mod._map_shards(lambda s: s.start, 8) == [0, 2, 4, 6]
+        pid = os.fork()
+        if pid == 0:  # the child inherits the parent's worker object, not its thread
+            ok = False
+            try:
+                ok = (layers_mod._map_shards(lambda s: s.start, 8) == [0, 2, 4, 6]
+                      and layers_mod._worker.is_alive())
+            finally:
+                os._exit(0 if ok else 1)
+        deadline = time.monotonic() + 30.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("forked child did not finish within 30 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
     def test_fit_identical_with_worker_and_inline(self, monkeypatch):
         sset = synth_dataset(SynthConfig(n_samples=16, iceberg_fraction=0.5, seed=5))

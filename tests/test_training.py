@@ -153,6 +153,14 @@ class TestFit:
         best = min(history.val_loss)
         assert loss_logloss(p, label_vector(val)) == pytest.approx(best, abs=1e-12)
 
+    def test_integer_fields_refuse_other_types(self):
+        # epochs=2.5 would fail inside fit; batch_size=True would train one scene at a time.
+        for name in ("epochs", "batch_size"):
+            for bad in (2.5, 3.0, True, "3", np.float64(2.0), np.bool_(True)):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    TrainConfig(**{name: bad})
+            assert getattr(TrainConfig(**{name: np.int64(2)}), name) == 2
+
     def test_empty_set_rejected(self):
         train, val = tiny_sets()
         empty = SampleSet((), provenance="synthetic")
