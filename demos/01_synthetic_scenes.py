@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from sarberg.data import SynthConfig, synth_dataset
-from sarberg.harness import write_composite_ppm
-from sarberg.imageops import write_pgm
+from sarberg.harness import write_composite_ppm, write_pgm
 
 OUT = Path(__file__).parent / "output" / "01_scenes"
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from sarberg.data import SynthConfig, synth_dataset
+from sarberg.harness import write_pgm
 from sarberg.imageops import (
     AugmentationPolicy,
     augment_dataset,
@@ -18,7 +19,6 @@ from sarberg.imageops import (
     rotate,
     sample_augmentation,
     shift,
-    write_pgm,
 )
 
 OUT = Path(__file__).parent / "output" / "02_transforms"

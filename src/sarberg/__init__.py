@@ -8,7 +8,7 @@ Submodules:
     nn        -- minimal CNN framework (layers, Adam, plateau LR, training)
     ensemble  -- out-of-fold predictions, blending, logistic stacking
     metrics   -- accuracy / confusion / logloss over prediction sets
-    harness   -- learning-curve experiment; submission, metrics and composite writers
+    harness   -- learning-curve experiment; the one writer of run artifacts
     cli       -- command-line pipeline (`sarberg --help`)
 """
 

@@ -18,11 +18,29 @@ train-cnn, stack and curve. The CLI builds and trains networks in float32
 Every command reads a scene's is_iceberg label where its record has one and
 refuses a malformed one. train-gbm, train-cnn, stack, curve and eval's --truth
 need a label on every record; the other commands take unlabeled scenes too.
-eval also copies a run's history CSV (--history) and renders composite_<id>.ppm
-for the --ids it names from --input.
 
-Each run writes its fully-resolved configuration into the output directory as
-resolved_config.json, so any result can be reproduced from the artifacts alone.
+Each run writes resolved_config.json into its --out directory: every option
+value the run used, its command and a created_utc timestamp. Each command also
+writes:
+
+    synth        samples.json
+    ingest       ingest_summary.json
+    augment      augmented.json
+    features     features.csv, correlation.csv (band statistics only)
+    train-gbm    gbm.json, metrics.json (on the validation split, or on the
+                 training set with --val-ratio 0)
+    pretrain-ae  ae.ckpt, ae_history.csv
+    train-cnn    cnn.ckpt, history.csv, metrics.json (validation split)
+    predict      submission.csv
+    stack        oof.csv, metrics.json (out-of-fold; with each member's
+                 logloss and the stacker's members, weights and bias)
+    eval         metrics.json; with --history, a copy of it as history.csv;
+                 with --input and --ids (each needs the other), one
+                 composite_<id>.ppm per id
+    curve        curve.csv
+
+`harness` writes every CSV and JSON report and every image; the model and
+dataset files are written next to their loaders.
 
 Each model is one file that carries its own serving preprocessing, including
 the fill angle (the training split's mean incidence angle, used wherever a
@@ -33,7 +51,6 @@ channel stats) and one .npy per parameter; a GBM is one JSON file, gbm.json.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -189,9 +206,7 @@ def _write_resolved(args: argparse.Namespace) -> None:
     doc = _settings(args)
     doc["command"] = args.command
     doc["created_utc"] = datetime.now(timezone.utc).isoformat()
-    with open(args.out / "resolved_config.json", "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)
-        f.write("\n")
+    harness.write_json(args.out / "resolved_config.json", doc)
 
 
 def _load_set(path: Path, labeled: bool = False) -> data.SampleSet:
@@ -244,9 +259,7 @@ def _cmd_ingest(args) -> None:
         "n_unlabeled": sum(1 for l in labels if l is None),
         "n_missing_angle": sum(1 for s in sset if s.inc_angle is None),
     }
-    with open(args.out / "ingest_summary.json", "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+    harness.write_json(args.out / "ingest_summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
 
 
@@ -266,13 +279,20 @@ def _cmd_features(args) -> None:
     sset = _load_set(args.input)
     imputed, mean_angle = data.impute_incidence(sset)
     ids, X, y = features.feature_matrix(imputed, mean_angle)
-    stat_cols = list(range(28))  # band statistics; angle columns can be constant
-    corr = features.correlation_matrix(X, stat_cols)  # refuses before any file is written
-    features.write_features_csv(args.out / "features.csv", ids, X, y)
-    features.write_correlation_csv(
+    # Correlate the band statistics only: the angle columns can be constant.
+    stats = features.FEATURE_NAMES[: features.FEATURE_NAMES.index("inc_angle")]
+    corr = features.correlation_matrix(X, range(len(stats)))  # refuses before any file is written
+    header = ["id", *features.FEATURE_NAMES]
+    rows = [[sample_id, *x] for sample_id, x in zip(ids, X)]
+    if y is not None:
+        header.append("label")
+        for row, label in zip(rows, y):
+            row.append(int(label))
+    harness.write_csv(args.out / "features.csv", header, rows)
+    harness.write_csv(
         args.out / "correlation.csv",
-        [features.FEATURE_NAMES[i] for i in stat_cols],
-        corr,
+        ["field", *stats],
+        ([name, *r] for name, r in zip(stats, corr)),
     )
     print(f"wrote features for {len(ids)} samples (mean angle {mean_angle:.4f})")
 
@@ -296,7 +316,7 @@ def _cmd_train_gbm(args) -> None:
     eval_set = val_set if val_set is not None else train_set
     preds = ensemble.gbm_predictor(model)(eval_set)
     summary = harness.metrics_summary(preds, _labels_of(eval_set), _settings(args))
-    harness.write_metrics_json(args.out / "metrics.json", summary)
+    harness.write_json(args.out / "metrics.json", summary)
     print(
         f"gbm trained: final train logloss {model.train_losses[-1]:.4f}, "
         f"eval logloss {summary['logloss']:.4f}"
@@ -309,10 +329,7 @@ def _cmd_pretrain_ae(args) -> None:
     net = nn.build_autoencoder(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
     net, losses = nn.fit_autoencoder(net, sset, cfg)
     nn.save_network(net, args.out / "ae.ckpt")
-    with open(args.out / "ae_history.csv", "w") as f:
-        f.write("epoch,recon_mse\n")
-        for i, loss in enumerate(losses):
-            f.write(f"{i + 1},{loss!r}\n")
+    harness.write_csv(args.out / "ae_history.csv", ["epoch", "recon_mse"], enumerate(losses, 1))
     print(f"autoencoder: epoch-1 mse {losses[0]:.5f}, final mse {losses[-1]:.5f}")
 
 
@@ -331,11 +348,16 @@ def _cmd_train_cnn(args) -> None:
         net = nn.transfer_encoder(ae, net)
     net, history = nn.fit(net, train_set, val_set, cfg)
     nn.save_network(net, args.out / "cnn.ckpt")
-    nn.write_history_csv(args.out / "history.csv", history)
+    harness.write_csv(
+        args.out / "history.csv",
+        ["epoch", "train_loss", "val_loss", "train_acc", "val_acc", "lr"],
+        zip(range(1, len(history) + 1), history.train_loss, history.val_loss,
+            history.train_acc, history.val_acc, history.lr),
+    )
 
     preds = ensemble.cnn_predictor(net)(val_set)
     summary = harness.metrics_summary(preds, _labels_of(val_set), _settings(args))
-    harness.write_metrics_json(args.out / "metrics.json", summary)
+    harness.write_json(args.out / "metrics.json", summary)
     best = history.best_epoch()
     print(
         f"cnn trained: best epoch {best + 1}, val logloss {history.val_loss[best]:.4f}, "
@@ -375,23 +397,12 @@ def _cmd_stack(args) -> None:
     y = np.asarray([s.label for s in sset], dtype=np.float64)
     stacker = ensemble.fit_stacker(oof, y)
 
-    with open(args.out / "oof.csv", "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["id", "fold", *oof.members])
-        for i, sample_id in enumerate(oof.ids):
-            writer.writerow([sample_id, int(oof.fold_of[i]), *map(float, oof.values[i])])
-    with open(args.out / "stacker.json", "w") as f:
-        json.dump(
-            {
-                "members": list(stacker.members),
-                "weights": stacker.weights.tolist(),
-                "bias": stacker.bias,
-            },
-            f,
-            indent=2,
-            sort_keys=True,
-        )
-        f.write("\n")
+    harness.write_csv(
+        args.out / "oof.csv",
+        ["id", "fold", *oof.members],
+        ([sample_id, int(fold), *values]
+         for sample_id, fold, values in zip(oof.ids, oof.fold_of, oof.values)),
+    )
 
     member_preds = [
         {i: float(v) for i, v in zip(oof.ids, oof.values[:, m])}
@@ -404,7 +415,12 @@ def _cmd_stack(args) -> None:
         name: metrics.metric_logloss(member_preds[m], labels)
         for m, name in enumerate(oof.members)
     }
-    harness.write_metrics_json(args.out / "metrics.json", summary)
+    summary["stacker"] = {
+        "members": list(stacker.members),
+        "weights": stacker.weights.tolist(),
+        "bias": stacker.bias,
+    }
+    harness.write_json(args.out / "metrics.json", summary)
     print(
         f"stacked oof logloss {summary['logloss']:.4f} "
         f"(members: {summary['member_logloss']})"
@@ -412,6 +428,9 @@ def _cmd_stack(args) -> None:
 
 
 def _cmd_eval(args) -> None:
+    if (args.input is None) != (args.ids is None):  # composites need both
+        given, needed = ("--ids", "--input") if args.input is None else ("--input", "--ids")
+        raise ValueError(f"{given} needs {needed}")
     given = (args.pred, args.truth, args.history, args.input)
     missing = [str(p) for p in given if p is not None and not p.exists()]
     if missing:
@@ -420,14 +439,14 @@ def _cmd_eval(args) -> None:
     preds = harness.read_submission(args.pred)
     truth = _load_set(args.truth, labeled=True)
     composites = []
-    if args.input is not None and args.ids:
+    if args.input is not None:
         wanted = {t.strip() for t in args.ids.split(",") if t.strip()}
         composites = [s for s in _load_set(args.input) if s.id in wanted]
         absent = wanted - {s.id for s in composites}
         if absent:
             raise ValueError(f"ids not in dataset: {sorted(absent)}")
     summary = harness.metrics_summary(preds, _labels_of(truth), _settings(args))
-    harness.write_metrics_json(args.out / "metrics.json", summary)
+    harness.write_json(args.out / "metrics.json", summary)
     for s in composites:
         harness.write_composite_ppm(s, args.out / f"composite_{s.id}.ppm")
     if args.history is not None:
@@ -444,7 +463,11 @@ def _cmd_curve(args) -> None:
     rows = harness.learning_curve(
         sset, fractions, _train_config(args), multiplier=args.multiplier
     )
-    harness.write_curve_csv(args.out / "curve.csv", rows)
+    harness.write_csv(
+        args.out / "curve.csv",
+        ["fraction", "n_samples", "train_loss", "val_loss", "gap"],
+        ([r.fraction, r.n_samples, r.train_loss, r.val_loss, r.gap] for r in rows),
+    )
     for r in rows:
         print(
             f"fraction {r.fraction:.2f}: n={r.n_samples}, "

@@ -7,7 +7,6 @@ the incidence angle and a flag marking angles imputed rather than measured.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -177,29 +176,3 @@ def correlation_matrix(
     np.fill_diagonal(corr, 1.0)
     return corr
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-
-def write_features_csv(
-    path, ids: Sequence[str], X: np.ndarray, y: np.ndarray | None = None
-) -> None:
-    """Feature table with the fixed header; label column only when y given."""
-    header = ["id", *FEATURE_NAMES] + (["label"] if y is not None else [])
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i, sample_id in enumerate(ids):
-            row = [sample_id] + [repr(float(v)) for v in X[i]]
-            if y is not None:
-                row.append(str(int(y[i])))
-            writer.writerow(row)
-
-
-def write_correlation_csv(path, names: Sequence[str], corr: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["field", *names])
-        for name, row in zip(names, corr):
-            writer.writerow([name] + [repr(float(v)) for v in row])

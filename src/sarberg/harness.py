@@ -1,5 +1,11 @@
-"""Experiment harness: the data-size learning curve, and the submission,
-metrics and composite-image writers."""
+"""The data-size learning curve, and the one writer of run artifacts.
+
+Every CSV and JSON report a CLI run leaves in its output directory is written
+here, by `write_csv` and `write_json`, and so are the 8-bit preview images
+(`write_composite_ppm`, `write_pgm`). The model and dataset files keep their
+formats next to their loaders: `nn.save_network`, `gbm.serialize_gbm` and
+`data.serialize_samples`.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -83,14 +89,28 @@ def learning_curve(
     return rows
 
 
-def write_curve_csv(path, rows: Sequence[CurveRow]) -> None:
+# ---------------------------------------------------------------------------
+# CSV and JSON reports
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A CSV file with LF line ends. Each float, numpy's too, is written as the
+    shortest repr of its float64 value, so the file gives back the exact value;
+    a field that holds a comma or a quote is quoted."""
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["fraction", "n_samples", "train_loss", "val_loss", "gap"])
-        for r in rows:
-            writer.writerow(
-                [repr(r.fraction), r.n_samples, repr(r.train_loss), repr(r.val_loss), repr(r.gap)]
-            )
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, (float, np.floating)) else v for v in row]
+            for row in rows
+        )
+
+
+def write_json(path, doc: dict) -> None:
+    """A JSON report: keys sorted, indented by 2, ending in a newline."""
+    with open(path, "w") as f:
+        json.dump(doc, f, sort_keys=True, indent=2)
+        f.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +121,7 @@ def write_submission(preds: Mapping[str, float], path) -> None:
     """Competition-format CSV: header `id,is_iceberg`, each probability as its
     shortest round-trip repr, so the file gives back the exact values. An id
     that holds a comma or a quote is quoted; other rows are `id,p`."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["id", "is_iceberg"])
-        writer.writerows((sample_id, float(p)) for sample_id, p in preds.items())
+    write_csv(path, ["id", "is_iceberg"], ((i, float(p)) for i, p in preds.items()))
 
 
 def read_submission(path) -> PredictionSet:
@@ -154,28 +171,36 @@ def metrics_summary(
     }
 
 
-def write_metrics_json(path, summary: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(summary, f, sort_keys=True, indent=2)
-        f.write("\n")
+# ---------------------------------------------------------------------------
+# 8-bit images
+
+
+def _to_uint8(plane: np.ndarray) -> np.ndarray:
+    """Linear min-max scaling onto 0..255; a constant plane maps to 0."""
+    lo, hi = float(plane.min()), float(plane.max())
+    if hi > lo:
+        return np.round((plane - lo) / (hi - lo) * 255.0).astype(np.uint8)
+    return np.zeros(plane.shape, dtype=np.uint8)
 
 
 def composite_rgb(sample: SarSample) -> np.ndarray:
     """False-color composite: R=hh, G=hv, B=(hh+hv)/2, each min-max scaled."""
     hh, hv = sample.hh, sample.hv
-    channels = []
-    for plane in (hh, hv, (hh + hv) / 2.0):
-        lo, hi = float(plane.min()), float(plane.max())
-        if hi > lo:
-            channels.append(np.round((plane - lo) / (hi - lo) * 255.0))
-        else:
-            channels.append(np.zeros_like(plane))
-    return np.stack(channels, axis=-1).astype(np.uint8)
+    return np.stack([_to_uint8(p) for p in (hh, hv, (hh + hv) / 2.0)], axis=-1)
+
+
+def _write_netpbm(path, magic: str, pixels: np.ndarray) -> None:
+    h, w = pixels.shape[:2]
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{w} {h}\n255\n".encode("ascii"))
+        f.write(pixels.tobytes())
 
 
 def write_composite_ppm(sample: SarSample, path) -> None:
-    rgb = composite_rgb(sample)
-    h, w, _ = rgb.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(rgb.tobytes())
+    """The false-color composite as binary 8-bit PPM."""
+    _write_netpbm(path, "P6", composite_rgb(sample))
+
+
+def write_pgm(arr: np.ndarray, path) -> None:
+    """A 2-D image as binary 8-bit PGM with linear min-max scaling."""
+    _write_netpbm(path, "P5", _to_uint8(arr))

@@ -222,20 +222,3 @@ def augment_dataset(
             out.append(sample_augmentation(s, policy, rng, id_suffix=f"#aug{j}"))
     return SampleSet(tuple(out), provenance="augmented")
 
-
-# ---------------------------------------------------------------------------
-# Debug output
-
-
-def write_pgm(arr: np.ndarray, path) -> None:
-    """Dump a 2-D image as binary 8-bit PGM with linear min-max scaling."""
-    lo = float(arr.min())
-    hi = float(arr.max())
-    if hi > lo:
-        scaled = np.round((arr - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    else:
-        scaled = np.zeros(arr.shape, dtype=np.uint8)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(scaled.tobytes())

@@ -3,7 +3,6 @@ and best-epoch restore for the classifier."""
 
 from __future__ import annotations
 
-import csv
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable
@@ -69,23 +68,6 @@ class History:
 
     def best_epoch(self) -> int:
         return int(np.argmin(self.val_loss))
-
-
-def write_history_csv(path, history: History) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["epoch", "train_loss", "val_loss", "train_acc", "val_acc", "lr"])
-        for i in range(len(history)):
-            writer.writerow(
-                [
-                    i + 1,
-                    repr(history.train_loss[i]),
-                    repr(history.val_loss[i]),
-                    repr(history.train_acc[i]),
-                    repr(history.val_acc[i]),
-                    repr(history.lr[i]),
-                ]
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,18 @@ import numpy as np
 import pytest
 
 import sarberg
-from sarberg.cli import cli_main
+from sarberg.cli import _build_parser, cli_main
 from sarberg.data import (
     SampleSet,
     SarSample,
     SynthConfig,
+    impute_incidence,
     parse_samples,
     serialize_samples,
     split_train_validation,
     synth_dataset,
 )
-from sarberg.features import feature_matrix
+from sarberg.features import FEATURE_NAMES, correlation_matrix, feature_matrix
 from sarberg.gbm import deserialize_gbm, predict_gbm
 from sarberg.harness import read_submission, write_composite_ppm, write_submission
 from sarberg.nn import load_network, prepare_inputs
@@ -43,7 +44,40 @@ def run(*argv):
     return cli_main([str(a) for a in argv])
 
 
+# Each subcommand's options, as `_build_parser` declares them: a new knob is a
+# deliberate change to this table.
+OPTIONS = {
+    "synth": ["--config", "--out", "--seed", "--n-samples", "--iceberg-fraction",
+              "--speckle-looks"],
+    "ingest": ["--config", "--out", "--input"],
+    "augment": ["--config", "--out", "--seed", "--input", "--multiplier", "--width-shift",
+                "--height-shift", "--rotation-max"],
+    "features": ["--config", "--out", "--input"],
+    "train-gbm": ["--config", "--out", "--seed", "--input", "--n-trees", "--max-depth",
+                  "--shrinkage", "--min-samples-leaf", "--val-ratio"],
+    "pretrain-ae": ["--config", "--out", "--seed", "--input", "--epochs", "--batch-size",
+                    "--lr0", "--channels"],
+    "train-cnn": ["--config", "--out", "--seed", "--input", "--epochs", "--batch-size",
+                  "--lr0", "--channels", "--val-ratio", "--init-from", "--multiplier"],
+    "predict": ["--config", "--out", "--input", "--model"],
+    "stack": ["--config", "--out", "--seed", "--input", "--k-folds", "--cnn-epochs",
+              "--n-trees"],
+    "eval": ["--config", "--out", "--pred", "--truth", "--history", "--input", "--ids"],
+    "curve": ["--config", "--out", "--seed", "--input", "--fractions", "--epochs",
+              "--batch-size", "--lr0", "--channels", "--multiplier"],
+}
+
+
 class TestParsing:
+    def test_option_table(self):
+        _, commands = _build_parser()
+        declared = {
+            name: [flag for a in p._actions if a.dest != "help" for flag in a.option_strings]
+            for name, p in commands.items()
+        }
+        assert declared == OPTIONS
+        assert len(OPTIONS) == 11 and sum(map(len, OPTIONS.values())) == 76
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run("frobnicate", "--out", "x") == 2
         assert "usage" in capsys.readouterr().err.lower()
@@ -291,6 +325,18 @@ class TestPipeline:
         assert code == 1
         assert "ids not in dataset: ['ghost']" in capsys.readouterr().err
         assert not list(out.glob("*.ppm")) and not (out / "metrics.json").exists()
+
+    def test_eval_ids_and_input_need_each_other(self, tmp_path, dataset_file, capsys):
+        pred = _half_submission(dataset_file, tmp_path / "submission.csv")
+        for extra, message in [
+            (("--ids", "synth_000001,ghost"), "--ids needs --input"),
+            (("--input", dataset_file), "--input needs --ids"),
+        ]:
+            out = tmp_path / extra[0].strip("-")
+            code = run("eval", "--pred", pred, "--truth", dataset_file, *extra, "--out", out)
+            assert code == 1, extra
+            assert message in capsys.readouterr().err, extra
+            assert not (out / "metrics.json").exists(), extra
 
     def test_features_refusal_writes_no_file(self, tmp_path, dataset_file, capsys):
         one = parse_samples(dataset_file.read_bytes(), labeled=True)[0]
@@ -541,6 +587,109 @@ class TestRepeatRuns:
         )
         rows = files["curve.csv"].decode().splitlines()
         assert rows[0] == "fraction,n_samples,train_loss,val_loss,gap" and len(rows) == 3
+
+
+@pytest.fixture(scope="module")
+def artifact_root(dataset_file, tmp_path_factory):
+    """Every command run once on the 24 scenes, each into root/<command>."""
+    root = tmp_path_factory.mktemp("artifacts")
+    data = dataset_file
+    for argv in [
+        ("synth", "--n-samples", 6, "--seed", 1),
+        ("ingest", "--input", data),
+        ("augment", "--input", data, "--seed", 1),
+        ("features", "--input", data),
+        ("train-gbm", "--input", data, "--n-trees", 5, "--seed", 1),
+        ("pretrain-ae", "--input", data, "--epochs", 1, "--batch-size", 8),
+        ("train-cnn", "--input", data, "--epochs", 1, "--batch-size", 8,
+         "--init-from", root / "pretrain-ae" / "ae.ckpt"),
+        ("predict", "--input", data, "--model", root / "train-gbm" / "gbm.json"),
+        ("stack", "--input", data, "--k-folds", 2, "--cnn-epochs", 1, "--n-trees", 5),
+        ("eval", "--pred", root / "predict" / "submission.csv", "--truth", data,
+         "--history", root / "train-cnn" / "history.csv", "--input", data,
+         "--ids", "synth_000001"),
+        ("curve", "--input", data, "--fractions", "0.5,1.0", "--epochs", 1,
+         "--batch-size", 4),
+    ]:
+        assert run(*argv, "--out", root / argv[0]) == 0, argv[0]
+    return root
+
+
+BAND_STATS = FEATURE_NAMES[: FEATURE_NAMES.index("inc_angle")]
+
+CSV_HEADERS = {
+    "features.csv": ["id", *FEATURE_NAMES, "label"],
+    "correlation.csv": ["field", *BAND_STATS],
+    "ae_history.csv": ["epoch", "recon_mse"],
+    "history.csv": ["epoch", "train_loss", "val_loss", "train_acc", "val_acc", "lr"],
+    "submission.csv": ["id", "is_iceberg"],
+    "oof.csv": ["id", "fold", "gbm", "cnn"],
+    "curve.csv": ["fraction", "n_samples", "train_loss", "val_loss", "gap"],
+}
+
+JSON_REPORTS = ("resolved_config.json", "metrics.json", "ingest_summary.json")
+
+
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
+class TestArtifacts:
+    """The files each command writes: one CSV format and one JSON format."""
+
+    def test_csv_files_start_with_header_and_end_lines_with_lf(self, artifact_root):
+        written = sorted(artifact_root.rglob("*.csv"))
+        assert {p.name for p in written} == set(CSV_HEADERS)
+        assert [p.relative_to(artifact_root) for p in written if b"\r" in p.read_bytes()] == []
+        for path in written:
+            raw = path.read_bytes()
+            assert raw.startswith((",".join(CSV_HEADERS[path.name]) + "\n").encode()), path
+            assert raw.endswith(b"\n"), path
+
+    def test_json_reports_parse_and_end_with_newline(self, artifact_root):
+        written = sorted(p for name in JSON_REPORTS for p in artifact_root.rglob(name))
+        assert len(written) == 11 + 4 + 1  # every command; 4 metrics; ingest
+        for path in written:
+            raw = path.read_bytes()
+            assert isinstance(json.loads(raw), dict), path
+            assert raw.endswith(b"}\n"), path
+
+    def test_feature_csv_header(self, artifact_root, dataset_file):
+        rows = _csv_rows(artifact_root / "features" / "features.csv")
+        sset = parse_samples(dataset_file.read_bytes(), labeled=True)
+        ids, X, y = feature_matrix(*impute_incidence(sset))
+        assert rows[0] == CSV_HEADERS["features.csv"] and len(rows) == 25
+        # every value round-trips exactly; labels are written as integers
+        assert [r[0] for r in rows[1:]] == ids
+        assert np.array_equal(np.array([r[1:-1] for r in rows[1:]], dtype=float), X)
+        assert [r[-1] for r in rows[1:]] == [str(int(v)) for v in y]
+
+    def test_correlation_csv(self, artifact_root, dataset_file):
+        rows = _csv_rows(artifact_root / "features" / "correlation.csv")
+        sset = parse_samples(dataset_file.read_bytes(), labeled=True)
+        _, X, _ = feature_matrix(*impute_incidence(sset))
+        assert rows[0] == ["field", *BAND_STATS] and len(BAND_STATS) == 28
+        assert [r[0] for r in rows[1:]] == list(BAND_STATS)
+        expected = correlation_matrix(X, range(len(BAND_STATS)))
+        assert np.array_equal(np.array([r[1:] for r in rows[1:]], dtype=float), expected)
+
+    def test_history_csv_header_and_rows(self, artifact_root):
+        written = artifact_root / "train-cnn" / "history.csv"
+        rows = _csv_rows(written)
+        assert rows[0] == CSV_HEADERS["history.csv"]
+        assert len(rows) == 2 and rows[1][0] == "1" and rows[1][-1] == "0.001"
+        assert all(np.isfinite(float(v)) for v in rows[1][1:])
+        copy = artifact_root / "eval" / "history.csv"
+        assert copy.read_bytes() == written.read_bytes()
+
+    def test_stack_records_stacker_in_metrics(self, artifact_root):
+        out = artifact_root / "stack"
+        assert not (out / "stacker.json").exists()
+        stacker = json.loads((out / "metrics.json").read_text())["stacker"]
+        assert stacker["members"] == ["gbm", "cnn"]
+        assert len(stacker["weights"]) == 2
+        assert all(isinstance(v, float) for v in [*stacker["weights"], stacker["bias"]])
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,6 @@ from sarberg.features import (
     feature_matrix,
     feature_vector,
     normalize_incidence,
-    write_correlation_csv,
-    write_features_csv,
 )
 
 
@@ -300,38 +298,3 @@ class TestCorrelation:
         X = np.random.default_rng(15).normal(size=(8, 30))
         corr = correlation_matrix(X, fields=[0, 3, 7])
         assert corr.shape == (3, 3)
-
-
-class TestCsvExport:
-    def test_feature_csv_header(self, tmp_path):
-        rng = np.random.default_rng(16)
-        samples = SampleSet(
-            tuple(
-                SarSample(
-                    id=f"s{i}",
-                    hh=plane(rng.normal(size=(5, 5))),
-                    hv=plane(rng.normal(size=(5, 5))),
-                    inc_angle=30.0,
-                    label=i % 2,
-                )
-                for i in range(4)
-            )
-        )
-        ids, X, y = feature_matrix(samples, 30.0)
-        path = tmp_path / "features.csv"
-        write_features_csv(path, ids, X, y)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "id," + ",".join(FEATURE_NAMES) + ",label"
-        assert len(lines) == 5
-        # values round-trip exactly through repr
-        first = lines[1].split(",")
-        assert float(first[1]) == X[0, 0]
-
-    def test_correlation_csv(self, tmp_path):
-        X = np.random.default_rng(17).normal(size=(6, 3))
-        corr = correlation_matrix(X)
-        path = tmp_path / "corr.csv"
-        write_correlation_csv(path, ["a", "b", "c"], corr)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "field,a,b,c"
-        assert len(lines) == 4

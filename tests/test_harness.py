@@ -1,5 +1,6 @@
 """Metrics, submission files, reports, and the learning-curve harness."""
 
+import csv
 import json
 
 import numpy as np
@@ -11,8 +12,8 @@ from sarberg.harness import (
     metrics_summary,
     read_submission,
     write_composite_ppm,
-    write_curve_csv,
-    write_metrics_json,
+    write_csv,
+    write_json,
     write_submission,
 )
 from sarberg.mathutil import binary_logloss
@@ -125,11 +126,33 @@ class TestSubmission:
             assert str(err.value) == f"{path} {message}", row
 
 
+class TestWriteCsv:
+    def test_floats_written_as_float64_repr(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["id", "n", "x"], [
+            ("a", 1, np.float32(0.1)),  # csv alone would write str(): 0.1
+            ("b", np.int64(2), np.float64(1.0) / 3.0),  # ...and np.float64(...)
+            ("c", 3, 2.0**-40),
+        ])
+        assert path.read_bytes() == (
+            b"id,n,x\na,1,0.10000000149011612\nb,2,0.3333333333333333\n"
+            b"c,3,9.094947017729282e-13\n"
+        )
+
+    def test_awkward_fields_quoted_and_read_back(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [("a,0", 0.5), ('b"1', 0.25), (" c", 1.0)]
+        write_csv(path, ["id", "p"], rows)
+        assert b"\r" not in path.read_bytes()
+        with open(path, newline="") as f:
+            assert [tuple(r) for r in csv.reader(f)][1:] == [(i, repr(p)) for i, p in rows]
+
+
 class TestReport:
     def test_metrics_json_recomputable(self, tmp_path):
         summary = metrics_summary(HAND_PREDS, HAND_LABELS, {"seed": 1})
         path = tmp_path / "metrics.json"
-        write_metrics_json(path, summary)
+        write_json(path, summary)
         doc = json.loads(path.read_text())
         assert doc["logloss"] == pytest.approx(
             metric_logloss(HAND_PREDS, HAND_LABELS), abs=1e-12
@@ -142,7 +165,7 @@ class TestReport:
         written = []
         for name in ("a", "b"):
             summary = metrics_summary(HAND_PREDS, HAND_LABELS, {"seed": 2})
-            write_metrics_json(tmp_path / f"{name}.json", summary)
+            write_json(tmp_path / f"{name}.json", summary)
             write_composite_ppm(scene, tmp_path / f"{name}.ppm")
             written.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "ppm")])
         assert written[0] == written[1]
@@ -214,8 +237,9 @@ class TestLearningCurve:
 
         rows = [CurveRow(0.1, 10, 0.5, 0.7), CurveRow(1.0, 100, 0.3, 0.35)]
         path = tmp_path / "curve.csv"
-        write_curve_csv(path, rows)
+        write_csv(path, ["fraction", "n_samples", "train_loss", "val_loss", "gap"],
+                  [(r.fraction, r.n_samples, r.train_loss, r.val_loss, r.gap) for r in rows])
         lines = path.read_text().splitlines()
         assert lines[0] == "fraction,n_samples,train_loss,val_loss,gap"
-        assert len(lines) == 3
-        assert float(lines[1].split(",")[4]) == pytest.approx(0.2)
+        assert lines[1].startswith("0.1,10,0.5,0.7,") and len(lines) == 3
+        assert float(lines[1].split(",")[4]) == rows[0].gap == pytest.approx(0.2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sarberg.data import SampleSet, SarSample
+from sarberg.harness import write_pgm
 from sarberg.imageops import (
     AugmentationPolicy,
     augment_dataset,
@@ -16,7 +17,6 @@ from sarberg.imageops import (
     sample_augmentation,
     shift,
     sobel,
-    write_pgm,
 )
 
 

@@ -22,7 +22,6 @@ from sarberg.nn import (
     input_tensor,
     loss_logloss,
     prepare_inputs,
-    write_history_csv,
 )
 from sarberg.nn.training import channel_planes
 
@@ -212,17 +211,3 @@ class TestAutoencoderFit:
             build_autoencoder(3, seed=1, conv_widths=(2, 2, 2)), train, tiny_cfg()
         )
         assert l1 == l2
-
-
-class TestHistoryCsv:
-    def test_header_and_rows(self, tmp_path):
-        train, val = tiny_sets(n=8, seed=9)
-        _, history = fit(tiny_net(seed=7), train, val, tiny_cfg())
-        path = tmp_path / "history.csv"
-        write_history_csv(path, history)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "epoch,train_loss,val_loss,train_acc,val_acc,lr"
-        assert len(lines) == 3
-        assert lines[1].startswith("1,")
-        # float fields round-trip exactly
-        assert float(lines[1].split(",")[1]) == history.train_loss[0]
