@@ -34,7 +34,7 @@ writes:
     predict      submission.csv
     stack        oof.csv, metrics.json (out-of-fold; with each member's
                  logloss and the stacker's members, weights and bias)
-    eval         metrics.json; with --history, a copy of it as history.csv;
+    eval         metrics.json; with --history, a byte copy of it as history.csv;
                  with --input and --ids (each needs the other), one
                  composite_<id>.ppm per id
     curve        curve.csv
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -431,6 +432,9 @@ def _cmd_eval(args) -> None:
     if (args.input is None) != (args.ids is None):  # composites need both
         given, needed = ("--ids", "--input") if args.input is None else ("--input", "--ids")
         raise ValueError(f"{given} needs {needed}")
+    wanted = {t.strip() for t in (args.ids or "").split(",") if t.strip()}
+    if args.ids is not None and not wanted:
+        raise ValueError(f"--ids names no id: {args.ids!r}")
     given = (args.pred, args.truth, args.history, args.input)
     missing = [str(p) for p in given if p is not None and not p.exists()]
     if missing:
@@ -440,7 +444,6 @@ def _cmd_eval(args) -> None:
     truth = _load_set(args.truth, labeled=True)
     composites = []
     if args.input is not None:
-        wanted = {t.strip() for t in args.ids.split(",") if t.strip()}
         composites = [s for s in _load_set(args.input) if s.id in wanted]
         absent = wanted - {s.id for s in composites}
         if absent:
@@ -450,7 +453,7 @@ def _cmd_eval(args) -> None:
     for s in composites:
         harness.write_composite_ppm(s, args.out / f"composite_{s.id}.ppm")
     if args.history is not None:
-        (args.out / "history.csv").write_text(args.history.read_text())
+        shutil.copyfile(args.history, args.out / "history.csv")
     print(
         f"logloss {summary['logloss']:.6f}, accuracy {summary['accuracy']:.4f} "
         f"on {summary['n']} samples"

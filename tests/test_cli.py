@@ -338,6 +338,26 @@ class TestPipeline:
             assert message in capsys.readouterr().err, extra
             assert not (out / "metrics.json").exists(), extra
 
+    def test_eval_ids_naming_no_id_refused(self, tmp_path, dataset_file, capsys):
+        pred = _half_submission(dataset_file, tmp_path / "submission.csv")
+        for k, ids in enumerate([",", " , ,"]):
+            out = tmp_path / f"case{k}"
+            code = run("eval", "--pred", pred, "--truth", dataset_file,
+                       "--input", dataset_file, "--ids", ids, "--out", out)
+            assert code == 1, ids
+            assert "--ids names no id" in capsys.readouterr().err, ids
+            assert not (out / "metrics.json").exists(), ids
+
+    def test_eval_history_copied_byte_for_byte(self, tmp_path, dataset_file):
+        pred = _half_submission(dataset_file, tmp_path / "submission.csv")
+        history = tmp_path / "history.csv"
+        history.write_bytes(b"epoch,train_loss\r\n1,0.5\r\n2,0.4 \xff\r\n")  # CRLF, not UTF-8
+        out = tmp_path / "eval"
+        code = run("eval", "--pred", pred, "--truth", dataset_file,
+                   "--history", history, "--out", out)
+        assert code == 0
+        assert (out / "history.csv").read_bytes() == history.read_bytes()
+
     def test_features_refusal_writes_no_file(self, tmp_path, dataset_file, capsys):
         one = parse_samples(dataset_file.read_bytes(), labeled=True)[0]
         for name, scenes, message in [

@@ -1,15 +1,24 @@
 """Out-of-fold generation, the logistic stacker, and fixed blends."""
 
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sarberg.data import SampleSet, SarSample
+import sarberg
+from sarberg.data import SampleSet, SarSample, SynthConfig, split_train_validation, synth_dataset
 from sarberg.ensemble import (
     OofMatrix,
     Stacker,
     blend,
+    cnn_predictor,
     fit_stacker,
     gbm_predictor,
     gbm_trainer,
@@ -20,6 +29,7 @@ from sarberg.ensemble import (
 )
 from sarberg.gbm import GbmParams
 from sarberg.mathutil import binary_logloss, logit, sigmoid
+from sarberg.nn import TrainConfig, build_classifier, fit
 
 
 def labeled_set(n=40, seed=0):
@@ -51,6 +61,57 @@ def cheating_trainer(lo=0.001, hi=0.999):
         return lambda _train_rows: lambda hold_rows: np.where(y[hold_rows] == 1, hi, lo)
 
     return member
+
+
+def tiny_cnn_trainer():
+    """A CNN member of conv widths (2, 2, 2), trained for one epoch per fold."""
+    cfg = TrainConfig(epochs=1, batch_size=8, seed=3, dtype="float32")
+
+    def member(sset):
+        def rows(r):
+            return SampleSet(tuple(sset[i] for i in r), provenance=sset.provenance)
+
+        def fit_fold(train_rows):
+            train, val = split_train_validation(rows(train_rows), 0.25, cfg.seed)
+            net = build_classifier(
+                len(cfg.channels), cfg.seed, conv_widths=(2, 2, 2), dense_width=4,
+                dtype=np.float32,
+            )
+            predict = cnn_predictor(fit(net, train, val, cfg)[0])
+            return lambda hold_rows: np.fromiter(predict(rows(hold_rows)).values(), np.float64)
+
+        return fit_fold
+
+    return member
+
+
+def fold_trainer(fold_of, on_fold):
+    """A member whose predict calls on_fold(fold, in_child) and then predicts 0.5."""
+    parent = os.getpid()
+
+    def predict(hold_rows):
+        on_fold(int(fold_of[hold_rows[0]]), os.getpid() != parent)
+        return np.full(hold_rows.size, 0.5)
+
+    return lambda _sset: lambda _train_rows: predict
+
+
+def bounded_oof(*args):
+    """oof_predictions, failed after 30 s. Whether it returns or raises, it
+    must leave no child process behind."""
+
+    def expire(signum, frame):
+        raise TimeoutError("oof_predictions did not return within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 30.0)
+    try:
+        return oof_predictions(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestStratifiedFolds:
@@ -139,6 +200,106 @@ class TestOofPredictions:
         trainers = {"gbm": gbm_trainer(GbmParams(n_trees=3, min_samples_leaf=1))}
         with pytest.raises(ValueError, match="fold 0.*inc_angle"):
             oof_predictions(sset, trainers, k_folds=2, seed=4)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the folds are shared only through os.fork")
+class TestForkedFolds:
+    K, SEED = 5, 1
+
+    def folds(self, sset):
+        return stratified_folds(np.array(sset.labels()), self.K, self.SEED)
+
+    def per_fold_loop(self, sset, member):
+        """The OOF column as one process computes it, fold after fold."""
+        fold_of = self.folds(sset)
+        expected = np.full(len(sset), np.nan)
+        for fold in range(self.K):
+            hold = fold_of == fold
+            expected[hold] = member(sset)(np.flatnonzero(~hold))(np.flatnonzero(hold))
+        return expected
+
+    @pytest.mark.parametrize("name", ["gbm", "cheat", "cnn"])
+    def test_oof_bitwise_equal_to_one_process_loop(self, name):
+        if name == "cnn":
+            sset, member = synth_dataset(SynthConfig(n_samples=20, seed=4)), tiny_cnn_trainer()
+        else:
+            sset = labeled_set(45, seed=11)
+            member = {"gbm": gbm_trainer(GbmParams(n_trees=12, max_depth=2)),
+                      "cheat": cheating_trainer()}[name]
+        oof = bounded_oof(sset, {name: member}, self.K, self.SEED)
+        assert np.array_equal(oof.fold_of, self.folds(sset))
+        assert oof.values[:, 0].tobytes() == self.per_fold_loop(sset, member).tobytes()
+
+    def test_lowest_refused_fold_named_from_either_process(self):
+        sset = labeled_set(40)
+        fold_of = self.folds(sset)
+        named_by = set()
+        for lowest in range(self.K):
+            for refused in (range(lowest, self.K), [lowest]):
+                def refuse(fold, in_child, refused=refused):
+                    if fold in refused:
+                        raise ValueError(f"refused in the {'child' if in_child else 'parent'}")
+
+                trainers = {"ok": constant_trainer(0.5), "bad": fold_trainer(fold_of, refuse)}
+                with pytest.raises(ValueError) as info:
+                    bounded_oof(sset, trainers, self.K, self.SEED)
+                found = re.fullmatch(
+                    rf"fold {lowest}, member 'bad': refused in the (parent|child)", str(info.value)
+                )
+                assert found, (lowest, list(refused), str(info.value))
+                named_by.add(found[1])
+        assert named_by == {"parent", "child"}
+
+    @pytest.mark.parametrize("failure", ["exit", "type_error"])
+    def test_failed_child_names_its_folds(self, failure):
+        sset = labeled_set(40)
+        ran_here = []
+
+        def fail_in_child(fold, in_child):
+            if not in_child:
+                ran_here.append(fold)
+            elif failure == "exit":
+                os._exit(3)
+            else:
+                raise TypeError("not a refusal")
+
+        member = fold_trainer(self.folds(sset), fail_in_child)
+        with pytest.raises(RuntimeError) as info:
+            bounded_oof(sset, {"m": member}, self.K, self.SEED)
+        child_folds = sorted(set(range(self.K)) - set(ran_here))
+        assert child_folds and str(child_folds) in str(info.value)
+        assert f"status {3 if failure == 'exit' else 1}" in str(info.value)
+
+    def test_failed_parent_kills_child(self):
+        sset = labeled_set(40)
+
+        def stall_child(fold, in_child):
+            if in_child:
+                time.sleep(60)
+            raise TypeError("not a refusal")
+
+        member = fold_trainer(self.folds(sset), stall_child)
+        with pytest.raises(TypeError, match="not a refusal"):  # within bounded_oof's 30 s
+            bounded_oof(sset, {"m": member}, self.K, self.SEED)
+
+    def test_unflushed_stdout_printed_once(self):
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from sarberg.data import SynthConfig, synth_dataset\n"
+            "from sarberg.ensemble import oof_predictions\n"
+            "sset = synth_dataset(SynthConfig(n_samples=12, seed=1))\n"
+            "sys.stdout.write('x')\n"
+            "member = lambda s: lambda t: lambda h: np.full(h.size, 0.5)\n"
+            "oof_predictions(sset, {'m': member}, 3, 0)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(sarberg.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)  # so 'x' waits in the buffer at the fork
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, timeout=30
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == b"x"
 
 
 class TestFitStacker:
