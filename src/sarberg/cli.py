@@ -308,6 +308,8 @@ def _cmd_train_gbm(args) -> None:
     )
     if args.val_ratio > 0:
         train_set, val_set = data.split_train_validation(sset, args.val_ratio, args.seed)
+        if len(train_set) == 0 or len(val_set) == 0:  # before any file is written
+            raise ValueError("train and validation sets must be non-empty")
     else:
         train_set, val_set = sset, None
 

@@ -7,16 +7,23 @@ produces desk-scale datasets with the same physics cues the real data
 carries: icebergs are large, roughly isotropic blobs whose HV return
 sits close to HH (volume scattering); ships are elongated and strongly
 cross-pol suppressed.
+
+`parse_samples` and `serialize_samples` may hand half of the records to one
+forked child process (`forked.map_parts`). The text written, the samples
+read and every refusal message do not depend on it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+from . import forked
 
 KAGGLE_BAND_PIXELS = 5625  # 75 x 75
 SCENE_SIDE = 75
@@ -79,6 +86,14 @@ class SarSample:
             )
         if self.label is not None and self.label not in (0, 1):
             raise ValueError(f"sample {self.id!r}: label must be 0 or 1")
+
+    def __reduce__(self):
+        # Unpickled through the constructor, so the bands come back as
+        # checked, read-only copies; pickle would restore them writable.
+        return (
+            SarSample,
+            (self.id, self.hh, self.hv, self.inc_angle, self.angle_imputed, self.label),
+        )
 
 
 @dataclass(frozen=True)
@@ -155,60 +170,156 @@ def _parse_band(raw_band, index: int, rec_id, name: str) -> np.ndarray:
     return arr
 
 
+def _sample(index: int, rec, labeled: bool) -> SarSample:
+    """One decoded record as a SarSample; a refusal names the record."""
+    if not isinstance(rec, dict):
+        raise _record_error(index, None, "record is not a JSON object")
+    rec_id = rec.get("id")
+    if not isinstance(rec_id, str):
+        raise _record_error(index, rec_id, "missing or non-string id")
+    for key in ("band_1", "band_2", "inc_angle"):
+        if key not in rec:
+            raise _record_error(index, rec_id, f"missing field {key!r}")
+    hh = _parse_band(rec["band_1"], index, rec_id, "band_1")
+    hv = _parse_band(rec["band_2"], index, rec_id, "band_2")
+
+    raw_angle = rec["inc_angle"]
+    if raw_angle == "na":
+        angle = None
+    elif isinstance(raw_angle, (int, float)) and not isinstance(raw_angle, bool):
+        angle = float(raw_angle)
+    else:
+        raise _record_error(
+            index, rec_id, f"inc_angle must be a number or \"na\", got {raw_angle!r}"
+        )
+
+    label = None
+    if "is_iceberg" in rec:
+        raw_label = rec["is_iceberg"]
+        if raw_label not in (0, 1) or isinstance(raw_label, bool):
+            raise _record_error(
+                index, rec_id, f"is_iceberg must be 0 or 1, got {raw_label!r}"
+            )
+        label = int(raw_label)
+    elif labeled:
+        raise _record_error(index, rec_id, "missing field 'is_iceberg'")
+
+    return SarSample(id=rec_id, hh=hh, hv=hv, inc_angle=angle, label=label)
+
+
+# JSON's insignificant whitespace, as the json module skips it.
+_WS = re.compile(r"[ \t\n\r]*")
+# A comma that may sit between two records; it may also sit inside a string.
+_BOUNDARY = re.compile(r"}[ \t\n\r]*(,)[ \t\n\r]*{")
+_DECODER = json.JSONDecoder()
+
+
+def _walk(raw: str, pos: int, index: int, labeled: bool, stop: int | None = None):
+    """Decode and check, one at a time, the records of the JSON array that
+    follow raw[pos], its '[' or a ',' between two records; the first is
+    record number `index`.
+
+    The walk ends at the array's ']', which only whitespace may follow, or at
+    the ',' at `stop` if it lands there between two records. JSON tokenises
+    left to right, so landing there proves that the comma separates two
+    top-level records. Returns (samples, index past the last record walked,
+    refusal, landed): the refusal is the exception of the first record that
+    failed `_sample`, and the walk goes on decoding after it, so that
+    malformed text is refused first, as `json.loads` would. Malformed text
+    raises json.JSONDecodeError."""
+    samples, refusal = [], None
+    end = _WS.match(raw, pos + 1).end()
+    closed = raw[pos] == "[" and raw.startswith("]", end)  # an empty array
+    if closed:
+        end = _WS.match(raw, end + 1).end()
+    while not closed:
+        rec, end = _DECODER.raw_decode(raw, end)
+        if refusal is None:
+            try:
+                samples.append(_sample(index, rec, labeled))
+            except Exception as e:  # whatever checking this record raises
+                refusal = e
+        index += 1
+        end = _WS.match(raw, end).end()
+        if end == stop:
+            return samples, index, refusal, True
+        closed = raw.startswith("]", end)
+        if not closed and not raw.startswith(",", end):
+            raise json.JSONDecodeError("Expecting ',' delimiter", raw, end)
+        end = _WS.match(raw, end + 1).end()
+    if end != len(raw):
+        raise json.JSONDecodeError("Extra data", raw, end)
+    return samples, index, refusal, False
+
+
+def _not_an_array(raw: str) -> ValueError:
+    """The refusal of text that is not one JSON array, in json.loads' words."""
+    try:
+        json.loads(raw)
+    except json.JSONDecodeError as e:
+        return ValueError(f"malformed JSON: {e}")
+    return ValueError("top-level JSON value must be an array of records")
+
+
 def parse_samples(raw: bytes | str, labeled: bool) -> SampleSet:
     """Parse the competition JSON layout into a SampleSet.
 
     Records carry id, band_1 (HH), band_2 (HV), inc_angle (number or "na"),
     and is_iceberg (0 or 1) where the scene is labeled; `labeled` requires it
     on every record. Bands are 5625 values read row-major into 75x75 planes.
+
+    Records are decoded one at a time. A forked child decodes those after a
+    comma near the middle of the text, and its samples are kept only if this
+    process's walk lands on that comma. The child never refuses: on any
+    problem this process walks its records too, so malformed text is refused
+    in json.loads' words and a bad record by its index, as one process would.
     """
     if isinstance(raw, bytes):
         raw = raw.decode("utf-8")
-    try:
-        records = json.loads(raw)
-    except json.JSONDecodeError as e:
-        raise ValueError(f"malformed JSON: {e}") from e
-    if not isinstance(records, list):
-        raise ValueError("top-level JSON value must be an array of records")
+    start = _WS.match(raw).end()
+    if not raw.startswith("[", start):
+        raise _not_an_array(raw)
+    boundary = _BOUNDARY.search(raw, len(raw) // 2)
+    split = boundary.start(1) if boundary else None
 
-    samples = []
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise _record_error(i, None, "record is not a JSON object")
-        rec_id = rec.get("id")
-        if not isinstance(rec_id, str):
-            raise _record_error(i, rec_id, "missing or non-string id")
-        for key in ("band_1", "band_2", "inc_angle"):
-            if key not in rec:
-                raise _record_error(i, rec_id, f"missing field {key!r}")
-        hh = _parse_band(rec["band_1"], i, rec_id, "band_1")
-        hv = _parse_band(rec["band_2"], i, rec_id, "band_2")
+    def walk(pos: int, index: int, stop: int | None = None):
+        try:
+            return _walk(raw, pos, index, labeled, stop)
+        except json.JSONDecodeError:
+            raise _not_an_array(raw) from None
 
-        raw_angle = rec["inc_angle"]
-        if raw_angle == "na":
-            angle = None
-        elif isinstance(raw_angle, (int, float)) and not isinstance(raw_angle, bool):
-            angle = float(raw_angle)
-        else:
-            raise _record_error(
-                i, rec_id, f"inc_angle must be a number or \"na\", got {raw_angle!r}"
-            )
+    def half(part: int):
+        if part == 0:
+            return walk(start, 0, split)
+        try:  # the child: its records' indices are not known here
+            samples, _, refusal, _ = _walk(raw, split, 0, labeled)
+        except Exception:
+            return None
+        return None if refusal is not None else samples
 
-        label = None
-        if "is_iceberg" in rec:
-            raw_label = rec["is_iceberg"]
-            if raw_label not in (0, 1) or isinstance(raw_label, bool):
-                raise _record_error(
-                    i, rec_id, f"is_iceberg must be 0 or 1, got {raw_label!r}"
-                )
-            label = int(raw_label)
-        elif labeled:
-            raise _record_error(i, rec_id, "missing field 'is_iceberg'")
-
-        samples.append(
-            SarSample(id=rec_id, hh=hh, hv=hv, inc_angle=angle, label=label)
-        )
+    first, *second = forked.map_parts(half, 1 if split is None else 2)
+    samples, index, refusal, landed = first
+    if landed:
+        rest = second[0]
+        if rest is None:
+            rest, _, later, _ = walk(split, index)
+            refusal = refusal if refusal is not None else later
+        samples += rest
+    if refusal is not None:
+        raise refusal
     return SampleSet(samples=tuple(samples), provenance="real")
+
+
+def _record(s: SarSample) -> dict:
+    rec = {
+        "id": s.id,
+        "band_1": s.hh.ravel().tolist(),
+        "band_2": s.hv.ravel().tolist(),
+        "inc_angle": "na" if s.inc_angle is None else s.inc_angle,
+    }
+    if s.label is not None:
+        rec["is_iceberg"] = s.label
+    return rec
 
 
 def serialize_samples(sset: SampleSet) -> str:
@@ -217,19 +328,19 @@ def serialize_samples(sset: SampleSet) -> str:
     Missing angles become the string "na"; is_iceberg is emitted only for
     labeled samples. parse(serialize(s)) reproduces s field-by-field (up to
     provenance and imputation flags, which the wire format does not carry).
+
+    Records are encoded one at a time, the second half of them by a forked
+    child; the text is the same as `json.dumps` of the whole list, with
+    separators (",", ":").
     """
-    records = []
-    for s in sset:
-        rec = {
-            "id": s.id,
-            "band_1": s.hh.ravel().tolist(),
-            "band_2": s.hv.ravel().tolist(),
-            "inc_angle": "na" if s.inc_angle is None else s.inc_angle,
-        }
-        if s.label is not None:
-            rec["is_iceberg"] = s.label
-        records.append(rec)
-    return json.dumps(records, separators=(",", ":"))
+    samples = sset.samples
+    half = (len(samples) + 1) // 2
+    parts = (samples[:half], samples[half:])
+
+    def encode(part: int) -> str:
+        return ",".join(json.dumps(_record(s), separators=(",", ":")) for s in parts[part])
+
+    return "[" + ",".join(forked.map_parts(encode, 2 if len(samples) > 1 else 1)) + "]"
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ that score a whole SampleSet with one saved model.
 
 A fold may run in a forked child: where the platform has `os.fork`, one
 child process runs half of the folds while the caller runs the rest, on the
-state both inherit from the members' first call. So fit(train_rows) may
-depend only on its arguments and on what the member's first call made, and
-the side effects of a child's folds (a counter, a cache, a file handle's
-position) stay in the child. predict must return an array of one
+state both inherit from the members' first call (`forked.map_parts`, whose
+docstring holds the fork contract). So fit(train_rows) may depend only on its
+arguments and on what the member's first call made, and the side effects of
+a child's folds stay in the child. predict must return an array of one
 probability per held-out row: a child-run fold sends its predictions back to
 the caller pickled, as float64.
 """
@@ -23,17 +23,12 @@ the caller pickled, as float64.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import sys
-import traceback
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import nn
+from . import forked, nn
 from .data import SampleSet, mean_incidence, split_train_validation
 from .features import FEATURE_NAMES, feature_matrix
 from .gbm import GbmModel, GbmParams, fit_gbm, predict_gbm
@@ -97,7 +92,7 @@ def oof_predictions(
     predicted by the model that never saw it. Each member sees the full set
     once, before the first fold. A member's refusal names the fold; where
     several folds refuse, the lowest one is named. The folds are shared with
-    one forked child (`_map_folds`)."""
+    one forked child (`forked.map_parts`)."""
     labels = sset.labels()
     if any(l is None for l in labels):
         raise ValueError("out-of-fold generation needs a fully labeled set")
@@ -125,83 +120,13 @@ def oof_predictions(
         return block
 
     values = np.empty((len(sset), len(members)))
-    for (_, hold_rows), block in zip(splits, _map_folds(run, k_folds)):
+    for (_, hold_rows), block in zip(splits, forked.map_parts(run, k_folds)):
         values[hold_rows] = block
     if not np.all(np.isfinite(values)):
         raise ValueError("a member produced non-finite out-of-fold predictions")
     return OofMatrix(
         ids=tuple(sset.ids()), members=members, values=values, fold_of=fold_of
     )
-
-
-def _map_folds(run: Callable[[int], np.ndarray], k: int) -> list[np.ndarray]:
-    """[run(fold) for fold in range(k)], with the odd folds run by one forked
-    child while this process runs the even ones, as `nn.layers._map_shards`
-    shares a batch between the caller and one worker. The GBM fit holds the
-    GIL, so a second thread would not use the second core.
-
-    The child sends its blocks back pickled through a pipe and always leaves
-    through `os._exit`. A ValueError from either process is raised here for
-    the lowest failing fold. A child that dies or fails otherwise raises a
-    RuntimeError naming its folds; if this process fails, it kills the
-    child. Either way the child is reaped. Without `os.fork`, this process
-    runs every fold."""
-    if not hasattr(os, "fork"):
-        return [run(fold) for fold in range(k)]
-    child_folds = list(range(1, k, 2))
-    sys.stdout.flush()  # else the child would inherit, and print, the buffers
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(_run_until_refused(run, child_folds), pipe)
-            status = 0
-        except BaseException:
-            traceback.print_exc()
-        finally:
-            try:  # what the child's folds printed; os._exit skips the flush
-                sys.stdout.flush()
-                sys.stderr.flush()
-            finally:
-                os._exit(status)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            done = _run_until_refused(run, range(0, k, 2))
-            reply = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status != 0:
-        raise RuntimeError(
-            f"the forked process running folds {child_folds} exited with status {status}"
-        )
-    done.update(pickle.loads(reply))
-    # Each process stops at its first refusal, so every fold below the lowest
-    # refusal is present.
-    for fold in range(k):
-        if isinstance(done[fold], ValueError):
-            raise done[fold]
-    return [done[fold] for fold in range(k)]
-
-
-def _run_until_refused(run: Callable[[int], np.ndarray], folds) -> dict:
-    """{fold: run(fold)} in the given order, up to the first fold whose run
-    raises ValueError; that fold maps to the error."""
-    done = {}
-    for fold in folds:
-        try:
-            done[fold] = run(fold)
-        except ValueError as e:
-            done[fold] = e
-            break
-    return done
 
 
 def _stack_loss_grad(theta: np.ndarray, Z: np.ndarray, y: np.ndarray):

@@ -139,8 +139,11 @@ def feature_matrix(
 ) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """Stack feature vectors for a whole set.
 
-    Returns (ids, X, y); y is None when any sample is unlabeled.
+    Returns (ids, X, y); y is None when any sample is unlabeled. An empty
+    set is refused.
     """
+    if len(sset) == 0:
+        raise ValueError("empty sample set")
     ids = sset.ids()
     X = np.stack([feature_vector(s, mean_angle) for s in sset])
     labels = sset.labels()

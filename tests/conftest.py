@@ -1,6 +1,7 @@
 """Shared fixtures: the heavy training runs are session-scoped so the unit
 suite and the acceptance criteria reuse the same artifacts."""
 
+import os
 import time
 from dataclasses import replace
 
@@ -14,6 +15,19 @@ from sarberg.data import SampleSet, SynthConfig, split_train_validation, synth_d
 from sarberg.nn import TrainConfig, build_autoencoder, build_classifier, fit, fit_autoencoder
 
 BENCH_SEED = 42
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or unreaped:
+    whatever forks must reap its child before it returns or raises."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    left = f"pid {pid}, unreaped" if pid else "still running"
+    pytest.fail(f"the test left a child process behind ({left})")
 
 
 @pytest.fixture(scope="session")

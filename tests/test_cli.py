@@ -370,6 +370,23 @@ class TestPipeline:
             assert message in capsys.readouterr().err, name
             assert not list(out.glob("*.csv")), name
 
+    def test_predict_gbm_on_empty_set_refused_by_name(self, tmp_path, gbm_file, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        assert run("predict", "--input", path, "--model", gbm_file, "--out", tmp_path / "p") == 1
+        assert "sarberg predict: empty sample set" in capsys.readouterr().err
+        assert not (tmp_path / "p" / "submission.csv").exists()
+
+    def test_train_gbm_refuses_empty_split_before_writing(self, tmp_path, dataset_file, capsys):
+        sset = parse_samples(dataset_file.read_bytes(), labeled=True)
+        ship, iceberg = (next(s for s in sset if s.label == c) for c in (0, 1))
+        path = _write_set(tmp_path / "two.json", [ship, iceberg])
+        out = tmp_path / "gbm"
+        # The default --val-ratio 0.2 of 2 scenes rounds to an empty validation split.
+        assert run("train-gbm", "--input", path, "--n-trees", 2, "--out", out) == 1
+        assert "train and validation sets must be non-empty" in capsys.readouterr().err
+        assert not (out / "gbm.json").exists() and not (out / "metrics.json").exists()
+
 
 def _write_set(path, samples):
     path.write_text(serialize_samples(SampleSet(tuple(samples), provenance="synthetic")))

@@ -1,6 +1,8 @@
 """Ingestion, splitting, imputation, and synthetic generator tests."""
 
 import json
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -75,6 +77,13 @@ class TestTypes:
     def test_sample_angle_range(self):
         with pytest.raises(ValueError, match="inc_angle"):
             make_sample(angle=95.0)
+
+    def test_unpickled_sample_is_rebuilt_read_only(self):
+        s = make_sample("p", value=-3.0, angle=None, label=0)
+        again = pickle.loads(pickle.dumps(s))
+        assert (again.id, again.inc_angle, again.label) == ("p", None, 0)
+        for band, orig in ((again.hh, s.hh), (again.hv, s.hv)):
+            assert band.tobytes() == orig.tobytes() and not band.flags.writeable
 
     def test_set_rejects_duplicate_ids(self):
         s = make_sample("dup")
@@ -162,6 +171,132 @@ class TestParse:
         sset = parse_samples(raw, labeled=True)
         again = parse_samples(serialize_samples(sset), labeled=True)
         assert again[0].inc_angle is None
+
+
+def _parsed(raw, labeled=False):
+    """What parse_samples makes of raw: each sample's fields and band bytes,
+    or the refusal's message."""
+    try:
+        sset = parse_samples(raw, labeled=labeled)
+    except ValueError as e:
+        return f"refused: {e}"
+    return [
+        (s.id, s.hh.tobytes(), s.hv.tobytes(), s.inc_angle, s.label,
+         s.hh.flags.writeable, s.hv.flags.writeable)
+        for s in sset
+    ]
+
+
+def _forked_and_alone(fn, *args):
+    """fn(*args) as it runs, then with os.fork removed, and how many times
+    the first call forked."""
+    real_fork, forks = os.fork, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+        forked = fn(*args)
+        mp.delattr(os, "fork")
+        alone = fn(*args)
+    return forked, alone, len(forks)
+
+
+def _loads_refusal(raw):
+    try:
+        json.loads(raw)
+    except json.JSONDecodeError as e:
+        return f"refused: malformed JSON: {e}"
+    return "refused: top-level JSON value must be an array of records"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the records are shared only through os.fork")
+class TestTwoProcessCodec:
+    """serialize_samples and parse_samples hand half of the records to a
+    forked child; bytes, samples and refusals are those of one process."""
+
+    @staticmethod
+    def records(n, seed=5):
+        sset = synth_dataset(SynthConfig(n_samples=max(n, 2), seed=seed))
+        return json.loads(serialize_samples(SampleSet(sset.samples[:n])))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
+    def test_bytes_and_samples_match_one_process(self, n):
+        sset = synth_dataset(SynthConfig(n_samples=max(n, 2), seed=n))
+        sset = SampleSet(sset.samples[:n], provenance="synthetic")
+        text, text_alone, forks = _forked_and_alone(serialize_samples, sset)
+        assert text == text_alone == json.dumps(json.loads(text), separators=(",", ":"))
+        assert forks == (n > 1)
+        parsed, parsed_alone, forks = _forked_and_alone(_parsed, text, True)
+        assert parsed == parsed_alone and forks == (n > 1)
+        assert [p[:5] for p in parsed] == [
+            (s.id, s.hh.tobytes(), s.hv.tobytes(), s.inc_angle, s.label) for s in sset
+        ]
+        assert not any(flag for p in parsed for flag in p[5:])
+
+    def test_kaggle_whitespace(self):
+        records = self.records(4)
+        for raw in [
+            json.dumps(records),  # ", " and ": "
+            "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n",
+            " \r\n\t[ " + " ,\n\n ".join(json.dumps(r) for r in records) + " ] \n",
+        ]:
+            parsed, alone, forks = _forked_and_alone(_parsed, raw)
+            assert parsed == alone and len(parsed) == 4 and forks == 1
+
+    @pytest.mark.parametrize("text", ["},{", '"},{\\"id\\"', '"},{"id"'])
+    def test_boundary_text_inside_an_id(self, text):
+        records = self.records(3)
+        records[1]["id"] = "x" + text * (2 * len(json.dumps(records[0])) // len(text))
+        raw = json.dumps(records, separators=(",", ":"))
+        encoded = json.dumps(records[1]["id"])
+        where = raw.index(encoded)
+        assert where < len(raw) // 2 < where + len(encoded)  # the search starts in it
+        parsed, alone, forks = _forked_and_alone(_parsed, raw)
+        assert parsed == alone and [p[0] for p in parsed] == [r["id"] for r in records]
+        assert forks == 1
+
+    def test_malformed_text_in_either_half_refused_alike(self):
+        raw = json.dumps(self.records(6), separators=(",", ":"))
+        head = raw.index("},{") + 1  # the first record's end
+        variants = {
+            "truncated in the first half": raw[: len(raw) // 4],
+            "truncated in the second half": raw[: 3 * len(raw) // 4],
+            "trailing comma": raw[:-1] + ",]",
+            "no closing bracket": raw[:-1],
+            "a bad token in the first half": raw[:head] + ",x" + raw[head:],
+            "extra data": raw + "[]",
+            "a top-level object": json.dumps({"records": json.loads(raw)}),
+        }
+        for name, bad in variants.items():
+            refused, alone, _ = _forked_and_alone(_parsed, bad)
+            assert refused == alone == _loads_refusal(bad), name
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda r: r.update(is_iceberg=2), "is_iceberg must be 0 or 1, got 2"),
+            (lambda r: r.update(band_1=r["band_1"][:-1]), "band_1 has 5624 values"),
+            (lambda r: r.update(band_2="x"), "band_2 must be a list of numbers"),
+        ],
+    )
+    def test_refusal_in_the_childs_half_names_the_record(self, edit, message):
+        records = self.records(6)
+        edit(records[4])
+        raw = json.dumps(records, separators=(",", ":"))
+        refused, alone, forks = _forked_and_alone(_parsed, raw)
+        assert refused == alone and forks == 1
+        assert refused.startswith(f"refused: record 4 (id {records[4]['id']!r}): {message}")
+
+    def test_earliest_refused_record_named(self):
+        records = self.records(6)
+        del records[1]["is_iceberg"]
+        records[5]["band_2"] = records[5]["band_2"][:9]
+        raw = json.dumps(records, separators=(",", ":"))
+        refused, alone, _ = _forked_and_alone(_parsed, raw, True)
+        assert refused == alone == (
+            f"refused: record 1 (id {records[1]['id']!r}): missing field 'is_iceberg'"
+        )
+        # ... unless the text is malformed further on.
+        refused, alone, _ = _forked_and_alone(_parsed, raw[:-1], True)
+        assert refused == alone == _loads_refusal(raw[:-1])
 
 
 class TestSplit:

@@ -98,7 +98,7 @@ def fold_trainer(fold_of, on_fold):
 
 def bounded_oof(*args):
     """oof_predictions, failed after 30 s. Whether it returns or raises, it
-    must leave no child process behind."""
+    must leave no child process behind, which conftest checks after each test."""
 
     def expire(signum, frame):
         raise TimeoutError("oof_predictions did not return within 30 s")
@@ -110,8 +110,6 @@ def bounded_oof(*args):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
 
 class TestStratifiedFolds:

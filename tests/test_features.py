@@ -127,6 +127,10 @@ class TestDerivedBands:
         with pytest.raises(ValueError, match="sample 's': ratio band is not finite"):
             input_tensor(sset, ("hh", "hv", "ratio"))
 
+    def test_empty_set_refused_by_name(self):
+        with pytest.raises(ValueError, match="^empty sample set$"):
+            feature_matrix(SampleSet(()), 30.0)
+
 class TestBandStats:
     def test_constant_plane(self):
         s = band_stats(plane(np.full((5, 5), 7.5)))
