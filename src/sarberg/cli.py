@@ -12,8 +12,8 @@ A config key that names no option of the subcommand, or names --out or an
 option the command line must give, is refused; so is a value that fails the
 flag's type conversion. Each refusal names the key. Only the commands that
 draw random numbers take --seed: synth, augment, train-gbm, pretrain-ae,
-train-cnn, stack and curve. The CLI builds and trains networks in float32
-(`DTYPE`).
+train-cnn, stack and curve. The CLI builds and trains networks in float32,
+`TrainConfig`'s default dtype.
 
 Every command reads a scene's is_iceberg label where its record has one and
 refuses a malformed one. train-gbm, train-cnn, stack, curve and eval's --truth
@@ -60,8 +60,6 @@ from pathlib import Path
 import numpy as np
 
 from . import data, ensemble, features, gbm, harness, imageops, metrics, nn
-
-DTYPE = "float32"
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -225,7 +223,6 @@ def _train_config(args: argparse.Namespace) -> nn.TrainConfig:
         lr0=args.lr0,
         seed=args.seed,
         channels=tuple(t.strip() for t in args.channels.split(",") if t.strip()),
-        dtype=DTYPE,
     )
 
 
@@ -393,7 +390,7 @@ def _cmd_stack(args) -> None:
     trainers = {
         "gbm": ensemble.gbm_trainer(gbm.GbmParams(n_trees=args.n_trees)),
         "cnn": ensemble.cnn_trainer(
-            nn.TrainConfig(epochs=args.cnn_epochs, seed=args.seed, dtype=DTYPE)
+            nn.TrainConfig(epochs=args.cnn_epochs, seed=args.seed)
         ),
     }
     oof = ensemble.oof_predictions(sset, trainers, args.k_folds, args.seed)

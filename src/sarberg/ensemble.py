@@ -1,23 +1,22 @@
 """Out-of-fold prediction generation, blending, and logistic stacking.
 
-An out-of-fold member is called in three steps: member(full_set) -> fit,
-fit(train_rows) -> predict, predict(hold_rows) -> probabilities. Rows are
-integer indices into the full set, and predict returns one probability per
-held-out row, in their order. The first call is made once per out-of-fold
-run, so a member does there the work that does not depend on the fold: the
-boosted-tree member featurises every scene once and per fold only fills the
-missing angles. Factories for the two built-in members (boosted trees on the
-statistics features, and the CNN) live at the bottom, next to the predictors
-that score a whole SampleSet with one saved model.
+An out-of-fold member is called in two steps: member(full_set) -> fold, then
+fold(train_rows, hold_rows) -> one probability per held-out row, in their
+order. Rows are integer indices into the full set. The first call is made
+once per out-of-fold run, so a member does there the work that does not
+depend on the fold: the boosted-tree member featurises every scene once and
+per fold only fills the missing angles. Factories for the two built-in
+members (boosted trees on the statistics features, and the CNN) live at the
+bottom, next to the predictors that score a whole SampleSet with one saved
+model.
 
 A fold may run in a forked child: where the platform has `os.fork`, one
 child process runs half of the folds while the caller runs the rest, on the
 state both inherit from the members' first call (`forked.map_parts`, whose
-docstring holds the fork contract). So fit(train_rows) may depend only on its
-arguments and on what the member's first call made, and the side effects of
-a child's folds stay in the child. predict must return an array of one
-probability per held-out row: a child-run fold sends its predictions back to
-the caller pickled, as float64.
+docstring holds the fork contract). So fold(train_rows, hold_rows) may depend
+only on its arguments and on what the member's first call made, the side
+effects of a child's folds stay in the child, and it returns an array: a
+child-run fold sends its predictions back to the caller pickled, as float64.
 """
 
 from __future__ import annotations
@@ -36,11 +35,9 @@ from .mathutil import logit, sigmoid
 
 PredictionSet = dict[str, float]
 Predictor = Callable[[SampleSet], PredictionSet]
-# An out-of-fold member (see above): member(full_set) -> fit(train_rows) ->
-# predict(hold_rows) -> one probability per held-out row. fit and predict may
-# run in a forked child, so they may depend only on their arguments and on
-# what member(full_set) made, and predict returns an array.
-Trainer = Callable[[SampleSet], Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]]
+# An out-of-fold member (see above): member(full_set) -> fold, and
+# fold(train_rows, hold_rows) -> one probability per held-out row.
+Trainer = Callable[[SampleSet], Callable[[np.ndarray, np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -51,9 +48,6 @@ class OofMatrix:
     members: tuple[str, ...]
     values: np.ndarray  # (N, M)
     fold_of: np.ndarray  # (N,)
-
-    def column(self, member: str) -> np.ndarray:
-        return self.values[:, self.members.index(member)]
 
 
 @dataclass(frozen=True)
@@ -107,14 +101,14 @@ def oof_predictions(
         splits.append((train_rows, hold_rows))
 
     members = tuple(trainers)
-    fits = [trainers[name](sset) for name in members]
+    fold_fns = [trainers[name](sset) for name in members]
 
     def run(fold: int) -> np.ndarray:
         train_rows, hold_rows = splits[fold]
-        block = np.empty((hold_rows.size, len(fits)))
-        for m, fit in enumerate(fits):
+        block = np.empty((hold_rows.size, len(fold_fns)))
+        for m, fold_fn in enumerate(fold_fns):
             try:
-                block[:, m] = fit(train_rows)(hold_rows)
+                block[:, m] = fold_fn(train_rows, hold_rows)
             except ValueError as e:
                 raise ValueError(f"fold {fold}, member {members[m]!r}: {e}") from None
         return block
@@ -273,23 +267,22 @@ def cnn_predictor(net) -> Predictor:
     return predict
 
 
-def gbm_trainer(params: GbmParams | None = None) -> Trainer:
+def gbm_trainer(params: GbmParams) -> Trainer:
     """Out-of-fold boosted trees on the 30 statistics features.
 
     Every scene is featurised once, on the full set. Per fold, the angle fill
     is the training rows' mean (as in `train_gbm`) and reused for the held-out
     rows, so no information leaks across folds.
     """
-    params = params or GbmParams()
 
     def member(sset: SampleSet):
         X, y, angles = _gbm_features(sset)
 
-        def fit(train_rows: np.ndarray):
+        def fold(train_rows: np.ndarray, hold_rows: np.ndarray) -> np.ndarray:
             model, filled = _fit_gbm_rows(X, y, angles, train_rows, params)
-            return lambda hold_rows: predict_gbm(model, filled[hold_rows])
+            return predict_gbm(model, filled[hold_rows])
 
-        return fit
+        return fold
 
     return member
 
@@ -298,24 +291,21 @@ def _rows(sset: SampleSet, rows: np.ndarray) -> SampleSet:
     return SampleSet(tuple(sset[r] for r in rows), provenance=sset.provenance)
 
 
-def cnn_trainer(cfg=None) -> Trainer:
+def cnn_trainer(cfg: nn.TrainConfig) -> Trainer:
     """Out-of-fold reference CNN, built from cfg's seed and dtype; holds out
     a fifth of each fold's training rows as the validation split for the
     plateau monitor and best-epoch restore."""
-    cfg = cfg or nn.TrainConfig(epochs=5)
 
     def member(sset: SampleSet):
-        def fit(train_rows: np.ndarray):
+        def fold(train_rows: np.ndarray, hold_rows: np.ndarray) -> np.ndarray:
             inner_train, inner_val = split_train_validation(
                 _rows(sset, train_rows), 0.2, cfg.seed
             )
             net = nn.build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
             net, _ = nn.fit(net, inner_train, inner_val, cfg)
-            predict = cnn_predictor(net)
-            return lambda hold_rows: np.fromiter(
-                predict(_rows(sset, hold_rows)).values(), np.float64
-            )
+            preds = cnn_predictor(net)(_rows(sset, hold_rows))
+            return np.fromiter(preds.values(), np.float64)
 
-        return fit
+        return fold
 
     return member

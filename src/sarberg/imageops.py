@@ -24,13 +24,12 @@ LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 
 @dataclass(frozen=True)
 class AugmentationPolicy:
-    """Ranges for the random per-sample transform draw."""
+    """Ranges for the random per-sample transform draw. Every draw also
+    mirrors the scene horizontally and vertically, each with probability 1/2."""
 
     width_shift_frac: float = 0.1
     height_shift_frac: float = 0.1
     rotation_max_deg: float = 15.0
-    allow_horizontal_reflect: bool = True
-    allow_vertical_reflect: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.width_shift_frac < 0.5):
@@ -166,8 +165,8 @@ def _draw_transform(policy: AugmentationPolicy, shape, rng: np.random.Generator)
         if policy.rotation_max_deg > 0
         else 0.0
     )
-    flip_h = policy.allow_horizontal_reflect and rng.random() < 0.5
-    flip_v = policy.allow_vertical_reflect and rng.random() < 0.5
+    flip_h = rng.random() < 0.5
+    flip_v = rng.random() < 0.5
     return dx, dy, angle, flip_h, flip_v
 
 

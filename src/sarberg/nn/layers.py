@@ -51,6 +51,9 @@ def _shard_slices(n: int) -> list[slice]:
     return [slice(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
+# Front and back takes, not one shared claim counter, keep each thread on the
+# same shards from layer to layer. A shared counter ran `cnn_train` slower:
+# about 200 against 207 scenes/s, in 3 of 3 alternating pairs.
 class _ShardRun:
     """The shards of one call. The worker takes shards from the front and the
     caller from the back, so each shard runs once and the caller waits only

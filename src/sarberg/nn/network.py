@@ -127,9 +127,6 @@ class Network:
                 out[f"{i}.{name}"] = arr
         return out
 
-    def param_count(self) -> int:
-        return sum(arr.size for _, arr in self.parameters())
-
     def get_state(self) -> dict[str, np.ndarray]:
         return {key: arr.copy() for key, arr in self.parameters()}
 

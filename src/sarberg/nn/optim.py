@@ -6,6 +6,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's decay rates and floor (Kingma & Ba 2015)
+PLATEAU_THRESHOLD = 1e-6  # the least fall of a monitored loss that counts as a gain
+
 
 @dataclass
 class AdamState:
@@ -21,18 +24,12 @@ class AdamState:
 
 
 def adam_step(
-    param: np.ndarray,
-    grad: np.ndarray,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    param: np.ndarray, grad: np.ndarray, state: AdamState, lr: float
 ) -> np.ndarray:
     """One Adam update; mutates state, returns the new parameter value.
 
-    m <- b1*m + (1-b1)*g;  v <- b2*v + (1-b2)*g^2;  bias-corrected by
-    (1 - b^t) with t counted from 1; update is lr * m_hat / (sqrt(v_hat) + eps).
+    m <- BETA1*m + (1-BETA1)*g;  v <- BETA2*v + (1-BETA2)*g^2;  bias-corrected
+    by (1 - BETA^t) with t counted from 1; update is lr * m_hat / (sqrt(v_hat) + EPS).
     """
     grad = np.asarray(grad, dtype=param.dtype)
     if grad.shape != param.shape:
@@ -40,15 +37,15 @@ def adam_step(
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite gradient")
     state.t += 1
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * grad * grad
-    m_hat = state.m / (1.0 - beta1**state.t)
-    v_hat = state.v / (1.0 - beta2**state.t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = state.m / (1.0 - BETA1**state.t)
+    v_hat = state.v / (1.0 - BETA2**state.t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class Adam:
-    """Adam over a network's named parameters, with `adam_step`'s defaults."""
+    """Adam over a network's named parameters, one `adam_step` each."""
 
     def __init__(self, net):
         self.net = net
@@ -73,15 +70,14 @@ class PlateauScheduler:
     """Cut the learning rate by `factor` after `patience` stale epochs.
 
     An epoch is stale when the validation loss fails to improve on the best
-    seen by more than `threshold`. The counter resets after each cut; the
-    rate never drops below min_lr.
+    seen by more than PLATEAU_THRESHOLD. The counter resets after each cut;
+    the rate never drops below min_lr.
     """
 
     lr: float
     patience: int = 5
     factor: float = 0.1
     min_lr: float = 1e-6
-    threshold: float = 1e-6
     best: float = field(default=float("inf"), init=False)
     stale: int = field(default=0, init=False)
 
@@ -95,7 +91,7 @@ class PlateauScheduler:
 
     def update(self, val_loss: float) -> float:
         """Record one epoch's monitored loss; returns the rate to use next."""
-        if val_loss < self.best - self.threshold:
+        if val_loss < self.best - PLATEAU_THRESHOLD:
             self.best = val_loss
             self.stale = 0
         else:

@@ -34,7 +34,7 @@ class TrainConfig:
     lr0: float = 0.001
     seed: int = 0
     channels: tuple[str, ...] = DEFAULT_CHANNELS
-    dtype: str = "float64"  # parameter/activation dtype for nets built from this config
+    dtype: str = "float32"  # parameter/activation dtype for nets built from this config
 
     def __post_init__(self):
         for name in ("epochs", "batch_size"):
@@ -90,12 +90,13 @@ def channel_planes(s: SarSample, channels: tuple[str, ...]) -> list[np.ndarray]:
             out.append(hh)
         elif token == "hv":
             out.append(hv)
-        elif token in ("diff", "ratio"):
+        elif token == "diff":
+            out.append(hh - hv)  # bitwise derived_bands' diff, without its ratio
+        elif token == "ratio":
             try:
-                diff, ratio = derived_bands(hh, hv)
+                out.append(derived_bands(hh, hv)[1])
             except ValueError as e:
                 raise ValueError(f"sample {s.id!r}: {e}") from None
-            out.append(diff if token == "diff" else ratio)
         elif token in ("gradmag_hh", "gradmag_hv"):
             out.append(gradient_magnitude(hh if token.endswith("hh") else hv))
         elif token in ("laplacian_hh", "laplacian_hv"):

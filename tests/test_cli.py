@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -182,6 +183,27 @@ class TestSynthIngest:
         code = run(command, "--config", cfg, "--input", dataset_file, "--out", tmp_path / "run")
         assert code == 1
         assert repr(next(iter(doc))) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda r: r["band_1"].__setitem__(7, {"v": 1.0}),
+             "band_1 must be a flat list of numbers"),
+            (lambda r: r.update(band_2=[[v] for v in r["band_2"]]),
+             "band_2 must be a flat list of numbers"),
+            (lambda r: r.update(inc_angle=10**400), "inc_angle overflows float64"),
+            (lambda r: r.update(inc_angle=math.nan), "inc_angle nan outside (0, 90)"),
+        ],
+    )
+    def test_ingest_refuses_malformed_record_by_name(
+        self, tmp_path, dataset_file, edit, message, capsys
+    ):
+        bad, rec_id = _edit_record(dataset_file, tmp_path / "bad.json", 4, edit)
+        assert run("ingest", "--input", bad, "--out", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"record 4 (id {rec_id!r}): {message}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "ingest_summary.json").exists()
 
     def test_ingest_summary(self, tmp_path, dataset_file):
         out = tmp_path / "run"

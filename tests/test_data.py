@@ -1,6 +1,7 @@
 """Ingestion, splitting, imputation, and synthetic generator tests."""
 
 import json
+import math
 import os
 import pickle
 
@@ -275,6 +276,13 @@ class TestTwoProcessCodec:
             (lambda r: r.update(is_iceberg=2), "is_iceberg must be 0 or 1, got 2"),
             (lambda r: r.update(band_1=r["band_1"][:-1]), "band_1 has 5624 values"),
             (lambda r: r.update(band_2="x"), "band_2 must be a list of numbers"),
+            (lambda r: r["band_1"].__setitem__(7, {"v": 1.0}),
+             "band_1 must be a flat list of numbers"),
+            (lambda r: r.update(band_2=[[v] for v in r["band_2"]]),
+             "band_2 must be a flat list of numbers"),
+            (lambda r: r.update(inc_angle=10**400), "inc_angle overflows float64"),
+            (lambda r: r.update(inc_angle=math.nan), "inc_angle nan outside (0, 90)"),
+            (lambda r: r.update(inc_angle=95), "inc_angle 95.0 outside (0, 90)"),
         ],
     )
     def test_refusal_in_the_childs_half_names_the_record(self, edit, message):

@@ -50,7 +50,7 @@ def labeled_set(n=40, seed=0):
 
 
 def constant_trainer(p):
-    return lambda _sset: lambda _train_rows: lambda hold_rows: np.full(len(hold_rows), p)
+    return lambda _sset: lambda _train_rows, hold_rows: np.full(len(hold_rows), p)
 
 
 def cheating_trainer(lo=0.001, hi=0.999):
@@ -58,7 +58,7 @@ def cheating_trainer(lo=0.001, hi=0.999):
 
     def member(sset):
         y = np.array(sset.labels())
-        return lambda _train_rows: lambda hold_rows: np.where(y[hold_rows] == 1, hi, lo)
+        return lambda _train_rows, hold_rows: np.where(y[hold_rows] == 1, hi, lo)
 
     return member
 
@@ -71,29 +71,29 @@ def tiny_cnn_trainer():
         def rows(r):
             return SampleSet(tuple(sset[i] for i in r), provenance=sset.provenance)
 
-        def fit_fold(train_rows):
+        def fold(train_rows, hold_rows):
             train, val = split_train_validation(rows(train_rows), 0.25, cfg.seed)
             net = build_classifier(
                 len(cfg.channels), cfg.seed, conv_widths=(2, 2, 2), dense_width=4,
                 dtype=np.float32,
             )
-            predict = cnn_predictor(fit(net, train, val, cfg)[0])
-            return lambda hold_rows: np.fromiter(predict(rows(hold_rows)).values(), np.float64)
+            preds = cnn_predictor(fit(net, train, val, cfg)[0])(rows(hold_rows))
+            return np.fromiter(preds.values(), np.float64)
 
-        return fit_fold
+        return fold
 
     return member
 
 
 def fold_trainer(fold_of, on_fold):
-    """A member whose predict calls on_fold(fold, in_child) and then predicts 0.5."""
+    """A member whose fold calls on_fold(fold, in_child) and then predicts 0.5."""
     parent = os.getpid()
 
-    def predict(hold_rows):
+    def fold(_train_rows, hold_rows):
         on_fold(int(fold_of[hold_rows[0]]), os.getpid() != parent)
         return np.full(hold_rows.size, 0.5)
 
-    return lambda _sset: lambda _train_rows: predict
+    return lambda _sset: fold
 
 
 def bounded_oof(*args):
@@ -146,7 +146,8 @@ class TestOofPredictions:
         sset = labeled_set(40)
         oof = oof_predictions(sset, {"cheat": cheating_trainer()}, k_folds=4, seed=1)
         y = np.array([s.label for s in sset])
-        assert np.array_equal(oof.column("cheat") > 0.5, y == 1)
+        assert oof.members == ("cheat",)
+        assert np.array_equal(oof.values[:, 0] > 0.5, y == 1)
 
     def test_unlabeled_rejected(self):
         p = np.zeros((4, 4))
@@ -162,7 +163,7 @@ class TestOofPredictions:
         trainers = {"gbm": gbm_trainer(GbmParams(n_trees=30, max_depth=2))}
         oof = oof_predictions(sset, trainers, k_folds=3, seed=2)
         y = np.array([float(s.label) for s in sset])
-        assert binary_logloss(oof.column("gbm"), y) < 0.4
+        assert binary_logloss(oof.values[:, 0], y) < 0.4
 
     def test_gbm_member_equals_per_fold_training_bitwise(self):
         # Featurised once with the angle filled per fold, the GBM column must
@@ -213,7 +214,7 @@ class TestForkedFolds:
         expected = np.full(len(sset), np.nan)
         for fold in range(self.K):
             hold = fold_of == fold
-            expected[hold] = member(sset)(np.flatnonzero(~hold))(np.flatnonzero(hold))
+            expected[hold] = member(sset)(np.flatnonzero(~hold), np.flatnonzero(hold))
         return expected
 
     @pytest.mark.parametrize("name", ["gbm", "cheat", "cnn"])
@@ -288,7 +289,7 @@ class TestForkedFolds:
             "from sarberg.ensemble import oof_predictions\n"
             "sset = synth_dataset(SynthConfig(n_samples=12, seed=1))\n"
             "sys.stdout.write('x')\n"
-            "member = lambda s: lambda t: lambda h: np.full(h.size, 0.5)\n"
+            "member = lambda s: lambda t, h: np.full(h.size, 0.5)\n"
             "oof_predictions(sset, {'m': member}, 3, 0)\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(sarberg.__file__).parents[1])}

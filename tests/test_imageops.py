@@ -250,19 +250,25 @@ class TestAugmentation:
         with pytest.raises(ValueError):
             AugmentationPolicy(rotation_max_deg=200.0)
 
-    def test_degenerate_policy_is_identity(self):
+    def test_degenerate_policy_only_mirrors(self):
+        # With no shift or rotation, a draw is two fair coins from the
+        # generator, horizontal mirror first, then vertical.
         policy = AugmentationPolicy(
-            width_shift_frac=0.0,
-            height_shift_frac=0.0,
-            rotation_max_deg=0.0,
-            allow_horizontal_reflect=False,
-            allow_vertical_reflect=False,
+            width_shift_frac=0.0, height_shift_frac=0.0, rotation_max_deg=0.0
         )
         s = make_pair(seed=1)
-        out = sample_augmentation(s, policy, np.random.default_rng(0))
-        assert np.array_equal(out.hh, s.hh)
-        assert np.array_equal(out.hv, s.hv)
-        assert out.label == s.label and out.inc_angle == s.inc_angle
+        seen = set()
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            flip_h, flip_v = rng.random() < 0.5, rng.random() < 0.5
+            out = sample_augmentation(s, policy, np.random.default_rng(seed))
+            rows = slice(None, None, -1 if flip_v else 1)
+            cols = slice(None, None, -1 if flip_h else 1)
+            assert np.array_equal(out.hh, s.hh[rows, cols])
+            assert np.array_equal(out.hv, s.hv[rows, cols])
+            assert out.label == s.label and out.inc_angle == s.inc_angle
+            seen.add((flip_h, flip_v))
+        assert len(seen) == 4
 
     def test_same_rng_state_reproduces(self):
         s = make_pair(seed=2)

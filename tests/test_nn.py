@@ -93,7 +93,7 @@ class TestBuildClassifier:
         net = build_classifier(3, seed=0)
         conv = (16 * 3 * 9 + 16) + (32 * 16 * 9 + 32) + (64 * 32 * 9 + 64)
         dense = (5184 * 64 + 64) + (64 * 1 + 1)
-        assert net.param_count() == conv + dense
+        assert sum(arr.size for _, arr in net.parameters()) == conv + dense
 
     def test_zero_bias_init(self):
         net = build_classifier(3, seed=2)

@@ -93,10 +93,13 @@ class TestPlateauScheduler:
         assert sched.update(0.5) == pytest.approx(0.05)  # 3 stale again
 
     def test_tiny_improvement_counts_as_stale(self):
-        sched = PlateauScheduler(lr=0.1, patience=2, factor=0.5, threshold=1e-6)
+        # A fall of 1e-9 is within the fixed threshold of 1e-6; 1e-5 is not.
+        sched = PlateauScheduler(lr=0.1, patience=2, factor=0.5)
         sched.update(1.0)
         sched.update(1.0 - 1e-9)
         assert sched.update(1.0 - 2e-9) == pytest.approx(0.05)
+        sched.update(1.0 - 1e-5)
+        assert sched.update(1.0 - 2e-5) == pytest.approx(0.05)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,14 @@
 
 `perfbench/spans.py` patches the names callers look up (for example
 `sarberg.nn.prepare_inputs`); a rename in the program makes its `install()`
-raise. Running it here catches that in the unit suite.
+raise. Running it here catches that in the unit suite. The benchmark's own
+self-test runs here too, so a change that breaks a workload's calls into the
+program fails the suite, not first a benchmark run.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,8 @@ import sarberg.nn
 from sarberg.data import SynthConfig, synth_dataset
 from sarberg.gbm import GbmParams, fit_gbm
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -89,3 +94,13 @@ def test_gbm_oof_featurises_once():
     assert tracer.names.count("features.feature_matrix") == 1
     for name in ("gbm.fit_gbm", "gbm.best_split", "gbm.predict_gbm"):
         assert name in tracer.names, name
+
+
+def test_benchmark_selftest_passes():
+    # Every workload at its tiny size, untraced and traced; its files go to
+    # the git-ignored perfbench/out/.
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -1,5 +1,6 @@
 """Training-loop behavior: smoke, determinism, standardization, channels."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +13,7 @@ from sarberg.data import (
     split_train_validation,
     synth_dataset,
 )
+from sarberg.features import derived_bands
 from sarberg.nn import (
     PlateauScheduler,
     TrainConfig,
@@ -52,6 +54,22 @@ class TestChannels:
         planes = channel_planes(s, ("hh", "hv", "diff"))
         assert len(planes) == 3
         assert np.allclose(planes[2], s.hh - s.hv)
+
+    def test_diff_is_computed_without_the_ratio(self):
+        # diff is derived_bands' diff bitwise; a ratio band that leaves the
+        # float64 range is refused only by a recipe that asks for it.
+        s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
+        hh, hv, diff = channel_planes(s, ("hh", "hv", "diff"))
+        assert diff.tobytes() == derived_bands(hh, hv)[0].tobytes()
+        hot = np.full((5, 5), -20.0)
+        hot[2, 2] = 4000.0  # 10^(4000/10) overflows float64
+        s = SarSample(id="hot", hh=hot, hv=np.full((5, 5), -25.0), inc_angle=35.0, label=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hh, hv, diff = channel_planes(s, ("hh", "hv", "diff"))
+        assert diff.tobytes() == (hh - hv).tobytes()
+        with pytest.raises(ValueError, match="sample 'hot': ratio band is not finite"):
+            channel_planes(s, ("ratio",))
 
     def test_normalization_applied_before_derivation(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
