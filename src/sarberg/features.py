@@ -3,6 +3,9 @@
 Each sample yields 30 scalars: seven order/moment statistics for each of the
 HH, HV, difference, and ratio bands (2-D float arrays, like a sample's), plus
 the incidence angle and a flag marking angles imputed rather than measured.
+
+`feature_matrix` hands the second half of a set to one forked child process
+(`forked.map_parts`); X and every refusal do not depend on it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import forked
 from .data import SampleSet, SarSample
 
 STAT_NAMES = ("min", "max", "mean", "median", "q1", "q3", "std")
@@ -69,69 +73,64 @@ def derived_bands(hh: np.ndarray, hv: np.ndarray) -> tuple[np.ndarray, np.ndarra
 QUARTILES = np.array([0.25, 0.5, 0.75])
 
 
-def band_stats(band: np.ndarray) -> BandStats:
-    """Seven summary statistics of a band.
+def _row_stats(rows: np.ndarray) -> np.ndarray:
+    """The seven statistics of each row of a 2-D array, as a (rows, 7) array
+    ordered as STAT_NAMES.
 
-    One sort gives min, max and the quartiles. Quartiles follow numpy's
-    linear rule (np.quantile's default): quantile q sits at position
+    One row-wise sort gives min, max and the quartiles. Quartiles follow
+    numpy's linear rule (np.quantile's default): quantile q sits at position
     q*(n-1) between sorted values a and b with fraction g, and is a+(b-a)*g,
     or b-(b-a)*(1-g) when g >= 0.5, so they equal np.quantile bitwise. Mean
-    and std (sample, n-1 denominator) are summed over the unsorted pixels,
-    as np.mean and np.std sum them; a constant band has its value as mean
-    and std 0.
+    and std (sample, n-1 denominator) are summed over each row's unsorted
+    values, as np.mean and np.std sum one band; a constant row has its value
+    as mean and std 0.
     """
-    values = band.ravel()
-    ordered = np.sort(values)
-    pos = (values.size - 1) * QUARTILES
+    ordered = np.sort(rows, axis=1)
+    pos = (rows.shape[1] - 1) * QUARTILES
     lo = np.floor(pos).astype(np.intp)
     g = pos - lo
-    picked = ordered[np.concatenate((lo, lo + 1, [0, -1]))]
-    if np.any(picked == 0.0):
+    picked = ordered[:, np.concatenate((lo, lo + 1, [0, -1]))]
+    a, b, lowest, highest = picked[:, :3], picked[:, 3:6], picked[:, 6], picked[:, 7]
+    diff = b - a
+    quartiles = np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
+    mean, std = rows.mean(axis=1), rows.std(axis=1, ddof=1)
+    for i in np.flatnonzero((picked == 0.0).any(axis=1)):
         # The sort may hold +0.0 where numpy's partition and min/max return
         # -0.0, or the reverse; numpy's own answers keep the sign of a zero.
-        q1, median, q3 = np.quantile(values, QUARTILES)
-        lowest, highest = values.min(), values.max()
-    else:
-        a, b, (lowest, highest) = picked[:3], picked[3:6], picked[6:]
-        diff = b - a
-        q1, median, q3 = np.where(g >= 0.5, b - diff * (1 - g), a + diff * g)
-    if lowest == highest:
-        # Summed, a constant band's mean and std carry rounding error (a 75x75
-        # band of -27.878 reads std 1.1e-14); its own value and 0 are exact.
-        mean, std = lowest, 0.0
-    else:
-        mean, std = values.mean(), np.std(values, ddof=1)
-    return BandStats(
-        min=float(lowest),
-        max=float(highest),
-        mean=float(mean),
-        median=float(median),
-        q1=float(q1),
-        q3=float(q3),
-        std=float(std),
-    )
+        quartiles[i] = np.quantile(rows[i], QUARTILES)
+        lowest[i], highest[i] = rows[i].min(), rows[i].max()
+    # Summed, a constant row's mean and std carry rounding error (a 75x75
+    # band of -27.878 reads std 1.1e-14); its own value and 0 are exact.
+    constant = lowest == highest
+    mean[constant], std[constant] = lowest[constant], 0.0
+    q1, median, q3 = quartiles.T
+    return np.stack((lowest, highest, mean, median, q1, q3, std), axis=1)
+
+
+def band_stats(band: np.ndarray) -> BandStats:
+    """Seven summary statistics of a band: the one-row case of the pass
+    `feature_vector` makes over a scene's four bands."""
+    return BandStats(*map(float, _row_stats(band.reshape(1, -1))[0]))
 
 
 def feature_vector(s: SarSample, mean_angle: float | None) -> np.ndarray:
     """The 30 features of one sample, ordered as FEATURE_NAMES.
 
-    The angle slot holds the sample's angle, or mean_angle when absent; the
-    final slot flags angles that are imputed (either upstream or here).
+    The statistics of the four bands come from one pass over their (4,
+    pixels) stack. The angle slot holds the sample's angle, or mean_angle
+    when absent; the final slot flags angles that are imputed (either
+    upstream or here).
     """
     try:
         diff, ratio = derived_bands(s.hh, s.hv)
     except ValueError as e:
         raise ValueError(f"sample {s.id!r}: {e}") from None
-    parts: list[float] = []
-    for band in (s.hh, s.hv, diff, ratio):
-        parts.extend(band_stats(band).as_tuple())
     missing = s.angle_imputed or s.inc_angle is None
     angle = s.inc_angle if s.inc_angle is not None else mean_angle
     if angle is None:
         raise ValueError(f"sample {s.id!r} has no incidence angle and no fill angle")
-    parts.append(float(angle))
-    parts.append(1.0 if missing else 0.0)
-    return np.array(parts, dtype=np.float64)
+    stats = _row_stats(np.stack((s.hh, s.hv, diff, ratio)).reshape(4, -1))
+    return np.concatenate((stats.ravel(), (angle, 1.0 if missing else 0.0)))
 
 
 def feature_matrix(
@@ -140,17 +139,24 @@ def feature_matrix(
     """Stack feature vectors for a whole set.
 
     Returns (ids, X, y); y is None when any sample is unlabeled. An empty
-    set is refused.
+    set is refused. A refusal names the first bad sample in set order,
+    whichever process featurised it.
     """
     if len(sset) == 0:
         raise ValueError("empty sample set")
-    ids = sset.ids()
-    X = np.stack([feature_vector(s, mean_angle) for s in sset])
+    samples = sset.samples
+    half = (len(samples) + 1) // 2
+    parts = (samples[:half], samples[half:])
+
+    def featurise(part: int) -> np.ndarray:
+        return np.stack([feature_vector(s, mean_angle) for s in parts[part]])
+
+    X = np.concatenate(forked.map_parts(featurise, 2 if len(samples) > 1 else 1))
     labels = sset.labels()
     y = None
     if all(l is not None for l in labels):
         y = np.array(labels, dtype=np.float64)
-    return ids, X, y
+    return sset.ids(), X, y
 
 
 def correlation_matrix(

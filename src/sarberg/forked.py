@@ -2,8 +2,12 @@
 
 `map_parts(run, k)` is [run(i) for i in range(k)], with the odd parts run
 by one child forked from the caller while the caller runs the even ones. The
-GBM fit and the JSON codec hold the GIL, so a second thread would not use the
-second core; a forked child does.
+GBM fit, the JSON codec and the per-scene feature statistics hold the GIL, so
+a second thread would not use the second core; a forked child does.
+
+Its callers: `ensemble.oof_predictions` (the odd folds),
+`data.parse_samples` and `data.serialize_samples` (the second half of the
+records) and `features.feature_matrix` (the second half of the scenes).
 
 The fork contract, for every `run` passed here: the child runs on the state
 it inherits at the fork, so run(i) may depend only on its argument and on

@@ -1,7 +1,8 @@
 """Layer implementations.
 
 Activations are NCHW (or NF after flatten) in the network's dtype, float32 or
-float64. A training-mode forward keeps what backward needs, nothing more; an
+float64. A training-mode forward keeps what backward needs in underscore
+attributes, nothing more, and `drop_state` sets them to None; an
 evaluation-mode forward keeps nothing. Every parameterized layer keeps
 parameters in `self.params` and writes gradients of the mean batch loss into
 `self.grads` during backward.
@@ -158,6 +159,12 @@ class Layer:
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def drop_state(self) -> None:
+        """Forget what the last training-mode forward kept for backward."""
+        for name in vars(self):
+            if name.startswith("_"):
+                setattr(self, name, None)
+
     def spec(self) -> dict:
         raise NotImplementedError
 
@@ -259,13 +266,17 @@ class Conv2d(Layer):
         _map_shards(shard, n)
         return out
 
-    def backward(self, dout):
+    def backward(self, dout, input_grad: bool = True):
+        """dW and db into self.grads; returns dx, or None without input_grad
+        (a first layer's dx, which nothing reads)."""
         n, o, h, w = dout.shape
         c = self.in_ch
         x, cols = self._x, self._cols
         w_flip = self.params["W"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         dout_m = dout.reshape(n, o, h * w)
-        dx = np.empty((n, c, h, w), dtype=np.result_type(dout, w_flip))
+        dx = None
+        if input_grad:
+            dx = np.empty((n, c, h, w), dtype=np.result_type(dout, w_flip))
 
         def shard(s):
             dcols = None
@@ -278,7 +289,8 @@ class Conv2d(Layer):
                 dcols = _im2col(dout[s])
                 x_m = x[s].reshape(-1, c, h * w)
                 dw = np.matmul(x_m, dcols.transpose(0, 2, 1)).sum(axis=0)
-            _conv3x3(dout[s], w_flip, dx[s], dcols)
+            if dx is not None:
+                _conv3x3(dout[s], w_flip, dx[s], dcols)
             return dw, dout_m[s].sum(axis=(0, 2))
 
         partials = _map_shards(shard, n)

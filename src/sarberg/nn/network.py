@@ -91,12 +91,14 @@ class Network:
             x = layer.forward(x, training, rng)
         return x
 
-    def backward(self, dout: np.ndarray, logit_grad: bool = False) -> np.ndarray:
-        """Backpropagate dout through every layer, last to first.
+    def backward(self, dout: np.ndarray, logit_grad: bool = False) -> None:
+        """Backpropagate dout through every layer, last to first; the
+        gradients land on the layers.
 
         Needs a training-mode forward just before. With logit_grad, dout is
         the loss gradient with respect to the input of the trailing Sigmoid
-        rather than its output.
+        rather than its output. Nothing reads the first layer's input
+        gradient, so a first Conv2d skips it.
         """
         layers = self.layers[::-1]
         if logit_grad and (not layers or not isinstance(layers[0], Sigmoid)):
@@ -110,8 +112,17 @@ class Network:
             dout = layers[0].backward(dout, logit_grad=True)
             layers = layers[1:]
         for layer in layers:
-            dout = layer.backward(dout)
-        return dout
+            if layer is self.layers[0] and isinstance(layer, Conv2d):
+                layer.backward(dout, input_grad=False)
+            else:
+                dout = layer.backward(dout)
+
+    def drop_state(self) -> None:
+        """Forget every layer's training state; backward then needs a new
+        training-mode forward."""
+        self._backward_ready = False
+        for layer in self.layers:
+            layer.drop_state()
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         out = []

@@ -205,6 +205,10 @@ def _train(net: Network, x: np.ndarray, target: np.ndarray, loss: str,
     seed reproduces a run bitwise. After each epoch end_epoch(lr) scores the
     net, with lr the rate that epoch used, and returns the loss the plateau
     rule watches.
+
+    The layers' training state is dropped once, when the run ends: dropped
+    after every step, the freed heap top was trimmed and faulted back in by
+    the next step, about 7% slower.
     """
     rng = np.random.default_rng(cfg.seed)
     optimizer = Adam(net)
@@ -219,6 +223,7 @@ def _train(net: Network, x: np.ndarray, target: np.ndarray, loss: str,
             _backprop_loss(net, pred, target[idx], loss)
             optimizer.step(lr)
         lr = scheduler.update(end_epoch(lr))
+    net.drop_state()
 
 
 def fit(

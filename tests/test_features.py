@@ -1,13 +1,16 @@
 """Feature extraction against closed-form and brute-force oracles."""
 
+import os
+
 import numpy as np
 import pytest
 
-from sarberg.data import SampleSet, SarSample
+from sarberg.data import SampleSet, SarSample, SynthConfig, synth_dataset
 from sarberg.features import (
     BAND_NAMES,
     FEATURE_NAMES,
     STAT_NAMES,
+    _row_stats,
     band_stats,
     correlation_matrix,
     derived_bands,
@@ -15,6 +18,7 @@ from sarberg.features import (
     feature_vector,
     normalize_incidence,
 )
+from tests.test_data import _forked_and_alone
 
 
 def plane(arr):
@@ -172,13 +176,23 @@ class TestBandStats:
                 rng.integers(-3, 3, size=shape) * 0.25 + 1.0,  # ties, no zero
                 rng.choice([-0.0, 0.0, 1.0], size=shape),  # zeros of both signs
             ]
+            expected = []
             for arr in bands:
                 s = band_stats(plane(arr))
                 v = arr.ravel()
-                expect = (v.min(), v.max(), v.mean(), *np.quantile(v, (0.25, 0.5, 0.75)),
-                          np.std(v, ddof=1))
-                got = (s.min, s.max, s.mean, s.q1, s.median, s.q3, s.std)
-                assert np.array(got).tobytes() == np.array(expect).tobytes(), (shape, arr)
+                q1, median, q3 = np.quantile(v, (0.25, 0.5, 0.75))
+                expect = np.array((v.min(), v.max(), v.mean(), median, q1, q3,
+                                   np.std(v, ddof=1)))
+                assert np.array(s.as_tuple()).tobytes() == expect.tobytes(), (shape, arr)
+                expected.append(expect)
+            # feature_vector's pass over four bands at once: each band sits
+            # in each of the four rows beside three others.
+            k = len(bands)
+            for i in range(k):
+                rows = [(i + j) % k for j in range(4)]
+                got = _row_stats(np.stack([bands[r].ravel() for r in rows]))
+                for j, r in enumerate(rows):
+                    assert got[j].tobytes() == expected[r].tobytes(), (shape, r, j)
 
     def test_constant_band_exact_at_every_size(self):
         for shape in ((3, 3), (3, 7), (8, 8), (75, 75)):
@@ -302,3 +316,91 @@ class TestCorrelation:
         X = np.random.default_rng(15).normal(size=(8, 30))
         corr = correlation_matrix(X, fields=[0, 3, 7])
         assert corr.shape == (3, 3)
+
+
+def numpy_stats(band):
+    """A band's seven statistics from numpy, as STAT_NAMES orders them; a
+    constant band reads its own value as mean and 0 as std."""
+    v = band.ravel()
+    q1, median, q3 = np.quantile(v, (0.25, 0.5, 0.75))
+    mean, std = (v.min(), 0.0) if v.min() == v.max() else (v.mean(), np.std(v, ddof=1))
+    return np.array((v.min(), v.max(), mean, median, q1, q3, std))
+
+
+def _refusal(sset):
+    try:
+        feature_matrix(sset, None)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the scenes are shared only through os.fork")
+class TestTwoProcessFeatures:
+    """feature_matrix hands the second half of the set to a forked child; X
+    and the refusals are those of one process."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 33])
+    def test_bytes_match_one_process(self, n):
+        sset = SampleSet(synth_dataset(SynthConfig(n_samples=max(n, 2), seed=n)).samples[:n])
+        got, alone, forks = _forked_and_alone(feature_matrix, sset, 31.0)
+        assert forks == (n > 1)
+        assert got[0] == alone[0] == sset.ids()
+        assert got[1].shape == (n, 30) and got[1].tobytes() == alone[1].tobytes()
+        assert got[2].tobytes() == alone[2].tobytes()
+        assert got[1].tobytes() == np.stack([feature_vector(s, 31.0) for s in sset]).tobytes()
+
+    def test_edge_bands_match_one_process_and_numpy(self):
+        rng = np.random.default_rng(17)
+        shape = (3, 7)
+        bands = [
+            rng.choice([-0.0, 0.0, 1.0], size=shape),  # zeros of both signs
+            np.where(np.arange(21).reshape(shape) < 10, -1.5, 0.0),  # a zero median
+            np.full(shape, -27.878),  # constant
+            np.full(shape, -0.0),  # constant negative zero
+            rng.integers(-3, 3, size=shape).astype(float),  # heavy ties
+            rng.normal(-20.0, 5.0, size=shape),
+        ]
+        pairs = [(a, b) for a in bands for b in bands]
+        sset = SampleSet(tuple(
+            SarSample(id=f"s{i}", hh=hh, hv=hv, inc_angle=30.0, label=i % 2)
+            for i, (hh, hv) in enumerate(pairs)
+        ))
+        (_, X, _), (_, alone, _), forks = _forked_and_alone(feature_matrix, sset, None)
+        assert forks == 1 and X.tobytes() == alone.tobytes()
+        for row, (hh, hv) in zip(X, pairs):
+            diff, ratio = derived_bands(hh, hv)
+            expect = np.concatenate([numpy_stats(b) for b in (hh, hv, diff, ratio)])
+            assert row[:28].tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad,named",
+        [
+            ({1: "ratio"}, 1),  # the caller's half
+            ({4: "ratio"}, 4),  # the child's half
+            ({1: "ratio", 4: "ratio"}, 1),  # both halves
+            ({2: "angle"}, 2),
+            ({5: "angle"}, 5),
+            ({3: "angle", 5: "ratio"}, 3),
+            ({4: "angle", 2: "ratio"}, 2),
+            ({0: "angle", 3: "ratio"}, 0),
+        ],
+    )
+    def test_first_bad_sample_in_set_order_named(self, bad, named):
+        samples = list(synth_dataset(SynthConfig(n_samples=6, seed=4)).samples)
+        for i, what in bad.items():
+            s = samples[i]
+            if what == "ratio":  # 10^(4000/10) overflows float64
+                hh = s.hh.copy()
+                hh[2, 2] = 4000.0
+                samples[i] = SarSample(id=s.id, hh=hh, hv=s.hv, inc_angle=s.inc_angle)
+            else:
+                samples[i] = SarSample(id=s.id, hh=s.hh, hv=s.hv, inc_angle=None)
+        sset = SampleSet(tuple(samples))
+        refused, alone, forks = _forked_and_alone(_refusal, sset)
+        assert forks == 1 and refused == alone
+        reason = {
+            "ratio": "ratio band is not finite",
+            "angle": "has no incidence angle and no fill angle",
+        }[bad[named]]
+        assert refused.startswith(f"sample {samples[named].id!r}") and reason in refused

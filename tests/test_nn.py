@@ -289,13 +289,13 @@ class TestGradientCheck:
         # conv input-gradient must blow past 1e-2.
         original = Conv2d.backward
 
-        def corrupted(self, dout):
+        def corrupted(self, dout, input_grad=True):
             # The real backward flips W for dx; handing it W pre-flipped
             # applies the kernel un-flipped. dW and db do not read W.
             weights = self.params["W"]
             self.params["W"] = weights[:, :, ::-1, ::-1]
             try:
-                return original(self, dout)
+                return original(self, dout, input_grad)
             finally:
                 self.params["W"] = weights
 

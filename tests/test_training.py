@@ -25,7 +25,8 @@ from sarberg.nn import (
     loss_logloss,
     prepare_inputs,
 )
-from sarberg.nn.training import channel_planes
+from sarberg.nn.layers import Conv2d
+from sarberg.nn.training import _backprop_loss, channel_planes, label_vector
 
 
 def tiny_sets(n=16, seed=0):
@@ -229,3 +230,70 @@ class TestAutoencoderFit:
             build_autoencoder(3, seed=1, conv_widths=(2, 2, 2)), train, tiny_cfg()
         )
         assert l1 == l2
+
+
+def kept_arrays(net):
+    """(layer index, attribute) of every array a layer holds besides its
+    parameters and gradients."""
+    return [
+        (i, name)
+        for i, layer in enumerate(net.layers)
+        for name, value in vars(layer).items()
+        if name not in ("params", "grads") and isinstance(value, np.ndarray)
+    ]
+
+
+class TestTrainingState:
+    def test_no_layer_keeps_training_state_after_a_run(self):
+        train, val = tiny_sets()
+        net = tiny_net()
+        net.forward(input_tensor(train, ("hh", "hv", "diff")), training=True,
+                    rng=np.random.default_rng(0))
+        kinds = {type(net.layers[i]).__name__ for i, _ in kept_arrays(net)}
+        assert kinds == {"Conv2d", "Relu", "MaxPool2", "Dropout", "Dense", "Sigmoid"}
+        net, _ = fit(net, train, val, tiny_cfg())
+        assert kept_arrays(net) == []
+        with pytest.raises(ValueError, match="needs a training-mode forward"):
+            net.backward(np.zeros((1, 1)))
+        ae, _ = fit_autoencoder(build_autoencoder(3, seed=0, conv_widths=(2, 2, 2)), train,
+                                tiny_cfg())
+        assert kept_arrays(ae) == []
+
+    @pytest.mark.parametrize("width", [2, 16])  # layer 0 scatters, or gathers
+    def test_first_layer_input_gradient_skipped_bitwise(self, monkeypatch, width):
+        original, calls = Conv2d.backward, []
+
+        def recorded(self, dout, input_grad=True):
+            calls.append(input_grad)
+            return original(self, dout, input_grad)
+
+        def always_dx(self, dout, input_grad=True):
+            return original(self, dout)
+
+        train, val = tiny_sets()
+        x = input_tensor(train, ("hh", "hv", "diff")).astype(np.float32)
+        cfg = tiny_cfg(dtype="float32")
+
+        def run():
+            def net():
+                return build_classifier(3, seed=3, conv_widths=(width, 2, 2), dense_width=4,
+                                        dtype=np.float32)
+
+            one = net()
+            _backprop_loss(one, one.forward(x, training=True, rng=np.random.default_rng(1)),
+                           label_vector(train))
+            grads = {k: v.tobytes() for k, v in one.gradients().items()}
+            ae, losses = fit_autoencoder(
+                build_autoencoder(3, seed=3, conv_widths=(width, 2, 2), dtype=np.float32),
+                train, cfg,
+            )
+            clf, history = fit(net(), train, val, cfg)
+            state = {k: v.tobytes() for k, v in {**clf.get_state(), **{
+                f"ae.{k}": v for k, v in ae.get_state().items()}}.items()}
+            return grads, losses, vars(history), state
+
+        monkeypatch.setattr(Conv2d, "backward", recorded)
+        skipped = run()
+        assert calls[:3] == [True, True, False]  # convs 6, 3, then 0 without dx
+        monkeypatch.setattr(Conv2d, "backward", always_dx)
+        assert skipped == run()
