@@ -8,9 +8,9 @@ carries: icebergs are large, roughly isotropic blobs whose HV return
 sits close to HH (volume scattering); ships are elongated and strongly
 cross-pol suppressed.
 
-`parse_samples` and `serialize_samples` may hand half of the records to one
-forked child process (`forked.map_parts`). The text written, the samples
-read and every refusal message do not depend on it.
+`parse_samples` and `serialize_samples` share their records with one forked
+child (`forked.map_items`, which holds the fork contract). The text written,
+the samples read and every refusal message do not depend on it.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ def parse_samples(raw: bytes | str, labeled: bool) -> SampleSet:
             return None
         return None if refusal is not None else samples
 
-    first, *second = forked.map_parts(half, 1 if split is None else 2)
+    first, *second = forked.map_items(half, range(1 if split is None else 2))
     samples, index, refusal, landed = first
     if landed:
         rest = second[0]
@@ -343,18 +343,14 @@ def serialize_samples(sset: SampleSet) -> str:
     labeled samples. parse(serialize(s)) reproduces s field-by-field (up to
     provenance and imputation flags, which the wire format does not carry).
 
-    Records are encoded one at a time, the second half of them by a forked
-    child; the text is the same as `json.dumps` of the whole list, with
-    separators (",", ":").
+    Records are encoded one at a time, through `forked.map_items`; the text
+    is the same as `json.dumps` of the whole list, with separators (",", ":").
     """
-    samples = sset.samples
-    half = (len(samples) + 1) // 2
-    parts = (samples[:half], samples[half:])
 
-    def encode(part: int) -> str:
-        return ",".join(json.dumps(_record(s), separators=(",", ":")) for s in parts[part])
+    def encode(s: SarSample) -> str:
+        return json.dumps(_record(s), separators=(",", ":"))
 
-    return "[" + ",".join(forked.map_parts(encode, 2 if len(samples) > 1 else 1)) + "]"
+    return "[" + ",".join(forked.map_items(encode, sset.samples)) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +427,10 @@ def impute_incidence(sset: SampleSet) -> tuple[SampleSet, float]:
     """Replace missing incidence angles by the mean of the present ones.
 
     Returns the imputed set and the mean angle, so the same fill value can be
-    reused on test data (`fill_incidence`).
+    reused on test data (`fill_incidence`). An empty set is refused.
     """
+    if len(sset) == 0:
+        raise ValueError("empty sample set")
     mean_angle = mean_incidence(s.inc_angle for s in sset)
     return fill_incidence(sset, mean_angle), mean_angle
 

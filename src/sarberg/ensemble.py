@@ -10,13 +10,11 @@ members (boosted trees on the statistics features, and the CNN) live at the
 bottom, next to the predictors that score a whole SampleSet with one saved
 model.
 
-A fold may run in a forked child: where the platform has `os.fork`, one
-child process runs half of the folds while the caller runs the rest, on the
-state both inherit from the members' first call (`forked.map_parts`, whose
-docstring holds the fork contract). So fold(train_rows, hold_rows) may depend
-only on its arguments and on what the member's first call made, the side
-effects of a child's folds stay in the child, and it returns an array: a
-child-run fold sends its predictions back to the caller pickled, as float64.
+The folds are shared with one forked child, on the state both processes
+inherit from the members' first call (`forked.map_items`, whose docstring
+holds the fork contract). So fold(train_rows, hold_rows) may depend only on
+its arguments and on what the member's first call made, and it returns an
+array: a child-run fold's predictions come back pickled, as float64.
 """
 
 from __future__ import annotations
@@ -86,7 +84,7 @@ def oof_predictions(
     predicted by the model that never saw it. Each member sees the full set
     once, before the first fold. A member's refusal names the fold; where
     several folds refuse, the lowest one is named. The folds are shared with
-    one forked child (`forked.map_parts`)."""
+    one forked child (`forked.map_items`)."""
     labels = sset.labels()
     if any(l is None for l in labels):
         raise ValueError("out-of-fold generation needs a fully labeled set")
@@ -96,8 +94,13 @@ def oof_predictions(
     for fold in range(k_folds):
         hold = fold_of == fold
         train_rows, hold_rows = np.flatnonzero(~hold), np.flatnonzero(hold)
-        if np.unique(y[train_rows]).size < 2 or not hold_rows.size:
+        if np.unique(y[train_rows]).size < 2:
             raise ValueError(f"fold {fold} leaves a single-class training split")
+        if not hold_rows.size:
+            raise ValueError(
+                f"fold {fold} holds no rows: k_folds ({k_folds}) exceeds the row "
+                f"count of the larger class ({np.bincount(y).max()})"
+            )
         splits.append((train_rows, hold_rows))
 
     members = tuple(trainers)
@@ -114,7 +117,7 @@ def oof_predictions(
         return block
 
     values = np.empty((len(sset), len(members)))
-    for (_, hold_rows), block in zip(splits, forked.map_parts(run, k_folds)):
+    for (_, hold_rows), block in zip(splits, forked.map_items(run, range(k_folds))):
         values[hold_rows] = block
     if not np.all(np.isfinite(values)):
         raise ValueError("a member produced non-finite out-of-fold predictions")

@@ -4,8 +4,8 @@ Each sample yields 30 scalars: seven order/moment statistics for each of the
 HH, HV, difference, and ratio bands (2-D float arrays, like a sample's), plus
 the incidence angle and a flag marking angles imputed rather than measured.
 
-`feature_matrix` hands the second half of a set to one forked child process
-(`forked.map_parts`); X and every refusal do not depend on it.
+`feature_matrix` shares a set's samples with one forked child process
+(`forked.map_items`); X and every refusal do not depend on it.
 """
 
 from __future__ import annotations
@@ -144,14 +144,7 @@ def feature_matrix(
     """
     if len(sset) == 0:
         raise ValueError("empty sample set")
-    samples = sset.samples
-    half = (len(samples) + 1) // 2
-    parts = (samples[:half], samples[half:])
-
-    def featurise(part: int) -> np.ndarray:
-        return np.stack([feature_vector(s, mean_angle) for s in parts[part]])
-
-    X = np.concatenate(forked.map_parts(featurise, 2 if len(samples) > 1 else 1))
+    X = np.stack(forked.map_items(lambda s: feature_vector(s, mean_angle), sset.samples))
     labels = sset.labels()
     y = None
     if all(l is not None for l in labels):

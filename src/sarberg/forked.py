@@ -1,18 +1,18 @@
 """Work shared with one forked child process.
 
-`map_parts(run, k)` is [run(i) for i in range(k)], with the odd parts run
-by one child forked from the caller while the caller runs the even ones. The
-GBM fit, the JSON codec and the per-scene feature statistics hold the GIL, so
-a second thread would not use the second core; a forked child does.
+`map_items(fn, items)` is [fn(x) for x in items], with the first half of the
+items run by the caller and the rest by one child forked from it. The GBM
+fit, the JSON codec and the per-scene feature statistics hold the GIL, so a
+second thread would not use the second core; a forked child does.
 
-Its callers: `ensemble.oof_predictions` (the odd folds),
-`data.parse_samples` and `data.serialize_samples` (the second half of the
-records) and `features.feature_matrix` (the second half of the scenes).
+Its callers: `ensemble.oof_predictions` (over the folds),
+`data.parse_samples` (over the two halves of the text),
+`data.serialize_samples` and `features.feature_matrix` (over the samples).
 
-The fork contract, for every `run` passed here: the child runs on the state
-it inherits at the fork, so run(i) may depend only on its argument and on
+The fork contract, for every `fn` passed here: the child runs on the state
+it inherits at the fork, so fn(x) may depend only on its argument and on
 what existed before the call, and its side effects (a counter, a cache, a
-file handle's position) stay in the child. A child-run part's result goes
+file handle's position) stay in the child. A child-run item's result goes
 back to the caller pickled, so it must pickle, and it comes back a copy.
 """
 
@@ -23,25 +23,29 @@ import pickle
 import signal
 import sys
 import traceback
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
+R = TypeVar("R")
 
 
-def map_parts(run: Callable[[int], T], k: int) -> list[T]:
-    """[run(i) for i in range(k)], with the odd parts run by one forked child
-    while this process runs the even ones, as `nn.layers._map_shards` shares
-    a batch between the caller and one worker thread.
+def map_items(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """[fn(x) for x in items]: this process runs the first ceil(n/2) items
+    while one forked child runs the rest. With fewer than 2 items, or
+    without `os.fork`, this process runs them all and nothing forks.
 
-    The child sends its results back pickled through a pipe and always leaves
-    through `os._exit`. A ValueError from either process is raised here for
-    the lowest failing part. A child that dies or fails otherwise raises a
-    RuntimeError naming its parts; if this process fails, it kills the
-    child. Either way the child is reaped. Without `os.fork`, or with a
-    single part, this process runs every part."""
-    if k < 2 or not hasattr(os, "fork"):
-        return [run(i) for i in range(k)]
-    child_parts = list(range(1, k, 2))
+    Each process stops at its first error, so a ValueError is raised for the
+    lowest failing item, as one process would raise it. Whatever this
+    process's half raises is raised at once: the child is killed, and its
+    own failure, if any, is not reported. Otherwise a child that dies or
+    fails other than by a ValueError raises a RuntimeError naming its items'
+    indices and its exit status. The child sends its results back pickled
+    through a pipe, always leaves through `os._exit`, and is always reaped
+    before this returns or raises."""
+    n = len(items)
+    if n < 2 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    half = (n + 1) // 2
     sys.stdout.flush()  # else the child would inherit, and print, the buffers
     sys.stderr.flush()
     read_fd, write_fd = os.pipe()
@@ -50,13 +54,17 @@ def map_parts(run: Callable[[int], T], k: int) -> list[T]:
         status = 1
         try:
             os.close(read_fd)
+            try:
+                reply = [fn(x) for x in items[half:]]
+            except ValueError as e:
+                reply = e
             with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(_run_until_refused(run, child_parts), pipe)
+                pickle.dump(reply, pipe)
             status = 0
         except BaseException:
             traceback.print_exc()
         finally:
-            try:  # what the child's parts printed; os._exit skips the flush
+            try:  # what the child's items printed; os._exit skips the flush
                 sys.stdout.flush()
                 sys.stderr.flush()
             finally:
@@ -64,7 +72,7 @@ def map_parts(run: Callable[[int], T], k: int) -> list[T]:
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as pipe:
-            done = _run_until_refused(run, range(0, k, 2))
+            done = [fn(x) for x in items[:half]]
             reply = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -73,25 +81,10 @@ def map_parts(run: Callable[[int], T], k: int) -> list[T]:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status != 0:
         raise RuntimeError(
-            f"the forked process running parts {child_parts} exited with status {status}"
+            f"the forked process running items {list(range(half, n))} "
+            f"exited with status {status}"
         )
-    done.update(pickle.loads(reply))
-    # Each process stops at its first refusal, so every part below the lowest
-    # refusal is present.
-    for i in range(k):
-        if isinstance(done[i], ValueError):
-            raise done[i]
-    return [done[i] for i in range(k)]
-
-
-def _run_until_refused(run: Callable[[int], T], parts) -> dict:
-    """{i: run(i)} in the given order, up to the first part whose run raises
-    ValueError; that part maps to the error."""
-    done = {}
-    for i in parts:
-        try:
-            done[i] = run(i)
-        except ValueError as e:
-            done[i] = e
-            break
-    return done
+    rest = pickle.loads(reply)
+    if isinstance(rest, ValueError):
+        raise rest
+    return done + rest

@@ -399,6 +399,25 @@ class TestPipeline:
         assert "sarberg predict: empty sample set" in capsys.readouterr().err
         assert not (tmp_path / "p" / "submission.csv").exists()
 
+    def test_features_on_empty_set_refused_by_name(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        assert run("features", "--input", path, "--out", tmp_path / "f") == 1
+        assert "sarberg features: empty sample set" in capsys.readouterr().err
+        assert not (tmp_path / "f" / "features.csv").exists()
+
+    def test_stack_refuses_more_folds_than_the_larger_class_has_rows(
+        self, tmp_path, dataset_file, capsys
+    ):
+        # dataset_file holds 12 scenes of each class.
+        out = tmp_path / "s"
+        assert run("stack", "--input", dataset_file, "--k-folds", 20, "--out", out) == 1
+        assert (
+            "sarberg stack: fold 12 holds no rows: k_folds (20) exceeds the row count "
+            "of the larger class (12)" in capsys.readouterr().err
+        )
+        assert not (out / "oof.csv").exists() and not (out / "metrics.json").exists()
+
     def test_train_gbm_refuses_empty_split_before_writing(self, tmp_path, dataset_file, capsys):
         sset = parse_samples(dataset_file.read_bytes(), labeled=True)
         ship, iceberg = (next(s for s in sset if s.label == c) for c in (0, 1))

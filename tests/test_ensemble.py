@@ -200,6 +200,20 @@ class TestOofPredictions:
         with pytest.raises(ValueError, match="fold 0.*inc_angle"):
             oof_predictions(sset, trainers, k_folds=2, seed=4)
 
+    @pytest.mark.parametrize("n_ship,n_iceberg,k", [(12, 12, 20), (5, 3, 7), (2, 6, 7)])
+    def test_empty_fold_named_by_its_cause(self, n_ship, n_iceberg, k):
+        # Each class is dealt round-robin, so fold `larger` is the first empty one.
+        base = labeled_set(40).samples
+        sset = SampleSet(tuple(s for s in base if s.label == 0)[:n_ship]
+                         + tuple(s for s in base if s.label == 1)[:n_iceberg])
+        larger = max(n_ship, n_iceberg)
+        with pytest.raises(ValueError) as info:
+            oof_predictions(sset, {"a": constant_trainer(0.5)}, k, 0)
+        assert str(info.value) == (
+            f"fold {larger} holds no rows: k_folds ({k}) exceeds the row count "
+            f"of the larger class ({larger})"
+        )
+
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the folds are shared only through os.fork")
 class TestForkedFolds:
