@@ -365,10 +365,12 @@ def split_train_validation(
     The validation set receives round(ratio_val * N) samples with per-class
     counts within one sample of exact proportion (largest-remainder
     apportionment). Deterministic for a fixed seed; outputs preserve the
-    input ordering and partition the input.
+    input ordering and partition the input. An empty set is refused.
     """
     if not (0.0 < ratio_val < 1.0):
         raise ValueError("ratio_val must lie strictly in (0, 1)")
+    if len(sset) == 0:
+        raise ValueError("empty sample set")
     for s in sset:
         if s.label is None:
             raise ValueError(f"sample {s.id!r} is unlabeled; cannot stratify")

@@ -83,8 +83,10 @@ def oof_predictions(
     """Refit every member per fold on the other folds' rows; each row is
     predicted by the model that never saw it. Each member sees the full set
     once, before the first fold. A member's refusal names the fold; where
-    several folds refuse, the lowest one is named. The folds are shared with
-    one forked child (`forked.map_items`)."""
+    several folds refuse, the lowest one is named. An empty set is refused.
+    The folds are shared with one forked child (`forked.map_items`)."""
+    if len(sset) == 0:
+        raise ValueError("empty sample set")
     labels = sset.labels()
     if any(l is None for l in labels):
         raise ValueError("out-of-fold generation needs a fully labeled set")

@@ -23,6 +23,25 @@ and adds the partial sums in shard order. The shard count is fixed, so these
 sums round the same on every run, on any number of cores, and whether the
 worker runs or the shards run inline.
 
+Long rows. The non-GEMM passes of the conv trunk run their inner loops over
+whole flattened planes or whole rows, not over 2x2 blocks or short padded
+rows; only the loop shape differs from a per-pixel reading, not the
+arithmetic:
+- `_im2col` makes each of the 9 taps with one copy of the flattened (H*W)
+  planes, shifted by (i-1)*W + (j-1) (`_tap_span`). It then writes the
+  zeros of the padding: the head or tail the shift leaves out, and the one
+  column where the shift wraps across a row end. Copies and zeros carry no
+  rounding, so the windows are those of a padded sliding window.
+- The scatter side of `_conv3x3` adds each tap plane onto the output with
+  the same flat shift: the centre tap first, then the other eight in tap
+  order. An add also lands on the wrapped column, where no tap belongs, so
+  that column is saved before the add and written back after it. Each
+  output element thus sees the same adds in the same order as a per-pixel
+  loop, and keeps the sign of a zero sum.
+- `MaxPool2` takes the max of row pairs over the full width, then of
+  column pairs: the same two-level max, and the same ties.
+- `Upsample2` writes the even rows, then copies them to the odd rows.
+
 BLAS threads. BLAS threads would compete with the worker for the cores.
 Importing `sarberg` before numpy pins OpenBLAS, OpenMP and MKL to one thread.
 The worker runs only when all three variables read "1"; otherwise the shards
@@ -169,26 +188,44 @@ class Layer:
         raise NotImplementedError
 
 
+def _tap_span(i: int, j: int, h: int, w: int) -> tuple[int, int, int, int | None]:
+    """Where tap (i, j) of a 3x3 window lands on a flattened (h, w) plane.
+
+    Output pixel p reads input pixel p + off, off = (i-1)*w + (j-1). It does
+    so for p in [lo, hi); below lo and from hi on, p + off leaves the plane
+    (hi == lo on planes too small for any read). Inside [lo, hi), a j != 1
+    shift also wraps across a row end in one column (`col`: 0 for j == 0,
+    w-1 for j == 2), whose reads belong to the zero padding.
+    """
+    off = (i - 1) * w + (j - 1)
+    hw = h * w
+    lo = min(max(-off, 0), hw)
+    hi = max(min(hw - off, hw), lo)
+    return off, lo, hi, (0, None, w - 1)[j]
+
+
 def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """3x3 same-padded windows as (N, C*9, H*W), tap-major within channel,
     written into `out` when given.
 
-    The (n, c, i, j, H, W) copy order keeps rows contiguous, so the gather
-    runs at memcpy speed instead of a strided shuffle.
+    Each tap is one shifted copy of the flattened planes (`_tap_span`), then
+    zeros where the window reads the padding.
     """
     n, c, h, w = x.shape
+    hw = h * w
     if out is None:
-        out = np.empty((n, c * 9, h * w), dtype=x.dtype)
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    np.copyto(out.reshape(n, c, 3, 3, h, w), win.transpose(0, 1, 4, 5, 2, 3))
+        out = np.empty((n, c * 9, hw), dtype=x.dtype)
+    taps = out.reshape(n, c, 9, hw)
+    xf = x.reshape(n, c, hw)
+    for t in range(9):
+        off, lo, hi, col = _tap_span(*divmod(t, 3), h, w)
+        dst = taps[:, :, t]
+        dst[..., lo:hi] = xf[..., lo + off : hi + off]
+        dst[..., :lo] = 0
+        dst[..., hi:] = 0
+        if col is not None:
+            dst.reshape(n, c, h, w)[..., col] = 0
     return out
-
-
-# Output rows/cols that tap offset 0, 1, 2 reaches inside the image, and the
-# input rows/cols it reads there (output y reads input y + offset - 1).
-_TAP_DST = (slice(1, None), slice(None), slice(None, -1))
-_TAP_SRC = (slice(None, -1), slice(None), slice(1, None))
 
 
 def _conv3x3(
@@ -201,23 +238,29 @@ def _conv3x3(
     the input windows are gathered (`_im2col`, or `cols` when the caller
     already has them) and contracted in one GEMM. Otherwise one GEMM maps
     the C input channels to nine tap planes per output channel, and the
-    planes are added onto the O outputs at their shifts.
+    planes are added onto the O outputs at their shifts: the centre tap
+    first, then the others in tap order. A shifted add also lands on the
+    wrapped column, so that column is saved before the add and put back
+    after it.
     """
     n, c, h, wd = x.shape
     o = w.shape[0]
+    hw = h * wd
     if c <= o:
         cols = _im2col(x) if cols is None else cols
-        np.matmul(w.reshape(o, c * 9), cols, out=out.reshape(n, o, h * wd))
+        np.matmul(w.reshape(o, c * 9), cols, out=out.reshape(n, o, hw))
         return
     w_taps = w.transpose(2, 3, 0, 1).reshape(9 * o, c)
-    taps = (w_taps @ x.reshape(n, c, h * wd)).reshape(n, 3, 3, o, h, wd)
-    out[...] = taps[:, 1, 1]
-    for i in range(3):
-        for j in range(3):
-            if (i, j) != (1, 1):
-                out[:, :, _TAP_DST[i], _TAP_DST[j]] += taps[
-                    :, i, j, :, _TAP_SRC[i], _TAP_SRC[j]
-                ]
+    taps = (w_taps @ x.reshape(n, c, hw)).reshape(n, 9, o, hw)
+    out_f = out.reshape(n, o, hw)
+    out_f[...] = taps[:, 4]
+    for t in (0, 1, 2, 3, 5, 6, 7, 8):
+        off, lo, hi, col = _tap_span(*divmod(t, 3), h, wd)
+        if col is not None:
+            kept = out[..., col].copy()
+        out_f[..., lo:hi] += taps[:, t, :, lo + off : hi + off]
+        if col is not None:
+            out[..., col] = kept
 
 
 class Conv2d(Layer):
@@ -337,64 +380,58 @@ class Relu(Layer):
         return {"type": "relu"}
 
 
-def _quads(x: np.ndarray) -> np.ndarray:
-    """Writable (N, C, H/2, 2, W/2, 2) view of x's 2x2 blocks; an odd
-    trailing row or column is left out."""
-    n, c, h, w = x.shape
-    s0, s1, s2, s3 = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x, (n, c, h // 2, 2, w // 2, 2), (s0, s1, 2 * s2, s2, 2 * s3, s3)
-    )
-
-
 class MaxPool2(Layer):
     """2x2 max pooling with stride 2; odd trailing rows/cols are dropped.
 
-    Ties route the gradient to one position: the left column wins, then
-    the top row. Training keeps three masks: bottom beats top in the left
-    column, in the right column, and right column beats left.
+    Row first: the max of each top/bottom row pair over the full width, then
+    of each left/right column pair in that row. Ties route the gradient to
+    one position: the left column wins, then the top row. Training keeps two
+    masks: `_bottom`, bottom beats top, at full width (N, C, H/2, 2*(W/2)),
+    and `_right`, right beats left, at output size.
     """
 
     def forward(self, x, training, rng):
         n, c, h, w = x.shape
-        out = np.empty((n, c, h // 2, w // 2), dtype=x.dtype)
-        masks = None
+        h2, w2 = h // 2, w // 2
+        out = np.empty((n, c, h2, w2), dtype=x.dtype)
+        bottom_wins = right_wins = None
         if training:
-            masks = tuple(np.empty(out.shape, dtype=bool) for _ in range(3))
+            bottom_wins = np.empty((n, c, h2, 2 * w2), dtype=bool)
+            right_wins = np.empty(out.shape, dtype=bool)
             self._in_shape = x.shape
-            self._bottom_left, self._bottom_right, self._right = masks
+            self._bottom, self._right = bottom_wins, right_wins
 
         def shard(s):
-            q = _quads(x[s])
-            left = np.maximum(q[:, :, :, 0, :, 0], q[:, :, :, 1, :, 0])
-            right = np.maximum(q[:, :, :, 0, :, 1], q[:, :, :, 1, :, 1])
+            top_rows = x[s, :, 0 : 2 * h2 : 2, : 2 * w2]
+            bottom_rows = x[s, :, 1 : 2 * h2 : 2, : 2 * w2]
+            rows = np.maximum(top_rows, bottom_rows)
+            left, right = rows[..., 0::2], rows[..., 1::2]
             np.maximum(left, right, out=out[s])
-            if masks is not None:
-                bottom_left, bottom_right, right_wins = (m[s] for m in masks)
-                np.greater(q[:, :, :, 1, :, 0], q[:, :, :, 0, :, 0], out=bottom_left)
-                np.greater(q[:, :, :, 1, :, 1], q[:, :, :, 0, :, 1], out=bottom_right)
-                np.greater(right, left, out=right_wins)
+            if bottom_wins is not None:
+                np.greater(bottom_rows, top_rows, out=bottom_wins[s])
+                np.greater(right, left, out=right_wins[s])
 
         _map_shards(shard, n)
         return out
 
     def backward(self, dout):
         n, c, h, w = self._in_shape
+        h2, w2 = h // 2, w // 2
         dx = np.empty((n, c, h, w), dtype=dout.dtype)
-        bottom_left, bottom_right, right = self._bottom_left, self._bottom_right, self._right
+        bottom_wins, right_wins = self._bottom, self._right
 
         def shard(s):
             d = dx[s]
-            d[:, :, 2 * (h // 2) :] = 0.0
-            d[:, :, :, 2 * (w // 2) :] = 0.0
-            q = _quads(d)
-            # Each split sends dout to the winner and dout - dout = 0 elsewhere.
-            d_right = dout[s] * right[s]
-            d_left = dout[s] - d_right
-            np.multiply(d_left, bottom_left[s], out=q[:, :, :, 1, :, 0])
-            np.subtract(d_left, q[:, :, :, 1, :, 0], out=q[:, :, :, 0, :, 0])
-            np.multiply(d_right, bottom_right[s], out=q[:, :, :, 1, :, 1])
-            np.subtract(d_right, q[:, :, :, 1, :, 1], out=q[:, :, :, 0, :, 1])
+            d[:, :, 2 * h2 :] = 0.0
+            d[:, :, :, 2 * w2 :] = 0.0
+            # Each split sends dout to the winner and dout - dout = 0 elsewhere:
+            # first between the columns, then between the rows.
+            split = np.empty(bottom_wins[s].shape, dtype=dout.dtype)
+            np.multiply(dout[s], right_wins[s], out=split[..., 1::2])
+            np.subtract(dout[s], split[..., 1::2], out=split[..., 0::2])
+            bottom_rows = d[:, :, 1 : 2 * h2 : 2, : 2 * w2]
+            np.multiply(split, bottom_wins[s], out=bottom_rows)
+            np.subtract(split, bottom_rows, out=d[:, :, 0 : 2 * h2 : 2, : 2 * w2])
 
         _map_shards(shard, n)
         return dx
@@ -512,12 +549,12 @@ class Upsample2(Layer):
         out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
 
         def shard(s):
-            # One strided copy per block position: a broadcast into the 2x2
-            # blocks runs an inner loop of length 2 and takes twice as long.
-            q = _quads(out[s])
-            for i in range(2):
-                for j in range(2):
-                    q[:, :, :, i, :, j] = x[s]
+            # The even rows take two strided copies of x, then the odd rows
+            # one copy of the even rows: whole rows, not 2x2 blocks.
+            o = out[s]
+            o[:, :, 0::2, 0::2] = x[s]
+            o[:, :, 0::2, 1::2] = x[s]
+            o[:, :, 1::2] = o[:, :, 0::2]
 
         _map_shards(shard, n)
         return out
@@ -527,7 +564,7 @@ class Upsample2(Layer):
         dx = np.empty((n, c, h // 2, w // 2), dtype=dout.dtype)
 
         def shard(s):
-            q = _quads(dout[s])
+            q = dout[s].reshape(-1, c, h // 2, 2, w // 2, 2)
             np.add(
                 q[:, :, :, 0, :, 0] + q[:, :, :, 0, :, 1],
                 q[:, :, :, 1, :, 0] + q[:, :, :, 1, :, 1],

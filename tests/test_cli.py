@@ -428,6 +428,19 @@ class TestPipeline:
         assert "train and validation sets must be non-empty" in capsys.readouterr().err
         assert not (out / "gbm.json").exists() and not (out / "metrics.json").exists()
 
+    @pytest.mark.parametrize("command,outputs", [
+        ("train-gbm", ["gbm.json", "metrics.json"]),
+        ("train-cnn", ["cnn.ckpt", "history.csv", "metrics.json"]),
+        ("stack", ["oof.csv", "metrics.json"]),
+    ])
+    def test_learning_on_empty_set_refused_by_name(self, tmp_path, capsys, command, outputs):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        out = tmp_path / "out"
+        assert run(command, "--input", path, "--out", out) == 1
+        assert f"sarberg {command}: empty sample set" in capsys.readouterr().err
+        assert not any((out / name).exists() for name in outputs)
+
 
 def _write_set(path, samples):
     path.write_text(serialize_samples(SampleSet(tuple(samples), provenance="synthetic")))

@@ -352,6 +352,10 @@ class TestSplit:
         with pytest.raises(ValueError, match="class"):
             split_train_validation(SampleSet(samples), 0.5, seed=0)
 
+    def test_empty_set_rejected_before_class_check(self):
+        with pytest.raises(ValueError, match="^empty sample set$"):
+            split_train_validation(SampleSet(()), 0.5, seed=0)
+
 
 class TestImpute:
     def test_hand_example(self):

@@ -214,6 +214,10 @@ class TestOofPredictions:
             f"of the larger class ({larger})"
         )
 
+    def test_empty_set_refused_before_fold_checks(self):
+        with pytest.raises(ValueError, match="^empty sample set$"):
+            oof_predictions(SampleSet(()), {"a": constant_trainer(0.5)}, 5, 0)
+
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the folds are shared only through os.fork")
 class TestForkedFolds:

@@ -618,6 +618,191 @@ class TestSceneShards:
         assert failures == []
 
 
+# The strided paths the flat ones replaced, kept as oracles. The flat paths do
+# the same arithmetic in the same order, so they must match these bit for bit.
+def _strided_quads(x):
+    n, c, h, w = x.shape
+    s0, s1, s2, s3 = x.strides
+    return np.lib.stride_tricks.as_strided(
+        x, (n, c, h // 2, 2, w // 2, 2), (s0, s1, 2 * s2, s2, 2 * s3, s3)
+    )
+
+
+def _strided_im2col(x):
+    n, c, h, w = x.shape
+    out = np.empty((n, c * 9, h * w), dtype=x.dtype)
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    np.copyto(out.reshape(n, c, 3, 3, h, w), win.transpose(0, 1, 4, 5, 2, 3))
+    return out
+
+
+_TAP_DST = (slice(1, None), slice(None), slice(None, -1))
+_TAP_SRC = (slice(None, -1), slice(None), slice(1, None))
+
+
+def _strided_conv3x3_scatter(x, w):
+    n, c, h, wd = x.shape
+    o = w.shape[0]
+    out = np.empty((n, o, h, wd), dtype=np.result_type(x, w))
+    w_taps = w.transpose(2, 3, 0, 1).reshape(9 * o, c)
+    taps = (w_taps @ x.reshape(n, c, h * wd)).reshape(n, 3, 3, o, h, wd)
+    out[...] = taps[:, 1, 1]
+    for i in range(3):
+        for j in range(3):
+            if (i, j) != (1, 1):
+                out[:, :, _TAP_DST[i], _TAP_DST[j]] += taps[
+                    :, i, j, :, _TAP_SRC[i], _TAP_SRC[j]
+                ]
+    return out
+
+
+def _strided_maxpool(x, dout):
+    """Forward output and dx of the quad-view MaxPool2 with its three masks."""
+    n, c, h, w = x.shape
+    q = _strided_quads(x)
+    left = np.maximum(q[:, :, :, 0, :, 0], q[:, :, :, 1, :, 0])
+    right = np.maximum(q[:, :, :, 0, :, 1], q[:, :, :, 1, :, 1])
+    out = np.maximum(left, right)
+    bottom_left = q[:, :, :, 1, :, 0] > q[:, :, :, 0, :, 0]
+    bottom_right = q[:, :, :, 1, :, 1] > q[:, :, :, 0, :, 1]
+    right_wins = right > left
+    dx = np.empty_like(x)
+    dx[:, :, 2 * (h // 2) :] = 0.0
+    dx[:, :, :, 2 * (w // 2) :] = 0.0
+    d = _strided_quads(dx)
+    d_right = dout * right_wins
+    d_left = dout - d_right
+    np.multiply(d_left, bottom_left, out=d[:, :, :, 1, :, 0])
+    np.subtract(d_left, d[:, :, :, 1, :, 0], out=d[:, :, :, 0, :, 0])
+    np.multiply(d_right, bottom_right, out=d[:, :, :, 1, :, 1])
+    np.subtract(d_right, d[:, :, :, 1, :, 1], out=d[:, :, :, 0, :, 1])
+    return out, dx
+
+
+def _strided_upsample(x):
+    n, c, h, w = x.shape
+    out = np.empty((n, c, 2 * h, 2 * w), dtype=x.dtype)
+    q = _strided_quads(out)
+    for i in range(2):
+        for j in range(2):
+            q[:, :, :, i, :, j] = x
+    return out
+
+
+FLAT_PLANES = [(1, 1), (1, 4), (4, 1), (2, 2), (3, 5), (7, 9), (37, 37)]
+
+
+def _default_nan(dtype):
+    """The NaN this machine's arithmetic makes (inf - inf). When both operands
+    of an add are NaN, IEEE 754 leaves open whose sign and payload the sum
+    keeps, and numpy's vector body and scalar tail choose differently. With
+    one NaN bit pattern throughout, any choice gives the same bytes."""
+    with np.errstate(invalid="ignore"):
+        return np.subtract(np.inf, np.inf, dtype=dtype)
+
+
+def _awkward(rng, shape, dtype, nan=None):
+    """Normal draws with a fifth of the entries set to +-0.0, NaN or +-inf."""
+    x = rng.normal(size=shape).astype(dtype)
+    if not x.size:
+        return x
+    nan = _default_nan(dtype) if nan is None else nan
+    specials = np.array([0.0, -0.0, nan, np.inf, -np.inf], dtype=dtype)
+    k = max(1, x.size // 5)
+    x.flat[rng.choice(x.size, size=k, replace=False)] = rng.choice(specials, size=k)
+    return x
+
+
+def _bits_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf and friends
+class TestFlatPaths:
+    """The flat shifted copies and adds, and the row-first pooling, against the
+    strided code they replaced."""
+
+    @pytest.mark.parametrize("h,w", FLAT_PLANES + [(1, 2), (2, 1)])
+    def test_tap_span_matches_the_window(self, h, w):
+        for i in range(3):
+            for j in range(3):
+                off, lo, hi, col = layers_mod._tap_span(i, j, h, w)
+                assert 0 <= lo <= hi <= h * w, (i, j)
+                for y in range(h):
+                    for x in range(w):
+                        p, yy, xx = y * w + x, y + i - 1, x + j - 1
+                        inside = 0 <= yy < h and 0 <= xx < w
+                        assert inside == (lo <= p < hi and x != col), (i, j, y, x)
+                        if inside:
+                            assert p + off == yy * w + xx
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h,w", FLAT_PLANES)
+    def test_im2col_and_conv_match_strided(self, h, w, dtype):
+        rng = np.random.default_rng(h * 100 + w)
+        for c, o in [(1, 1), (2, 5), (5, 3), (4, 1)]:
+            x = _awkward(rng, (3, c, h, w), dtype)
+            weights = _awkward(rng, (o, c, 3, 3), dtype)
+            cols = layers_mod._im2col(x)
+            assert _bits_equal(cols, _strided_im2col(x)), (c, o)
+            out = np.empty((3, o, h, w), dtype=dtype)
+            layers_mod._conv3x3(x, weights, out)
+            if c > o:
+                expect = _strided_conv3x3_scatter(x, weights)
+            else:
+                expect = np.matmul(weights.reshape(o, c * 9), _strided_im2col(x))
+            assert _bits_equal(out, expect.reshape(out.shape)), (c, o)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scatter_with_mixed_nans_agrees_up_to_nan_bits(self, dtype):
+        rng = np.random.default_rng(3)
+        nan = np.array(np.nan, dtype=dtype)  # not the default NaN
+        x = _awkward(rng, (2, 6, 7, 9), dtype, nan=nan)
+        weights = _awkward(rng, (3, 6, 3, 3), dtype, nan=-nan)
+        out = np.empty((2, 3, 7, 9), dtype=dtype)
+        layers_mod._conv3x3(x, weights, out)
+        expect = _strided_conv3x3_scatter(x, weights)
+        assert np.array_equal(np.isnan(out), np.isnan(expect))
+        assert np.isnan(out).any()
+        finite = ~np.isnan(out)
+        assert _bits_equal(out[finite], expect[finite])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("col", [0, -1])
+    def test_scatter_keeps_negative_zero_in_the_wrapped_column(self, dtype, col):
+        # Taps underflow to -0.0, except in the column the shifted add wraps
+        # from (the other edge), where they are +0.0. The wrapped column's
+        # true sum is -0.0; an add of +0.0 that is not undone makes it +0.0.
+        tiny = np.sqrt(np.finfo(dtype).smallest_subnormal) / 4
+        x = np.full((1, 5, 5, 6), -tiny, dtype=dtype)
+        x[..., -1 - col] = tiny
+        weights = np.full((2, 5, 3, 3), tiny, dtype=dtype)
+        expect = _strided_conv3x3_scatter(x, weights)
+        if not (np.all(expect == 0) and np.signbit(expect[..., col]).all()):
+            pytest.skip("this BLAS rounds the underflowing taps to +0.0")
+        out = np.empty_like(expect)
+        layers_mod._conv3x3(x, weights, out)
+        assert _bits_equal(out, expect)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("h,w", FLAT_PLANES)
+    def test_pooling_and_upsampling_match_strided(self, h, w, dtype):
+        rng = np.random.default_rng(h * 100 + w + 1)
+        # Small integers and both zeros tie often: both masks' tie rules run.
+        ties = rng.integers(-1, 2, size=(3, 2, h, w)).astype(dtype)
+        ties[(ties == 0) & (rng.random(ties.shape) < 0.5)] = -0.0
+        for x in (_awkward(rng, (3, 2, h, w), dtype), ties):
+            pool = MaxPool2()
+            out = pool.forward(x, True, None)
+            dout = _awkward(rng, out.shape, dtype)
+            expect_out, expect_dx = _strided_maxpool(x, dout)
+            assert _bits_equal(out, expect_out)
+            assert _bits_equal(pool.forward(x, False, None), expect_out)
+            assert _bits_equal(pool.backward(dout), expect_dx)
+            assert _bits_equal(Upsample2().forward(x, False, None), _strided_upsample(x))
+
+
 _BLAS_PROBE = """
 import json, os{pre}
 import sarberg
