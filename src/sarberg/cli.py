@@ -18,10 +18,12 @@ train-cnn, stack and curve. The CLI builds and trains networks in float32,
 Every command reads a scene's is_iceberg label where its record has one and
 refuses a malformed one. train-gbm, train-cnn, stack, curve and eval's --truth
 need a label on every record; the other commands take unlabeled scenes too.
+eval's --truth is read for ids and labels only; bands and angles are not
+checked.
 
-Each run writes resolved_config.json into its --out directory: every option
-value the run used, its command and a created_utc timestamp. Each command also
-writes:
+Each successful run writes resolved_config.json into its --out directory:
+every option value the run used, its command and a created_utc timestamp. A
+refused run writes none. Each command also writes:
 
     synth        samples.json
     ingest       ingest_summary.json
@@ -151,7 +153,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
 
     p = command("eval", "metrics for a submission against labels, plus run artifacts")
     p.add_argument("--pred", type=Path, required=True)
-    p.add_argument("--truth", type=Path, required=True)
+    p.add_argument("--truth", type=Path, required=True,
+                   help="labeled dataset, read for ids and labels only; "
+                        "bands and angles are not checked")
     p.add_argument("--history", type=Path, help="training history CSV to copy")
     p.add_argument("--input", type=Path, help="dataset for composites")
     p.add_argument("--ids", type=str, help="comma-separated ids to render")
@@ -201,7 +205,6 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def _write_resolved(args: argparse.Namespace) -> None:
-    args.out.mkdir(parents=True, exist_ok=True)
     doc = _settings(args)
     doc["command"] = args.command
     doc["created_utc"] = datetime.now(timezone.utc).isoformat()
@@ -440,14 +443,14 @@ def _cmd_eval(args) -> None:
         raise ValueError(f"missing run artifacts: {', '.join(missing)}")
 
     preds = harness.read_submission(args.pred)
-    truth = _load_set(args.truth, labeled=True)
+    truth = data.parse_labels(args.truth.read_bytes())
     composites = []
     if args.input is not None:
         composites = [s for s in _load_set(args.input) if s.id in wanted]
         absent = wanted - {s.id for s in composites}
         if absent:
             raise ValueError(f"ids not in dataset: {sorted(absent)}")
-    summary = harness.metrics_summary(preds, _labels_of(truth), _settings(args))
+    summary = harness.metrics_summary(preds, truth, _settings(args))
     harness.write_json(args.out / "metrics.json", summary)
     for s in composites:
         harness.write_composite_ppm(s, args.out / f"composite_{s.id}.ppm")
@@ -503,8 +506,9 @@ def cli_main(argv: list[str] | None = None) -> int:
             command = commands[args.command]
             command.set_defaults(**_config_values(args.config, command))
             args = parser.parse_args(argv)  # flags still win over the new defaults
-        _write_resolved(args)
+        args.out.mkdir(parents=True, exist_ok=True)
         _HANDLERS[args.command](args)
+        _write_resolved(args)
     except (ValueError, OSError) as e:
         print(f"sarberg {args.command}: {e}", file=sys.stderr)
         return 1

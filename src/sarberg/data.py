@@ -11,6 +11,8 @@ cross-pol suppressed.
 `parse_samples` and `serialize_samples` share their records with one forked
 child (`forked.map_items`, which holds the fork contract). The text written,
 the samples read and every refusal message do not depend on it.
+`parse_labels`, the second reader over the same forked record walk, reads
+only each record's id and label.
 """
 
 from __future__ import annotations
@@ -96,6 +98,14 @@ class SarSample:
         )
 
 
+def _check_unique(ids: Iterable[str]) -> None:
+    seen = set()
+    for sample_id in ids:
+        if sample_id in seen:
+            raise ValueError(f"duplicate sample id {sample_id!r}")
+        seen.add(sample_id)
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """An ordered collection of samples with unique ids."""
@@ -107,11 +117,7 @@ class SampleSet:
         object.__setattr__(self, "samples", tuple(self.samples))
         if self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
-        seen = set()
-        for s in self.samples:
-            if s.id in seen:
-                raise ValueError(f"duplicate sample id {s.id!r}")
-            seen.add(s.id)
+        _check_unique(s.id for s in self.samples)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -176,13 +182,29 @@ def _parse_band(raw_band, index: int, rec_id, name: str) -> np.ndarray:
     return arr
 
 
-def _sample(index: int, rec, labeled: bool) -> SarSample:
-    """One decoded record as a SarSample; a refusal names the record."""
+def _record_id(index: int, rec) -> str:
     if not isinstance(rec, dict):
         raise _record_error(index, None, "record is not a JSON object")
     rec_id = rec.get("id")
     if not isinstance(rec_id, str):
         raise _record_error(index, rec_id, "missing or non-string id")
+    return rec_id
+
+
+def _label(index: int, rec_id: str, rec: dict, labeled: bool) -> int | None:
+    if "is_iceberg" not in rec:
+        if labeled:
+            raise _record_error(index, rec_id, "missing field 'is_iceberg'")
+        return None
+    raw_label = rec["is_iceberg"]
+    if raw_label not in (0, 1) or isinstance(raw_label, bool):
+        raise _record_error(index, rec_id, f"is_iceberg must be 0 or 1, got {raw_label!r}")
+    return int(raw_label)
+
+
+def _sample(index: int, rec, labeled: bool) -> SarSample:
+    """One decoded record as a SarSample; a refusal names the record."""
+    rec_id = _record_id(index, rec)
     for key in ("band_1", "band_2", "inc_angle"):
         if key not in rec:
             raise _record_error(index, rec_id, f"missing field {key!r}")
@@ -204,18 +226,14 @@ def _sample(index: int, rec, labeled: bool) -> SarSample:
             index, rec_id, f"inc_angle must be a number or \"na\", got {raw_angle!r}"
         )
 
-    label = None
-    if "is_iceberg" in rec:
-        raw_label = rec["is_iceberg"]
-        if raw_label not in (0, 1) or isinstance(raw_label, bool):
-            raise _record_error(
-                index, rec_id, f"is_iceberg must be 0 or 1, got {raw_label!r}"
-            )
-        label = int(raw_label)
-    elif labeled:
-        raise _record_error(index, rec_id, "missing field 'is_iceberg'")
-
+    label = _label(index, rec_id, rec, labeled)
     return SarSample(id=rec_id, hh=hh, hv=hv, inc_angle=angle, label=label)
+
+
+def _id_and_label(index: int, rec) -> tuple[str, int]:
+    """One decoded record's id and label, checked as `_sample` checks them."""
+    rec_id = _record_id(index, rec)
+    return rec_id, _label(index, rec_id, rec, labeled=True)
 
 
 # JSON's insignificant whitespace, as the json module skips it.
@@ -223,47 +241,52 @@ _WS = re.compile(r"[ \t\n\r]*")
 # A comma that may sit between two records; it may also sit inside a string.
 _BOUNDARY = re.compile(r"}[ \t\n\r]*(,)[ \t\n\r]*{")
 _DECODER = json.JSONDecoder()
+# Tokenises and checks every number as _DECODER does, but builds no float:
+# each becomes the length of its text. Building the floats is most of a
+# decode: 32 synthetic scenes take 65 ms with them and 17 ms without.
+_FLOATLESS_DECODER = json.JSONDecoder(parse_float=len)
 
 
 # A walk, not json.loads on each half, keeps one record's Python objects alive
 # at a time: json.loads held a half's floats at once, and `cli_pipeline`'s
 # peak_rss_mb rose from 209.4-209.7 to 218.1-218.8 MB (4 of 4 runs).
-def _walk(raw: str, pos: int, index: int, labeled: bool, stop: int | None = None):
-    """Decode and check, one at a time, the records of the JSON array that
-    follow raw[pos], its '[' or a ',' between two records; the first is
-    record number `index`.
+def _walk(raw: str, pos: int, index: int, read, decoder: json.JSONDecoder,
+          stop: int | None = None):
+    """Decode with `decoder`, one at a time, the records of the JSON array
+    that follow raw[pos], its '[' or a ',' between two records, and read each
+    as read(index, record); the first is record number `index`.
 
     The walk ends at the array's ']', which only whitespace may follow, or at
     the ',' at `stop` if it lands there between two records. JSON tokenises
     left to right, so landing there proves that the comma separates two
-    top-level records. Returns (samples, index past the last record walked,
-    refusal, landed): the refusal is the exception of the first record that
-    failed `_sample`, and the walk goes on decoding after it, so that
-    malformed text is refused first, as `json.loads` would. Malformed text
-    raises json.JSONDecodeError."""
-    samples, refusal = [], None
+    top-level records. Returns (values read, index past the last record
+    walked, refusal, landed): the refusal is the exception of the first
+    record that `read` refused, and the walk goes on decoding after it, so
+    that malformed text is refused first, as `json.loads` would. Malformed
+    text raises json.JSONDecodeError."""
+    values, refusal = [], None
     end = _WS.match(raw, pos + 1).end()
     closed = raw[pos] == "[" and raw.startswith("]", end)  # an empty array
     if closed:
         end = _WS.match(raw, end + 1).end()
     while not closed:
-        rec, end = _DECODER.raw_decode(raw, end)
+        rec, end = decoder.raw_decode(raw, end)
         if refusal is None:
             try:
-                samples.append(_sample(index, rec, labeled))
+                values.append(read(index, rec))
             except Exception as e:  # whatever checking this record raises
                 refusal = e
         index += 1
         end = _WS.match(raw, end).end()
         if end == stop:
-            return samples, index, refusal, True
+            return values, index, refusal, True
         closed = raw.startswith("]", end)
         if not closed and not raw.startswith(",", end):
             raise json.JSONDecodeError("Expecting ',' delimiter", raw, end)
         end = _WS.match(raw, end + 1).end()
     if end != len(raw):
         raise json.JSONDecodeError("Extra data", raw, end)
-    return samples, index, refusal, False
+    return values, index, refusal, False
 
 
 def _not_an_array(raw: str) -> ValueError:
@@ -275,15 +298,12 @@ def _not_an_array(raw: str) -> ValueError:
     return ValueError("top-level JSON value must be an array of records")
 
 
-def parse_samples(raw: bytes | str, labeled: bool) -> SampleSet:
-    """Parse the competition JSON layout into a SampleSet.
-
-    Records carry id, band_1 (HH), band_2 (HV), inc_angle (number or "na"),
-    and is_iceberg (0 or 1) where the scene is labeled; `labeled` requires it
-    on every record. Bands are 5625 values read row-major into 75x75 planes.
+def _read_records(raw: bytes | str, read, decoder: json.JSONDecoder) -> list:
+    """[read(index, record) for each record of the JSON array raw], decoded
+    with `decoder`.
 
     Records are decoded one at a time. A forked child decodes those after a
-    comma near the middle of the text, and its samples are kept only if this
+    comma near the middle of the text, and its values are kept only if this
     process's walk lands on that comma. The child never refuses: on any
     problem this process walks its records too, so malformed text is refused
     in json.loads' words and a bad record by its index, as one process would.
@@ -298,7 +318,7 @@ def parse_samples(raw: bytes | str, labeled: bool) -> SampleSet:
 
     def walk(pos: int, index: int, stop: int | None = None):
         try:
-            return _walk(raw, pos, index, labeled, stop)
+            return _walk(raw, pos, index, read, decoder, stop)
         except json.JSONDecodeError:
             raise _not_an_array(raw) from None
 
@@ -306,22 +326,59 @@ def parse_samples(raw: bytes | str, labeled: bool) -> SampleSet:
         if part == 0:
             return walk(start, 0, split)
         try:  # the child: its records' indices are not known here
-            samples, _, refusal, _ = _walk(raw, split, 0, labeled)
+            values, _, refusal, _ = _walk(raw, split, 0, read, decoder)
         except Exception:
             return None
-        return None if refusal is not None else samples
+        return None if refusal is not None else values
 
     first, *second = forked.map_items(half, range(1 if split is None else 2))
-    samples, index, refusal, landed = first
+    values, index, refusal, landed = first
     if landed:
         rest = second[0]
         if rest is None:
             rest, _, later, _ = walk(split, index)
             refusal = refusal if refusal is not None else later
-        samples += rest
+        values += rest
     if refusal is not None:
         raise refusal
+    return values
+
+
+def parse_samples(raw: bytes | str, labeled: bool) -> SampleSet:
+    """Parse the competition JSON layout into a SampleSet.
+
+    Records carry id, band_1 (HH), band_2 (HV), inc_angle (number or "na"),
+    and is_iceberg (0 or 1) where the scene is labeled; `labeled` requires it
+    on every record. Bands are 5625 values read row-major into 75x75 planes.
+    A refusal names the first bad record by its index, or quotes json.loads
+    on malformed text.
+    """
+    samples = _read_records(raw, lambda index, rec: _sample(index, rec, labeled), _DECODER)
     return SampleSet(samples=tuple(samples), provenance="real")
+
+
+def parse_labels(raw: bytes | str) -> dict[str, int]:
+    """The is_iceberg label of every record of the competition JSON layout, by
+    id, in record order.
+
+    Only the ids and labels are read: bands and angles are not checked, so a
+    record that `parse_samples` refuses for a malformed band or angle is read
+    here. Malformed JSON, a record that is not an object, a missing or
+    non-string id, a repeated id and a missing or non-0/1 is_iceberg are
+    refused in `parse_samples`' words.
+
+    The text is first read without building floats, each becoming the length
+    of its text. That read is exact on every record it accepts (an id
+    is a string, a label the integer 0 or 1). A label written as 1.0, or a
+    refusal quoting a float, is not; so a text that read refuses is read
+    again with floats, and accepted or refused as `parse_samples` would.
+    """
+    try:
+        pairs = _read_records(raw, _id_and_label, _FLOATLESS_DECODER)
+    except ValueError:
+        pairs = _read_records(raw, _id_and_label, _DECODER)
+    _check_unique(rec_id for rec_id, _ in pairs)
+    return dict(pairs)
 
 
 def _record(s: SarSample) -> dict:

@@ -6,8 +6,9 @@ fit, the JSON codec and the per-scene feature statistics hold the GIL, so a
 second thread would not use the second core; a forked child does.
 
 Its callers: `ensemble.oof_predictions` (over the folds),
-`data.parse_samples` (over the two halves of the text),
-`data.serialize_samples` and `features.feature_matrix` (over the samples).
+`data._read_records`, the walk under `parse_samples` and `parse_labels` (over
+the two halves of the text), and `data.serialize_samples` and
+`features.feature_matrix` (over the samples).
 
 The fork contract, for every `fn` passed here: the child runs on the state
 it inherits at the fork, so fn(x) may depend only on its argument and on

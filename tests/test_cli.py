@@ -441,6 +441,35 @@ class TestPipeline:
         assert f"sarberg {command}: empty sample set" in capsys.readouterr().err
         assert not any((out / name).exists() for name in outputs)
 
+    @pytest.mark.parametrize("command,message", [
+        ("train-gbm", "empty sample set"),
+        ("train-cnn", "empty sample set"),
+        ("stack", "empty sample set"),
+        ("pretrain-ae", "training set must be non-empty"),
+    ])
+    def test_refused_run_leaves_no_file(self, tmp_path, capsys, command, message):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        out = tmp_path / "out"
+        assert run(command, "--input", path, "--out", out) == 1
+        assert f"sarberg {command}: {message}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []  # resolved_config.json included
+
+    @pytest.mark.parametrize("command,output,expected", [
+        ("ingest", "ingest_summary.json", {"n_samples": 0, "n_iceberg": 0, "n_ship": 0,
+                                           "n_unlabeled": 0, "n_missing_angle": 0}),
+        ("augment", "augmented.json", []),
+    ])
+    def test_reading_an_empty_set_writes_an_empty_output(
+        self, tmp_path, command, output, expected
+    ):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        out = tmp_path / "out"
+        assert run(command, "--input", path, "--out", out) == 0
+        assert json.loads((out / output).read_text()) == expected
+        assert (out / "resolved_config.json").is_file()
+
 
 def _write_set(path, samples):
     path.write_text(serialize_samples(SampleSet(tuple(samples), provenance="synthetic")))

@@ -13,6 +13,7 @@ from sarberg.data import (
     SarSample,
     SynthConfig,
     impute_incidence,
+    parse_labels,
     parse_samples,
     render_scene,
     serialize_samples,
@@ -208,6 +209,21 @@ def _loads_refusal(raw):
     return "refused: top-level JSON value must be an array of records"
 
 
+def _malformed_variants(records):
+    """Malformed texts of records, by what is wrong with them."""
+    raw = json.dumps(records, separators=(",", ":"))
+    head = raw.index("},{") + 1  # the first record's end
+    return {
+        "truncated in the first half": raw[: len(raw) // 4],
+        "truncated in the second half": raw[: 3 * len(raw) // 4],
+        "trailing comma": raw[:-1] + ",]",
+        "no closing bracket": raw[:-1],
+        "a bad token in the first half": raw[:head] + ",x" + raw[head:],
+        "extra data": raw + "[]",
+        "a top-level object": json.dumps({"records": json.loads(raw)}),
+    }
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the records are shared only through os.fork")
 class TestTwoProcessCodec:
     """serialize_samples and parse_samples hand half of the records to a
@@ -255,18 +271,7 @@ class TestTwoProcessCodec:
         assert forks == 1
 
     def test_malformed_text_in_either_half_refused_alike(self):
-        raw = json.dumps(self.records(6), separators=(",", ":"))
-        head = raw.index("},{") + 1  # the first record's end
-        variants = {
-            "truncated in the first half": raw[: len(raw) // 4],
-            "truncated in the second half": raw[: 3 * len(raw) // 4],
-            "trailing comma": raw[:-1] + ",]",
-            "no closing bracket": raw[:-1],
-            "a bad token in the first half": raw[:head] + ",x" + raw[head:],
-            "extra data": raw + "[]",
-            "a top-level object": json.dumps({"records": json.loads(raw)}),
-        }
-        for name, bad in variants.items():
+        for name, bad in _malformed_variants(self.records(6)).items():
             refused, alone, _ = _forked_and_alone(_parsed, bad)
             assert refused == alone == _loads_refusal(bad), name
 
@@ -305,6 +310,132 @@ class TestTwoProcessCodec:
         # ... unless the text is malformed further on.
         refused, alone, _ = _forked_and_alone(_parsed, raw[:-1], True)
         assert refused == alone == _loads_refusal(raw[:-1])
+
+
+def _labels(raw):
+    """What parse_labels makes of raw: its labels by id, or the refusal's message."""
+    try:
+        return parse_labels(raw)
+    except ValueError as e:
+        return f"refused: {e}"
+
+
+def _sample_labels(raw):
+    """What parse_samples makes of raw, as `_labels` reports it."""
+    parsed = _parsed(raw, labeled=True)
+    return parsed if isinstance(parsed, str) else {p[0]: p[4] for p in parsed}
+
+
+def _labels_agree(raw):
+    """parse_labels(raw), forked and alone, equals what parse_samples reads;
+    returns it and how many times it forked."""
+    labels, alone, forks = _forked_and_alone(_labels, raw)
+    assert labels == alone == _sample_labels(raw)
+    return labels, forks
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the records are shared only through os.fork")
+class TestLabelReader:
+    """parse_labels reads the ids and labels that parse_samples reads, and
+    refuses ids and labels in its words, over the same forked record walk."""
+
+    records = staticmethod(TestTwoProcessCodec.records)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 32])
+    def test_agrees_with_parse_samples(self, n):
+        records = self.records(n, seed=n)
+        labels, forks = _labels_agree(json.dumps(records, separators=(",", ":")))
+        assert labels == {r["id"]: r["is_iceberg"] for r in records}
+        assert forks == (n > 1)
+
+    def test_kaggle_whitespace(self):
+        records = self.records(4)
+        for raw in [
+            json.dumps(records),
+            "[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n",
+            " \r\n\t[ " + " ,\n\n ".join(json.dumps(r) for r in records) + " ] \n",
+        ]:
+            labels, forks = _labels_agree(raw)
+            assert len(labels) == 4 and forks == 1
+
+    @pytest.mark.parametrize("text", ["},{", '"},{\\"id\\"', '"},{"id"'])
+    def test_boundary_text_inside_an_id(self, text):
+        records = self.records(3)
+        records[1]["id"] = "x" + text * (2 * len(json.dumps(records[0])) // len(text))
+        labels, forks = _labels_agree(json.dumps(records, separators=(",", ":")))
+        assert list(labels) == [r["id"] for r in records] and forks == 1
+
+    def test_malformed_text_refused_alike(self):
+        for name, bad in _malformed_variants(self.records(6)).items():
+            labels, _ = _labels_agree(bad)
+            assert labels == _loads_refusal(bad), name
+
+    @pytest.mark.parametrize("where", [1, 4])
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda r: r.update(is_iceberg=2), "is_iceberg must be 0 or 1, got 2"),
+            (lambda r: r.update(is_iceberg=0.5), "is_iceberg must be 0 or 1, got 0.5"),
+            (lambda r: r.update(is_iceberg=[1.25]), "is_iceberg must be 0 or 1, got [1.25]"),
+            (lambda r: r.update(is_iceberg=True), "is_iceberg must be 0 or 1, got True"),
+            (lambda r: r.update(is_iceberg="1"), "is_iceberg must be 0 or 1, got '1'"),
+            (lambda r: r.update(is_iceberg=None), "is_iceberg must be 0 or 1, got None"),
+            (lambda r: r.pop("is_iceberg"), "missing field 'is_iceberg'"),
+            (lambda r: r.update(id=1.5), "(id 1.5): missing or non-string id"),
+            (lambda r: r.pop("id"), "missing or non-string id"),
+            (lambda r: r.update(id=[2.5]), "(id [2.5]): missing or non-string id"),
+        ],
+    )
+    def test_id_and_label_refusals_in_parse_samples_words(self, where, edit, message):
+        records = self.records(6)
+        edit(records[where])
+        labels, _ = _labels_agree(json.dumps(records, separators=(",", ":")))
+        assert labels.startswith(f"refused: record {where}") and labels.endswith(message)
+
+    def test_non_object_record_refused_alike(self):
+        records = self.records(6)
+        records[4] = [1.5, "id"]
+        labels, _ = _labels_agree(json.dumps(records))
+        assert labels == "refused: record 4: record is not a JSON object"
+
+    def test_float_labels_read_as_parse_samples_reads_them(self):
+        records = self.records(6)
+        for r, label in zip(records, [1.0, 0.0, 1e0, 0, 1, -0.0]):
+            r["is_iceberg"] = label
+        labels, _ = _labels_agree(json.dumps(records))
+        assert list(labels.values()) == [1, 0, 1, 0, 1, 0]
+
+    def test_duplicate_id_across_the_halves(self):
+        records = self.records(6)
+        records[5]["id"] = records[1]["id"]
+        labels, forks = _labels_agree(json.dumps(records, separators=(",", ":")))
+        assert labels == f"refused: duplicate sample id {records[1]['id']!r}" and forks == 1
+
+    def test_earliest_refused_record_named(self):
+        records = self.records(6)
+        del records[1]["is_iceberg"]
+        records[5]["id"] = None
+        raw = json.dumps(records, separators=(",", ":"))
+        labels, _ = _labels_agree(raw)
+        assert labels == f"refused: record 1 (id {records[1]['id']!r}): missing field 'is_iceberg'"
+        labels, _ = _labels_agree(raw[:-1])  # ... unless the text is malformed further on
+        assert labels == _loads_refusal(raw[:-1])
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda r: r.update(band_1=[0.5, 1.5, 2.5]),
+            lambda r: r.update(inc_angle="34.5"),
+            lambda r: r.pop("band_2"),
+        ],
+    )
+    def test_bands_and_angles_are_not_read(self, edit):
+        records = self.records(6)
+        edit(records[4])
+        raw = json.dumps(records, separators=(",", ":"))
+        labels, alone, _ = _forked_and_alone(_labels, raw)
+        assert labels == alone == {r["id"]: r["is_iceberg"] for r in records}
+        assert _parsed(raw, labeled=True).startswith(f"refused: record 4 (id {records[4]['id']!r})")
 
 
 class TestSplit:

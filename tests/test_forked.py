@@ -135,3 +135,47 @@ def test_only_forked_module_forks():
 def test_fork_calls_found_in_either_spelling():
     tree = ast.parse("import os\nfrom os import waitpid\nos.fork()\nos.getpid()\n")
     assert _fork_calls(tree) == {"os.fork", "os.waitpid"}
+
+
+def _raw_decode_callers(tree):
+    """The functions, innermost, whose bodies call a raw_decode method;
+    "<module>" for a call outside any function."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "raw_decode"):
+                found.add(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_record_walk():
+    """Every JSON record reader goes through data._walk, so none splits,
+    forks or decodes records its own way."""
+    root = Path(sarberg.__file__).parent
+    callers = set()
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).with_suffix("").as_posix().replace("/", ".")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        callers |= {f"{module}.{fn}" for fn in _raw_decode_callers(tree)}
+    assert callers == {"data._walk"}
+
+
+def test_raw_decode_callers_found_in_nested_functions_and_at_module_level():
+    tree = ast.parse(
+        "d.raw_decode(s)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return json.JSONDecoder().raw_decode(s)\n"
+        "    return inner, (lambda: d.raw_decode(s))\n"
+        "def clean():\n"
+        "    return json.loads(s)\n"
+    )
+    assert _raw_decode_callers(tree) == {"<module>", "inner", "<lambda>"}
