@@ -23,7 +23,8 @@ checked.
 
 Each successful run writes resolved_config.json into its --out directory:
 every option value the run used, its command and a created_utc timestamp. A
-refused run writes none. Each command also writes:
+refused run writes none, and removes the directories it made for --out
+again while they are empty. Each command also writes:
 
     synth        samples.json
     ingest       ingest_summary.json
@@ -53,6 +54,7 @@ channel stats) and one .npy per parameter; a GBM is one JSON file, gbm.json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shutil
 import sys
@@ -501,16 +503,21 @@ def cli_main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    made: list[Path] = []  # directories this run makes for --out, deepest first
     try:
         if args.config is not None:
             command = commands[args.command]
             command.set_defaults(**_config_values(args.config, command))
             args = parser.parse_args(argv)  # flags still win over the new defaults
+        made = [d for d in (args.out, *args.out.parents) if not d.exists()]
         args.out.mkdir(parents=True, exist_ok=True)
         _HANDLERS[args.command](args)
         _write_resolved(args)
     except (ValueError, OSError) as e:
         print(f"sarberg {args.command}: {e}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # rmdir refuses a directory with a file in it
+            for d in made:
+                d.rmdir()
         return 1
     return 0
 

@@ -45,7 +45,9 @@ def rotate(arr: np.ndarray, degrees: float) -> np.ndarray:
 
     Exact multiples of 90 degrees are index permutations (bitwise exact, on
     square images for 90/270); anything else is bilinear interpolation with
-    source coordinates clamped to the image (edge replication).
+    source coordinates clamped to the image (edge replication). The four
+    corner reads are each one flat `take` over the flattened planes
+    (`_gather`).
     """
     if not math.isfinite(degrees):
         raise ValueError(f"rotation angle must be finite, got {degrees}")
@@ -74,9 +76,18 @@ def rotate(arr: np.ndarray, degrees: float) -> np.ndarray:
     c1 = np.minimum(c0 + 1, w - 1)
     fr = src_r - r0
     fc = src_c - c0
-    top = arr[..., r0, c0] * (1.0 - fc) + arr[..., r0, c1] * fc
-    bot = arr[..., r1, c0] * (1.0 - fc) + arr[..., r1, c1] * fc
+    top = _gather(arr, r0, c0) * (1.0 - fc) + _gather(arr, r0, c1) * fc
+    bot = _gather(arr, r1, c0) * (1.0 - fc) + _gather(arr, r1, c1) * fc
     return top * (1.0 - fr) + bot * fr
+
+
+def _gather(arr: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """arr[..., rows, cols] for integer index arrays of one shape, read as one
+    `take` of rows*w + cols from the flattened (h*w) planes: the same
+    elements, from a single index instead of a 2-D fancy index."""
+    h, w = arr.shape[-2:]
+    flat = arr.reshape(*arr.shape[:-2], h * w)
+    return np.take(flat, rows * w + cols, axis=-1)
 
 
 def reflect(arr: np.ndarray, axis: str) -> np.ndarray:
@@ -90,7 +101,8 @@ def reflect(arr: np.ndarray, axis: str) -> np.ndarray:
 
 def shift(arr: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """Translate by whole pixels (dx right, dy down) over the last two axes,
-    edge-replicating vacated cells."""
+    edge-replicating vacated cells. The pixels are read with one flat `take`
+    over the flattened planes (`_gather`)."""
     if int(dx) != dx or int(dy) != dy:
         raise ValueError("shift offsets must be integers")
     dx, dy = int(dx), int(dy)
@@ -99,7 +111,7 @@ def shift(arr: np.ndarray, dx: int, dy: int) -> np.ndarray:
         raise ValueError(f"shift ({dx}, {dy}) out of range for {h}x{w} image")
     src_r = np.clip(np.arange(h) - dy, 0, h - 1)
     src_c = np.clip(np.arange(w) - dx, 0, w - 1)
-    return arr[..., src_r[:, None], src_c]
+    return _gather(arr, src_r[:, None], src_c)
 
 
 def _correlate2d(arr: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -109,11 +109,21 @@ def channel_planes(s: SarSample, channels: tuple[str, ...]) -> list[np.ndarray]:
 
 
 def input_tensor(sset: SampleSet, channels: tuple[str, ...]) -> np.ndarray:
-    """Stack a sample set into an (N, C, H, W) float64 tensor."""
+    """Stack a sample set into an (N, C, H, W) float64 tensor, written plane
+    by plane into one preallocated array. Every scene must have the first
+    scene's (H, W)."""
     if len(sset) == 0:
         raise ValueError("empty sample set")
-    planes = [channel_planes(s, channels) for s in sset]
-    return np.stack([np.stack(p) for p in planes])
+    hw = sset[0].hh.shape
+    out = np.empty((len(sset), len(channels), *hw), dtype=np.float64)
+    for i, s in enumerate(sset):
+        if s.hh.shape != hw:
+            raise ValueError(
+                f"sample {s.id!r}: bands are {s.hh.shape}, the first sample's {hw}"
+            )
+        for k, plane in enumerate(channel_planes(s, channels)):
+            out[i, k] = plane
+    return out
 
 
 def label_vector(sset: SampleSet) -> np.ndarray:
@@ -276,7 +286,7 @@ def fit_autoencoder(
     plateau rule watches.
     """
     if len(train) == 0:
-        raise ValueError("training set must be non-empty")
+        raise ValueError("empty sample set")
     x = _fit_inputs(net, train, cfg)
     losses: list[float] = []
 

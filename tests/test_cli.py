@@ -445,15 +445,42 @@ class TestPipeline:
         ("train-gbm", "empty sample set"),
         ("train-cnn", "empty sample set"),
         ("stack", "empty sample set"),
-        ("pretrain-ae", "training set must be non-empty"),
+        ("pretrain-ae", "empty sample set"),
     ])
-    def test_refused_run_leaves_no_file(self, tmp_path, capsys, command, message):
+    @pytest.mark.parametrize("out_exists", [False, True])
+    def test_refused_run_leaves_no_file(self, tmp_path, capsys, command, message, out_exists):
         path = tmp_path / "empty.json"
         path.write_text("[]")
         out = tmp_path / "out"
+        if out_exists:
+            out.mkdir()
         assert run(command, "--input", path, "--out", out) == 1
         assert f"sarberg {command}: {message}" in capsys.readouterr().err
-        assert list(out.iterdir()) == []  # resolved_config.json included
+        if out_exists:
+            assert list(out.iterdir()) == []  # resolved_config.json included
+        else:
+            assert not out.exists()  # the run made --out, so it removes it again
+
+    def test_refused_run_removes_the_parents_it_made(self, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        (tmp_path / "kept").mkdir()
+        assert run("train-gbm", "--input", path, "--out", tmp_path / "kept/new/out") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json", "kept"]
+        assert list((tmp_path / "kept").iterdir()) == []
+
+    def test_refused_run_keeps_an_out_it_made_and_wrote_to(self, tmp_path, monkeypatch):
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        out = tmp_path / "out"
+
+        def write_then_refuse(args):
+            (args.out / "partial.txt").write_text("x")
+            raise ValueError("refused after a write")
+
+        monkeypatch.setitem(sarberg.cli._HANDLERS, "train-gbm", write_then_refuse)
+        assert run("train-gbm", "--input", path, "--out", out / "sub") == 1
+        assert [p.name for p in (out / "sub").iterdir()] == ["partial.txt"]
 
     @pytest.mark.parametrize("command,output,expected", [
         ("ingest", "ingest_summary.json", {"n_samples": 0, "n_iceberg": 0, "n_ship": 0,

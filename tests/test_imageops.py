@@ -1,5 +1,7 @@
 """Transform correctness against brute-force index and convolution oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,68 @@ def test_geometric_transforms_move_a_stack_as_its_images():
     for name, op in ops.items():
         both = op(np.stack((a, b)))
         assert np.array_equal(both[0], op(a)) and np.array_equal(both[1], op(b)), name
+
+def _fancy_rotate(arr, degrees):
+    """`rotate` as it read with 2-D fancy indexing, before the flat take."""
+    h, w = arr.shape[-2:]
+    rem = degrees % 360.0
+    if rem in (0.0, 180.0) or (rem in (90.0, 270.0) and h == w):
+        return np.rot90(arr, k=int(rem // 90), axes=(-2, -1))
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    cos_t, sin_t = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+    out_r, out_c = np.mgrid[0:h, 0:w].astype(np.float64)
+    dy, dx = out_r - cy, out_c - cx
+    src_r = np.clip(dy * cos_t + dx * sin_t + cy, 0.0, h - 1.0)
+    src_c = np.clip(-dy * sin_t + dx * cos_t + cx, 0.0, w - 1.0)
+    r0 = np.floor(src_r).astype(np.intp)
+    c0 = np.floor(src_c).astype(np.intp)
+    r1 = np.minimum(r0 + 1, h - 1)
+    c1 = np.minimum(c0 + 1, w - 1)
+    fr, fc = src_r - r0, src_c - c0
+    top = arr[..., r0, c0] * (1.0 - fc) + arr[..., r0, c1] * fc
+    bot = arr[..., r1, c0] * (1.0 - fc) + arr[..., r1, c1] * fc
+    return top * (1.0 - fr) + bot * fr
+
+
+def _fancy_shift(arr, dx, dy):
+    """`shift` as it read with 2-D fancy indexing, before the flat take."""
+    h, w = arr.shape[-2:]
+    src_r = np.clip(np.arange(h) - dy, 0, h - 1)
+    src_c = np.clip(np.arange(w) - dx, 0, w - 1)
+    return arr[..., src_r[:, None], src_c]
+
+
+def _bits_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFlatTake:
+    """`rotate` and `shift` read pixels with one flat take; the fancy-index
+    gather they replaced is the oracle, bitwise."""
+
+    SHAPES = [(9, 9), (75, 75), (6, 11), (11, 6), (3, 2), (2, 9, 9), (2, 75, 75), (2, 6, 11)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rotate_matches_fancy_index(self, shape):
+        arr = random_plane(shape, seed=sum(shape))
+        for degrees in (-15.0, -0.3, 7.5, 13.9, 45.0, 90.0, 180.0, 270.0, -90.0, 450.0):
+            assert _bits_equal(rotate(arr, degrees), _fancy_rotate(arr, degrees)), degrees
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_shift_matches_fancy_index(self, shape):
+        arr = random_plane(shape, seed=sum(shape) + 1)
+        h, w = shape[-2:]
+        for dx, dy in ((0, 0), (1, 0), (0, -1), (-(w - 1), h - 1), (w // 3, -(h // 2))):
+            assert _bits_equal(shift(arr, dx, dy), _fancy_shift(arr, dx, dy)), (dx, dy)
+
+    def test_strided_views_match_fancy_index(self):
+        # Flips and quarter turns are views; the flat take must read them as
+        # the fancy index does.
+        stack = random_plane((2, 8, 13), seed=3)
+        for view in (stack[..., ::-1], stack[:, ::-1, :], np.rot90(stack, axes=(-2, -1))):
+            assert _bits_equal(rotate(view, 11.0), _fancy_rotate(view, 11.0))
+            assert _bits_equal(shift(view, 2, -1), _fancy_shift(view, 2, -1))
+
 
 def make_pair(seed=0, shape=(20, 20), label=1):
     rng = np.random.default_rng(seed)

@@ -803,6 +803,65 @@ class TestFlatPaths:
             assert _bits_equal(Upsample2().forward(x, False, None), _strided_upsample(x))
 
 
+# (in_ch, out_ch, height, width) of the six network convs, then odd toy
+# shapes. Both sides of in_ch <= out_ch occur in each list.
+NETWORK_CONVS = [
+    (3, 16, 75, 75), (16, 32, 37, 37), (32, 64, 18, 18),
+    (64, 32, 18, 18), (32, 16, 37, 37), (16, 3, 75, 75),
+]
+ODD_CONVS = [(1, 1, 1, 1), (2, 5, 3, 4), (5, 2, 7, 5), (7, 7, 4, 9), (4, 1, 9, 2)]
+
+
+def _dw_operands(rng, n, c, o, h, w, dtype):
+    """x, dout and the windows dW is contracted with, on the branch Conv2d
+    takes: those of x when c <= o, those of dout otherwise."""
+    x = rng.normal(size=(n, c, h, w)).astype(dtype)
+    dout = rng.normal(size=(n, o, h, w)).astype(dtype)
+    return x, dout, layers_mod._im2col(x if c <= o else dout)
+
+
+class TestWeightGradients:
+    """dW computed transposed (windows times dout transposed, then one
+    transpose) against the product it replaced (dout times the windows
+    transposed), bitwise. A BLAS whose two orientations round differently
+    fails here."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c,o,h,w", NETWORK_CONVS + ODD_CONVS)
+    def test_transposed_product_is_bitwise_the_old_one(self, c, o, h, w, dtype):
+        rng = np.random.default_rng(c * 1000 + o * 10 + h)
+        for n in (1, 8):  # one scene, and a training shard of a batch of 32
+            x, dout, cols = _dw_operands(rng, n, c, o, h, w, dtype)
+            a = (dout if c <= o else x).reshape(n, -1, h * w)
+            old = np.matmul(a, cols.transpose(0, 2, 1)).sum(axis=0)
+            new = np.matmul(cols, a.transpose(0, 2, 1)).sum(axis=0).T
+            assert _bits_equal(np.ascontiguousarray(new), old), n
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c,o,h,w", NETWORK_CONVS + ODD_CONVS)
+    def test_layer_dw_matches_the_old_orientation(self, c, o, h, w, dtype):
+        rng = np.random.default_rng(c * 1000 + o * 10 + h + 1)
+        for n in (1, 11):  # 11 scenes: four shards of unequal size
+            x, dout, cols = _dw_operands(rng, n, c, o, h, w, dtype)
+            conv = Conv2d(c, o, np.random.default_rng(0), dtype=dtype)
+            conv.forward(x, True, None)
+            conv.backward(dout)
+            partials = []
+            for s in layers_mod._shard_slices(n):
+                a = dout[s] if c <= o else x[s]
+                a = a.reshape(a.shape[0], a.shape[1], h * w)
+                partials.append(np.matmul(a, cols[s].transpose(0, 2, 1)).sum(axis=0))
+            dw = reduce(np.add, partials)
+            if c <= o:
+                expect = dw.reshape(o, c, 3, 3)
+            else:
+                expect = np.ascontiguousarray(
+                    dw.reshape(c, o, 3, 3).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+                )
+            assert _bits_equal(conv.grads["W"], expect), n
+            assert conv.grads["W"].flags.c_contiguous
+
+
 _BLAS_PROBE = """
 import json, os{pre}
 import sarberg

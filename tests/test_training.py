@@ -100,6 +100,23 @@ class TestChannels:
         x = input_tensor(sset, ("hh", "hv", "diff"))
         assert x.shape == (3, 3, 75, 75)
 
+    @pytest.mark.parametrize("channels", [
+        ("hh",), ("hh", "hv", "diff"), ("ratio", "smooth_hv", "gradmag_hh", "laplacian_hv"),
+    ])
+    def test_input_tensor_matches_stacked_planes(self, channels):
+        # The preallocated fill against the stack of per-scene stacks it replaced.
+        sset = synth_dataset(SynthConfig(n_samples=5, seed=4))
+        expect = np.stack([np.stack(channel_planes(s, channels)) for s in sset])
+        got = input_tensor(sset, channels)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()
+
+    def test_input_tensor_names_a_scene_of_another_size(self):
+        a, b = (SarSample(id=name, hh=np.zeros(hw), hv=np.zeros(hw), inc_angle=30.0)
+                for name, hw in (("a", (5, 5)), ("b", (5, 6))))
+        with pytest.raises(ValueError, match=r"sample 'b': bands are \(5, 6\)"):
+            input_tensor(SampleSet((a, b), provenance="synthetic"), ("hh",))
+
 
 class TestFit:
     def test_smoke_two_epochs(self):
