@@ -13,7 +13,6 @@ from sarberg.imageops import (
     AugmentationPolicy,
     augment_dataset,
     gaussian_smooth,
-    gradient_magnitude,
     laplacian,
     reflect,
     rotate,
@@ -36,7 +35,6 @@ def main():
         "reflect_h": reflect(hh, "horizontal"),
         "shift_5_3": shift(hh, 5, 3),
         "smooth": gaussian_smooth(hh, 1.5),
-        "gradmag": gradient_magnitude(hh),
         "laplacian": laplacian(hh),
     }
     for name, image in variants.items():

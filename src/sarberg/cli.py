@@ -11,15 +11,25 @@ takes its value from, in order of precedence:
 A config key that names no option of the subcommand, or names --out or an
 option the command line must give, is refused; so is a value that fails the
 flag's type conversion. Each refusal names the key. Only the commands that
-draw random numbers take --seed: synth, augment, train-gbm, pretrain-ae,
-train-cnn, stack and curve. The CLI builds and trains networks in float32,
-`TrainConfig`'s default dtype.
+draw random numbers take --seed: synth, train-gbm, pretrain-ae, train-cnn,
+stack and curve. The CLI builds and trains networks in float32,
+`TrainConfig`'s default dtype, on its one input recipe: the angle-corrected
+HH and HV bands and their difference. train-cnn and curve train on each
+training scene plus --multiplier - 1 randomly transformed copies of it, and
+refuse a multiplier below 1.
 
 Every command reads a scene's is_iceberg label where its record has one and
 refuses a malformed one. train-gbm, train-cnn, stack, curve and eval's --truth
 need a label on every record; the other commands take unlabeled scenes too.
 eval's --truth is read for ids and labels only; bands and angles are not
 checked.
+
+A scene without an incidence angle takes a fill angle: the mean of the
+present ones where a command fits something, the model's stored one in
+predict. So a set in which every angle is missing is refused ("cannot
+impute") by features, train-gbm, train-cnn, stack and curve, and by
+pretrain-ae, which needs no label but corrects its input for incidence angle.
+ingest reads such a set, and predict scores it with the model's fill angle.
 
 Each successful run writes resolved_config.json into its --out directory:
 every option value the run used, its command and a created_utc timestamp. A
@@ -28,7 +38,6 @@ again while they are empty. Each command also writes:
 
     synth        samples.json
     ingest       ingest_summary.json
-    augment      augmented.json
     features     features.csv, correlation.csv (band statistics only)
     train-gbm    gbm.json, metrics.json (on the validation split, or on the
                  training set with --val-ratio 0)
@@ -85,8 +94,6 @@ def _training_flags(p: argparse.ArgumentParser, epochs: int) -> None:
     p.add_argument("--epochs", type=int, default=epochs)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr0", type=float, default=0.001, help="initial learning rate")
-    p.add_argument("--channels", type=str, default="hh,hv,diff",
-                   help="comma-separated channel recipe")
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]:
@@ -113,13 +120,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, _CommandParser]]
 
     p = command("ingest", "validate a dataset file and summarize it")
     p.add_argument("--input", type=Path, required=True)
-
-    p = command("augment", "expand a dataset with random transforms", seeded=True)
-    p.add_argument("--input", type=Path, required=True)
-    p.add_argument("--multiplier", type=int, default=2)
-    p.add_argument("--width-shift", type=float, default=0.1)
-    p.add_argument("--height-shift", type=float, default=0.1)
-    p.add_argument("--rotation-max", type=float, default=15.0)
 
     p = command("features", "export the statistics feature table")
     p.add_argument("--input", type=Path, required=True)
@@ -227,7 +227,6 @@ def _train_config(args: argparse.Namespace) -> nn.TrainConfig:
         batch_size=args.batch_size,
         lr0=args.lr0,
         seed=args.seed,
-        channels=tuple(t.strip() for t in args.channels.split(",") if t.strip()),
     )
 
 
@@ -264,18 +263,6 @@ def _cmd_ingest(args) -> None:
     }
     harness.write_json(args.out / "ingest_summary.json", summary)
     print(json.dumps(summary, sort_keys=True))
-
-
-def _cmd_augment(args) -> None:
-    sset = _load_set(args.input)
-    policy = imageops.AugmentationPolicy(
-        width_shift_frac=args.width_shift,
-        height_shift_frac=args.height_shift,
-        rotation_max_deg=args.rotation_max,
-    )
-    out_set = imageops.augment_dataset(sset, policy, args.multiplier, args.seed)
-    (args.out / "augmented.json").write_text(data.serialize_samples(out_set))
-    print(f"wrote {len(out_set)} samples to {args.out / 'augmented.json'}")
 
 
 def _cmd_features(args) -> None:
@@ -342,10 +329,9 @@ def _cmd_train_cnn(args) -> None:
     sset = _load_set(args.input, labeled=True)
     cfg = _train_config(args)
     train_set, val_set = data.split_train_validation(sset, args.val_ratio, cfg.seed)
-    if args.multiplier > 1:
-        train_set = imageops.augment_dataset(
-            train_set, imageops.AugmentationPolicy(), args.multiplier, cfg.seed
-        )
+    train_set = imageops.augment_dataset(  # multiplier 1 returns the split itself
+        train_set, imageops.AugmentationPolicy(), args.multiplier, cfg.seed
+    )
 
     net = nn.build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
     if args.init_from is not None:
@@ -485,7 +471,6 @@ def _cmd_curve(args) -> None:
 _HANDLERS = {
     "synth": _cmd_synth,
     "ingest": _cmd_ingest,
-    "augment": _cmd_augment,
     "features": _cmd_features,
     "train-gbm": _cmd_train_gbm,
     "pretrain-ae": _cmd_pretrain_ae,

@@ -154,10 +154,6 @@ def sobel(arr: np.ndarray, axis: str) -> np.ndarray:
     raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
-def gradient_magnitude(arr: np.ndarray) -> np.ndarray:
-    return np.sqrt(sobel(arr, "x") ** 2 + sobel(arr, "y") ** 2)
-
-
 def laplacian(arr: np.ndarray) -> np.ndarray:
     return _correlate2d(arr, LAPLACIAN)
 

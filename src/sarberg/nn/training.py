@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from ..data import SampleSet, SarSample, fill_incidence, impute_incidence
-from ..features import derived_bands, normalize_incidence
-from ..imageops import gaussian_smooth, gradient_magnitude, laplacian
+from ..features import normalize_incidence
 from ..mathutil import binary_accuracy, binary_logloss
 from .network import Network
 from .optim import Adam, PlateauScheduler
@@ -25,15 +24,16 @@ class TrainConfig:
 
     The rate starts at lr0 and follows `PlateauScheduler`'s fixed rule: it is
     cut to a tenth after 5 epochs without improvement of the monitored loss,
-    never below 1e-6. Inputs are always corrected for incidence angle
-    (`channel_planes`).
+    never below 1e-6. The input recipe is fixed: the angle-corrected HH and
+    HV bands and their difference (`channel_planes`).
     """
+
+    channels: ClassVar[tuple[str, ...]] = DEFAULT_CHANNELS
 
     epochs: int = 30
     batch_size: int = 32
     lr0: float = 0.001
     seed: int = 0
-    channels: tuple[str, ...] = DEFAULT_CHANNELS
     dtype: str = "float32"  # parameter/activation dtype for nets built from this config
 
     def __post_init__(self):
@@ -47,8 +47,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.lr0 <= PlateauScheduler.min_lr:
             raise ValueError(f"lr0 must exceed the scheduler's floor {PlateauScheduler.min_lr}")
-        if not self.channels:
-            raise ValueError("channel recipe is empty")
         if self.dtype not in ("float32", "float64"):
             raise ValueError("dtype must be 'float32' or 'float64'")
 
@@ -77,8 +75,9 @@ class History:
 def channel_planes(s: SarSample, channels: tuple[str, ...]) -> list[np.ndarray]:
     """Resolve a channel recipe to 2-D arrays for one sample.
 
-    Both bands are corrected for incidence angle before any derived channel
-    is computed.
+    A recipe names "hh", "hv" and "diff" (HH - HV) in any order; training
+    uses `DEFAULT_CHANNELS`, and a checkpoint serves the order it names. Both
+    bands are corrected for incidence angle first.
     """
     if s.inc_angle is None:
         raise ValueError(f"sample {s.id!r} has no incidence angle; impute before training")
@@ -92,17 +91,6 @@ def channel_planes(s: SarSample, channels: tuple[str, ...]) -> list[np.ndarray]:
             out.append(hv)
         elif token == "diff":
             out.append(hh - hv)  # bitwise derived_bands' diff, without its ratio
-        elif token == "ratio":
-            try:
-                out.append(derived_bands(hh, hv)[1])
-            except ValueError as e:
-                raise ValueError(f"sample {s.id!r}: {e}") from None
-        elif token in ("gradmag_hh", "gradmag_hv"):
-            out.append(gradient_magnitude(hh if token.endswith("hh") else hv))
-        elif token in ("laplacian_hh", "laplacian_hv"):
-            out.append(laplacian(hh if token.endswith("hh") else hv))
-        elif token in ("smooth_hh", "smooth_hv"):
-            out.append(gaussian_smooth(hh if token.endswith("hh") else hv, 1.0))
         else:
             raise ValueError(f"unknown channel token {token!r}")
     return out

@@ -29,7 +29,7 @@ from sarberg.data import (
 from sarberg.features import FEATURE_NAMES, correlation_matrix, feature_matrix
 from sarberg.gbm import deserialize_gbm, predict_gbm
 from sarberg.harness import read_submission, write_composite_ppm, write_submission
-from sarberg.nn import load_network, prepare_inputs
+from sarberg.nn import build_classifier, load_network, prepare_inputs, save_network
 
 
 @pytest.fixture(scope="module")
@@ -51,21 +51,19 @@ OPTIONS = {
     "synth": ["--config", "--out", "--seed", "--n-samples", "--iceberg-fraction",
               "--speckle-looks"],
     "ingest": ["--config", "--out", "--input"],
-    "augment": ["--config", "--out", "--seed", "--input", "--multiplier", "--width-shift",
-                "--height-shift", "--rotation-max"],
     "features": ["--config", "--out", "--input"],
     "train-gbm": ["--config", "--out", "--seed", "--input", "--n-trees", "--max-depth",
                   "--shrinkage", "--min-samples-leaf", "--val-ratio"],
     "pretrain-ae": ["--config", "--out", "--seed", "--input", "--epochs", "--batch-size",
-                    "--lr0", "--channels"],
+                    "--lr0"],
     "train-cnn": ["--config", "--out", "--seed", "--input", "--epochs", "--batch-size",
-                  "--lr0", "--channels", "--val-ratio", "--init-from", "--multiplier"],
+                  "--lr0", "--val-ratio", "--init-from", "--multiplier"],
     "predict": ["--config", "--out", "--input", "--model"],
     "stack": ["--config", "--out", "--seed", "--input", "--k-folds", "--cnn-epochs",
               "--n-trees"],
     "eval": ["--config", "--out", "--pred", "--truth", "--history", "--input", "--ids"],
     "curve": ["--config", "--out", "--seed", "--input", "--fractions", "--epochs",
-              "--batch-size", "--lr0", "--channels", "--multiplier"],
+              "--batch-size", "--lr0", "--multiplier"],
 }
 
 
@@ -77,7 +75,7 @@ class TestParsing:
             for name, p in commands.items()
         }
         assert declared == OPTIONS
-        assert len(OPTIONS) == 11 and sum(map(len, OPTIONS.values())) == 76
+        assert len(OPTIONS) == 10 and sum(map(len, OPTIONS.values())) == 65
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert run("frobnicate", "--out", "x") == 2
@@ -100,7 +98,7 @@ class TestParsing:
         for argv in [
             ("report", "--pred", "p.csv", "--truth", "d.json", "--out", "x"),
             *[(command, "--input", "d.json", "--out", "x", flag)
-              for command in ("ingest", "augment", "features", "pretrain-ae")
+              for command in ("ingest", "features", "pretrain-ae")
               for flag in ("--unlabeled", "--no-unlabeled")],
             *[("predict", "--input", "d.json", "--model", "m", "--out", "x", flag)
               for flag in ("--labeled", "--no-labeled")],
@@ -110,7 +108,7 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "command",
-        ["synth", "ingest", "augment", "features", "train-gbm", "pretrain-ae",
+        ["synth", "ingest", "features", "train-gbm", "pretrain-ae",
          "train-cnn", "predict", "stack", "eval", "curve"],
     )
     def test_subcommand_help_exits_0(self, command, capsys):
@@ -154,7 +152,7 @@ class TestSynthIngest:
         cfg = tmp_path / "c.json"
         out = tmp_path / "run"
         for command, key, extra in [
-            *[(c, "unlabeled", ()) for c in ("ingest", "augment", "features", "pretrain-ae")],
+            *[(c, "unlabeled", ()) for c in ("ingest", "features", "pretrain-ae")],
             ("predict", "labeled", ("--model", dataset_file)),
         ]:
             cfg.write_text(json.dumps({key: True}))
@@ -173,7 +171,7 @@ class TestSynthIngest:
     @pytest.mark.parametrize(
         "command,doc",
         [
-            ("augment", {"multiplier": True}),  # JSON true is not a number
+            ("train-cnn", {"multiplier": True}),  # JSON true is not a number
             ("train-gbm", {"n_trees": 2.5}),  # --n-trees takes an integer
         ],
     )
@@ -254,17 +252,6 @@ class TestPipeline:
         )
         metrics = json.loads((eval_out / "metrics.json").read_text())
         assert 0.0 <= metrics["accuracy"] <= 1.0
-
-    def test_augment_expands(self, tmp_path, dataset_file):
-        out = tmp_path / "aug"
-        assert (
-            run("augment", "--input", dataset_file, "--multiplier", 2, "--out", out)
-            == 0
-        )
-        from sarberg.data import parse_samples
-
-        again = parse_samples((out / "augmented.json").read_bytes(), labeled=True)
-        assert len(again) == 48
 
     def test_report_from_artifacts(self, tmp_path, dataset_file):
         """eval's run report: metrics, the named composites and the history copy."""
@@ -461,6 +448,18 @@ class TestPipeline:
         else:
             assert not out.exists()  # the run made --out, so it removes it again
 
+    @pytest.mark.parametrize("command", ["train-cnn", "curve"])
+    @pytest.mark.parametrize("multiplier", [0, -3])
+    def test_multiplier_below_one_refused(
+        self, tmp_path, dataset_file, command, multiplier, capsys
+    ):
+        out = tmp_path / "out"
+        code = run(command, "--input", dataset_file, "--multiplier", multiplier,
+                   "--epochs", 1, "--out", out)
+        assert code == 1
+        assert f"sarberg {command}: multiplier must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_refused_run_removes_the_parents_it_made(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]")
@@ -485,7 +484,6 @@ class TestPipeline:
     @pytest.mark.parametrize("command,output,expected", [
         ("ingest", "ingest_summary.json", {"n_samples": 0, "n_iceberg": 0, "n_ship": 0,
                                            "n_unlabeled": 0, "n_missing_angle": 0}),
-        ("augment", "augmented.json", []),
     ])
     def test_reading_an_empty_set_writes_an_empty_output(
         self, tmp_path, command, output, expected
@@ -555,7 +553,8 @@ class TestModelArtifacts:
 
     def test_train_cnn_records_every_option(self, cnn_ckpt):
         resolved = json.loads((cnn_ckpt.parent / "resolved_config.json").read_text())
-        assert resolved["lr0"] == 0.001 and resolved["channels"] == "hh,hv,diff"
+        assert resolved["lr0"] == 0.001 and resolved["multiplier"] == 1
+        assert "channels" not in resolved  # the input recipe is not an option
 
     def test_cnn_missing_angle_scored_with_stored_angle(self, tmp_path, cnn_ckpt):
         scores = []
@@ -574,17 +573,6 @@ class TestModelArtifacts:
         # Six decimals in the submission; Dense rounds with the row count.
         assert scores[0] == pytest.approx(scores[1], rel=1e-5, abs=1e-6)
         assert scores[0] == pytest.approx(direct(net.fill_angle), rel=1e-5, abs=1e-6)
-
-    def test_all_missing_angles_scored_by_both_kinds(self, tmp_path, cnn_ckpt, gbm_file):
-        base = synth_dataset(SynthConfig(n_samples=5, iceberg_fraction=0.5, seed=22))
-        path = _write_set(tmp_path / "na.json", [replace(s, inc_angle=None) for s in base])
-        for model in (cnn_ckpt, gbm_file):
-            out = tmp_path / model.stem
-            assert run("predict", "--input", path, "--model", model, "--out", out) == 0
-            lines = (out / "submission.csv").read_text().splitlines()
-            preds = read_submission(out / "submission.csv")
-            assert len(lines) == 6 and set(preds) == set(base.ids())
-            assert all(np.isfinite(p) for p in preds.values())
 
     def test_truncated_checkpoint_reports_checkpoint_error(self, tmp_path, cnn_ckpt, capsys):
         raw = cnn_ckpt.read_bytes()
@@ -607,6 +595,24 @@ class TestModelArtifacts:
         path, _ = _scoring_file(tmp_path / "score.json", 30.0)
         assert run("predict", "--input", path, "--model", bad, "--out", tmp_path / "p") == 1
         assert "corrupt checkpoint" in capsys.readouterr().err
+
+    def test_checkpoint_naming_a_deleted_channel_token_refused_by_name(
+        self, tmp_path, capsys
+    ):
+        net = build_classifier(2, seed=9, conv_widths=(2, 2, 2), dense_width=4)
+        net.channels = ("hh", "ratio")
+        net.channel_mean = np.zeros(2)
+        net.channel_std = np.ones(2)
+        net.fill_angle = 38.0
+        save_network(net, tmp_path / "old.ckpt")
+        path, _ = _scoring_file(tmp_path / "score.json", 30.0)
+        out = tmp_path / "p"
+        assert run("predict", "--input", path, "--model", tmp_path / "old.ckpt",
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "sarberg predict: unknown channel token 'ratio'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_cyclic_gbm_json_reports_corrupt_model(self, tmp_path, gbm_file, capsys):
         doc = json.loads(gbm_file.read_bytes())
@@ -651,6 +657,44 @@ class TestModelArtifacts:
         expected = tmp_path / "expected.csv"
         write_submission({i: float(v) for i, v in zip(ids, p)}, expected)
         assert (tmp_path / "p" / "submission.csv").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (("features",), "cannot impute"),
+    (("train-gbm",), "cannot impute"),
+    (("pretrain-ae",), "cannot impute"),  # its input is corrected for the angle
+    (("train-cnn",), "cannot impute"),
+    (("stack",), "fold 0, member 'gbm': cannot impute"),
+    (("curve", "--fractions", "1.0", "--batch-size", 2), "cannot impute"),
+    (("ingest",), None),
+    (("predict", "--model", "{gbm}"), None),  # with the model's fill angle
+    (("predict", "--model", "{cnn}"), None),
+], ids=["features", "train-gbm", "pretrain-ae", "train-cnn", "stack", "curve", "ingest",
+        "predict-gbm", "predict-cnn"])
+def test_every_angle_missing(tmp_path, argv, refusal, cnn_ckpt, gbm_file, capsys):
+    """The commands that fit something refuse a set without any angle, by
+    name and with no --out left; ingest and predict take it."""
+    base = synth_dataset(SynthConfig(n_samples=24, iceberg_fraction=0.5, seed=13))
+    path = _write_set(tmp_path / "na.json", [replace(s, inc_angle=None) for s in base])
+    argv = [{"{gbm}": gbm_file, "{cnn}": cnn_ckpt}.get(a, a) for a in argv]
+    out = tmp_path / "out"
+    code = run(*argv, "--input", path, "--out", out)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if refusal is None:
+        assert code == 0, err
+        if argv[0] == "ingest":
+            summary = json.loads((out / "ingest_summary.json").read_text())
+            assert summary["n_missing_angle"] == 24
+        else:
+            lines = (out / "submission.csv").read_text().splitlines()
+            preds = read_submission(out / "submission.csv")
+            assert len(lines) == 25 and set(preds) == set(base.ids())
+            assert all(np.isfinite(p) for p in preds.values())
+        return
+    assert code == 1
+    assert f"sarberg {argv[0]}: {refusal}: every sample is missing inc_angle" in err
+    assert not out.exists()
 
 
 # Ids a plain `id,p` row would split or misquote.
@@ -744,7 +788,6 @@ def artifact_root(dataset_file, tmp_path_factory):
     for argv in [
         ("synth", "--n-samples", 6, "--seed", 1),
         ("ingest", "--input", data),
-        ("augment", "--input", data, "--seed", 1),
         ("features", "--input", data),
         ("train-gbm", "--input", data, "--n-trees", 5, "--seed", 1),
         ("pretrain-ae", "--input", data, "--epochs", 1, "--batch-size", 8),
@@ -796,7 +839,7 @@ class TestArtifacts:
 
     def test_json_reports_parse_and_end_with_newline(self, artifact_root):
         written = sorted(p for name in JSON_REPORTS for p in artifact_root.rglob(name))
-        assert len(written) == 11 + 4 + 1  # every command; 4 metrics; ingest
+        assert len(written) == 10 + 4 + 1  # every command; 4 metrics; ingest
         for path in written:
             raw = path.read_bytes()
             assert isinstance(json.loads(raw), dict), path
@@ -864,7 +907,6 @@ def _half_submission(dataset, path):
 # Each command that reads a dataset file, given one with a malformed label ({bad}).
 MALFORMED_LABEL_RUNS = {
     "ingest": ("ingest", "--input", "{bad}"),
-    "augment": ("augment", "--input", "{bad}"),
     "features": ("features", "--input", "{bad}"),
     "train-gbm": ("train-gbm", "--input", "{bad}"),
     "pretrain-ae": ("pretrain-ae", "--input", "{bad}"),
@@ -884,14 +926,13 @@ class TestLabels:
 
     @pytest.mark.parametrize("kind", ["labeled", "unlabeled"])
     @pytest.mark.parametrize(
-        "command", ["ingest", "augment", "features", "pretrain-ae", "predict"]
+        "command", ["ingest", "features", "pretrain-ae", "predict"]
     )
     def test_label_free_commands_run_with_or_without_labels(
         self, tmp_path, command, kind, dataset_file, unlabeled_file, gbm_file
     ):
         path = dataset_file if kind == "labeled" else unlabeled_file
         extra = {
-            "augment": ("--multiplier", 2),
             "pretrain-ae": ("--epochs", 1, "--batch-size", 8),
             "predict": ("--model", gbm_file),
         }.get(command, ())
@@ -901,9 +942,6 @@ class TestLabels:
         if command == "ingest":
             summary = json.loads((out / "ingest_summary.json").read_text())
             assert summary["n_unlabeled"] == labels.count(None)
-        elif command == "augment":
-            augmented = parse_samples((out / "augmented.json").read_bytes(), labeled=False)
-            assert augmented.labels() == [label for label in labels for _ in range(2)]
         elif command == "features":
             header = (out / "features.csv").read_text().splitlines()[0]
             assert header.endswith(",label") == (kind == "labeled")

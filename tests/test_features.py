@@ -119,8 +119,6 @@ class TestDerivedBands:
     def test_overflowing_ratio_refused(self):
         # 10^(4000/10) overflows float64: the scene is finite in dB, its
         # ratio band is not.
-        from sarberg.nn import input_tensor
-
         hh = np.full((5, 5), -20.0)
         hh[2, 2] = 4000.0
         sset = SampleSet((sample(hh, np.full((5, 5), -25.0)),))
@@ -128,8 +126,6 @@ class TestDerivedBands:
             derived_bands(sset[0].hh, sset[0].hv)
         with pytest.raises(ValueError, match="sample 's': ratio band is not finite"):
             feature_matrix(sset, None)
-        with pytest.raises(ValueError, match="sample 's': ratio band is not finite"):
-            input_tensor(sset, ("hh", "hv", "ratio"))
 
     def test_empty_set_refused_by_name(self):
         with pytest.raises(ValueError, match="^empty sample set$"):

@@ -197,9 +197,7 @@ def small_base():
 class TestLearningCurve:
 
     def test_single_fraction_matches_plain_fit_run(self, small_base):
-        cfg = TrainConfig(
-            epochs=2, batch_size=8, seed=5, channels=("hh", "hv", "diff"), dtype="float64"
-        )
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=5, dtype="float64")
         rows = learning_curve(small_base, [1.0], cfg, multiplier=1, val_ratio=0.25)
         assert len(rows) == 1
 

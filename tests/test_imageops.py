@@ -12,7 +12,6 @@ from sarberg.imageops import (
     augment_dataset,
     gaussian_kernel_1d,
     gaussian_smooth,
-    gradient_magnitude,
     laplacian,
     reflect,
     rotate,
@@ -188,17 +187,6 @@ class TestDerivatives:
         gx = sobel(p, "x")
         gy_t = sobel(plane(p.T), "y")
         assert np.allclose(gx, gy_t.T, atol=1e-12)
-
-    def test_gradient_magnitude_ramp(self):
-        arr = np.tile(np.arange(10.0), (10, 1))
-        got = gradient_magnitude(plane(arr))
-        assert np.allclose(got[1:-1, 1:-1], 8.0)
-
-    def test_gradient_magnitude_reflect_invariance(self):
-        p = random_plane((8, 8), seed=8)
-        a = gradient_magnitude(p)
-        b = gradient_magnitude(reflect(p, "horizontal"))
-        assert np.allclose(a, b[:, ::-1], atol=1e-12)
 
     def test_laplacian_constant_zero(self):
         p = plane(np.full((6, 6), 1.5))

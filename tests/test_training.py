@@ -1,7 +1,7 @@
 """Training-loop behavior: smoke, determinism, standardization, channels."""
 
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -57,8 +57,8 @@ class TestChannels:
         assert np.allclose(planes[2], s.hh - s.hv)
 
     def test_diff_is_computed_without_the_ratio(self):
-        # diff is derived_bands' diff bitwise; a ratio band that leaves the
-        # float64 range is refused only by a recipe that asks for it.
+        # diff is derived_bands' diff bitwise, and a ratio band that leaves
+        # the float64 range does not touch it.
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
         hh, hv, diff = channel_planes(s, ("hh", "hv", "diff"))
         assert diff.tobytes() == derived_bands(hh, hv)[0].tobytes()
@@ -69,8 +69,6 @@ class TestChannels:
             warnings.simplefilter("error")
             hh, hv, diff = channel_planes(s, ("hh", "hv", "diff"))
         assert diff.tobytes() == (hh - hv).tobytes()
-        with pytest.raises(ValueError, match="sample 'hot': ratio band is not finite"):
-            channel_planes(s, ("ratio",))
 
     def test_normalization_applied_before_derivation(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
@@ -78,11 +76,23 @@ class TestChannels:
         correction = -10.0 * np.log10(np.cos(np.deg2rad(s.inc_angle)))
         assert np.allclose(norm - s.hh, correction, atol=1e-12)
 
-    def test_derived_channel_tokens(self):
+    @pytest.mark.parametrize("token", [
+        "ratio", "gradmag_hh", "gradmag_hv", "laplacian_hh", "laplacian_hv",
+        "smooth_hh", "smooth_hv",
+    ])
+    def test_derived_channel_tokens_refused(self, token):
+        # The recipe is hh, hv and diff; the derived tokens it once took are
+        # unknown now, also after the three it keeps.
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        for token in ("ratio", "gradmag_hh", "laplacian_hv", "smooth_hh"):
-            planes = channel_planes(s, (token,))
-            assert planes[0].shape == (75, 75)
+        with pytest.raises(ValueError, match=f"unknown channel token '{token}'"):
+            channel_planes(s, ("hh", "hv", "diff", token))
+
+    def test_recipe_is_not_a_setting(self):
+        assert TrainConfig.channels == TrainConfig().channels == ("hh", "hv", "diff")
+        assert [f.name for f in fields(TrainConfig)] == [
+            "epochs", "batch_size", "lr0", "seed", "dtype"]
+        with pytest.raises(TypeError, match="channels"):
+            TrainConfig(channels=("hh",))
 
     def test_unknown_token(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
@@ -101,7 +111,7 @@ class TestChannels:
         assert x.shape == (3, 3, 75, 75)
 
     @pytest.mark.parametrize("channels", [
-        ("hh",), ("hh", "hv", "diff"), ("ratio", "smooth_hv", "gradmag_hh", "laplacian_hv"),
+        ("hh",), ("hh", "hv", "diff"), ("diff", "hv", "hh"),
     ])
     def test_input_tensor_matches_stacked_planes(self, channels):
         # The preallocated fill against the stack of per-scene stacks it replaced.
