@@ -378,6 +378,7 @@ def _cmd_predict(args) -> None:
 
 def _cmd_stack(args) -> None:
     sset = _load_set(args.input, labeled=True)
+    data.impute_incidence(sset)  # refuse an empty set, or one with no angle, before any fold
     trainers = {
         "gbm": ensemble.gbm_trainer(gbm.GbmParams(n_trees=args.n_trees)),
         "cnn": ensemble.cnn_trainer(

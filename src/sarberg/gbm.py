@@ -12,6 +12,18 @@ min_samples_leaf rows; the node's residual SSE minus the gain is the split's
 SSE, so ranks and ties are those of the SSE (see `best_split`). Leaf values
 are Newton steps clamped to [-4, 4], scaled by shrinkage.
 
+Of a node's scan, only the cumulative residual sums change from one round to
+the next. The rest is its layout (`node_layout`): the node's rows in each
+feature's sorted order, the row counts on each side of every usable
+boundary, the sorted values and the mask of ties between neighbours. As
+XGBoost reuses its sorted column blocks across rounds (Chen & Guestrin 2016,
+§4.1), `fit_gbm` keys each layout by the node's row set (`rows.tobytes()`;
+X and min_samples_leaf are fixed within a fit) and hands the layouts built
+or reused while growing one tree to the next tree's search, then drops them.
+So at most two trees' searched nodes, 2·(2^max_depth - 1) layouts, are alive
+at once, and none outlives the fit. The scan's arithmetic, and so every
+split, is that of a scan that rebuilds the layout at every node.
+
 A tree has one form, in memory and on disk: five preorder node arrays
 (feature, threshold, left, right, value) with the root at node 0. A leaf has
 feature -1 and children -1; an internal node sends a row left when
@@ -97,19 +109,59 @@ class GbmModel:
 SPLIT_TIE_RTOL = 1e-9
 
 
-def best_split(
-    X: np.ndarray,
-    residual: np.ndarray,
-    rows: np.ndarray,
-    min_samples_leaf: int,
-    orders: np.ndarray,
-) -> tuple[int, float] | None:
-    """Exact greedy scan over every feature and every midpoint threshold.
+@dataclass
+class NodeLayout:
+    """The residual-free part of one node's split scan, over the boundary
+    columns lo..lo + n_left.size - 1 that leave min_samples_leaf rows on each
+    side (column b splits after sorted row b: b + 1 rows go left)."""
+
+    order: np.ndarray  # (features, n) the node's rows, each feature's column sorted
+    lo: int  # the first usable boundary column, min_samples_leaf - 1
+    n_left: np.ndarray  # float64 row count left of each usable boundary
+    n_right: np.ndarray  # n - n_left
+    xs: np.ndarray  # X[order, feature] over columns lo .. lo + n_left.size
+    tied: np.ndarray  # xs[:, :-1] >= xs[:, 1:]: no threshold between equal values
+
+
+def node_layout(
+    X: np.ndarray, rows: np.ndarray, min_samples_leaf: int, orders: np.ndarray
+) -> NodeLayout:
+    """The layout of the node over `rows`, which must hold at least
+    2 * min_samples_leaf rows.
 
     `orders` is the (features, rows) index array that sorts each column of X
     once (stable). The node's rows are taken from every sorted column in one
-    selection (the root uses `orders` as it is), and every (feature,
-    boundary) pair is scored from one cumulative sum along the sorted rows.
+    selection; the root uses `orders` as it is.
+    """
+    n = rows.size
+    if n < 2 * min_samples_leaf:
+        raise ValueError(f"a node of {n} rows cannot leave {min_samples_leaf} on each side")
+    n_features = orders.shape[0]
+    if n == X.shape[0]:
+        order = orders
+    else:
+        in_node = np.zeros(X.shape[0], dtype=bool)
+        in_node[rows] = True
+        flat = orders.ravel()  # compress/take: half the time of a boolean index
+        order = flat.compress(in_node.take(flat)).reshape(n_features, n)
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    # X[order, feature] over the columns in use, as one flat take (faster
+    # than the 2-D fancy index).
+    xs = X.ravel().take(order[:, lo : hi + 1] * n_features + np.arange(n_features)[:, None])
+    return NodeLayout(order, lo, n_left, n - n_left, xs, xs[:, :-1] >= xs[:, 1:])
+
+
+def best_split(residual: np.ndarray, layout: NodeLayout) -> tuple[int, float] | None:
+    """Exact greedy scan over every feature and every midpoint threshold of
+    one node, from its `node_layout`.
+
+    Only the residuals change from one boosting round to the next, so the
+    scan reads everything else from the layout, which `fit_gbm` reuses for a
+    row set the previous tree searched too (see the module docstring): every
+    (feature, boundary) pair is scored from one cumulative sum of the
+    residuals along the sorted rows. The layout holds no residual-dependent
+    value, so a reused layout gives bitwise the split a fresh one gives.
 
     Minimizes the summed squared error of the residuals over the two sides.
     With S the node's sum of squared residuals, L and R the residual sums of
@@ -132,35 +184,18 @@ def best_split(
     features a later feature wins only if it is lower by more than its own
     slack.
     """
-    n = rows.size
-    if n < 2 * min_samples_leaf:
-        return None
-    n_features = orders.shape[0]
-    if n == X.shape[0]:
-        order = orders
-    else:
-        in_node = np.zeros(X.shape[0], dtype=bool)
-        in_node[rows] = True
-        flat = orders.ravel()  # compress/take: half the time of a boolean index
-        order = flat.compress(in_node.take(flat)).reshape(n_features, n)
-    rs = residual.take(order)
+    rs = residual.take(layout.order)
     s1 = np.cumsum(rs, axis=1)
 
-    # Column b splits after sorted row b: b + 1 rows go left. Columns lo..hi-1
-    # leave at least min_samples_leaf rows on each side.
-    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
-    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
-    left = s1[:, lo:hi]  # L; R = T - L, with T the last cumulative sum
+    lo, xs = layout.lo, layout.xs
+    left = s1[:, lo : lo + layout.n_left.size]  # L; R = T - L, with T the last cumulative sum
     right = s1[:, -1:] - left
     gain = left * left
-    gain /= n_left
+    gain /= layout.n_left
     right *= right
-    right /= n - n_left
+    right /= layout.n_right
     gain += right
-    # X[order, feature] over the columns in use, as one flat take (faster
-    # than the 2-D fancy index).
-    xs = X.ravel().take(order[:, lo : hi + 1] * n_features + np.arange(n_features)[:, None])
-    np.copyto(gain, -np.inf, where=xs[:, :-1] >= xs[:, 1:])  # no threshold between equal values
+    np.copyto(gain, -np.inf, where=layout.tied)
 
     total = float(rs[0] @ rs[0])
     lows = total - gain.max(axis=1)
@@ -196,12 +231,22 @@ def _build_tree(
     orders: np.ndarray,
     outputs: np.ndarray,
     nodes: list[list],
+    last: dict[bytes, NodeLayout],
+    this: dict[bytes, NodeLayout],
 ) -> None:
     """Append the subtree over `rows` to `nodes` in preorder, one
-    [feature, threshold, left, right, value] row per node."""
+    [feature, threshold, left, right, value] row per node.
+
+    Each node searched takes its layout from `last` (the previous tree's,
+    keyed by the row set's bytes) or builds it, and records it in `this`."""
     split = None
     if depth_left > 0 and rows.size >= 2 * min_samples_leaf:
-        split = best_split(X, residual, rows, min_samples_leaf, orders)
+        key = rows.tobytes()
+        layout = last.get(key)
+        if layout is None:
+            layout = node_layout(X, rows, min_samples_leaf, orders)
+        this[key] = layout
+        split = best_split(residual, layout)
     if split is None:
         value = _leaf_value(residual, hessian, rows)
         outputs[rows] = value
@@ -214,12 +259,12 @@ def _build_tree(
     nodes.append(node)
     _build_tree(
         X, residual, hessian, rows[go_left], depth_left - 1, min_samples_leaf, orders, outputs,
-        nodes,
+        nodes, last, this,
     )
     node[3] = len(nodes)
     _build_tree(
         X, residual, hessian, rows[~go_left], depth_left - 1, min_samples_leaf, orders, outputs,
-        nodes,
+        nodes, last, this,
     )
 
 
@@ -271,7 +316,9 @@ def fit_gbm(X, y, params: GbmParams) -> GbmModel:
     p = sigmoid(scores)
     model.train_losses.append(binary_logloss(p, y))
 
+    last: dict[bytes, NodeLayout] = {}
     for _ in range(params.n_trees):
+        this: dict[bytes, NodeLayout] = {}
         residual = y - p
         hessian = p * (1.0 - p)
         outputs = np.zeros(X.shape[0])
@@ -286,7 +333,10 @@ def fit_gbm(X, y, params: GbmParams) -> GbmModel:
             orders,
             outputs,
             nodes,
+            last,
+            this,
         )
+        last = this  # the previous tree's layouts are dropped here
         model.trees.append(Tree.from_columns(*zip(*nodes)))
         scores = scores + params.shrinkage * outputs
         p = sigmoid(scores)

@@ -664,7 +664,7 @@ class TestModelArtifacts:
     (("train-gbm",), "cannot impute"),
     (("pretrain-ae",), "cannot impute"),  # its input is corrected for the angle
     (("train-cnn",), "cannot impute"),
-    (("stack",), "fold 0, member 'gbm': cannot impute"),
+    (("stack",), "cannot impute"),
     (("curve", "--fractions", "1.0", "--batch-size", 2), "cannot impute"),
     (("ingest",), None),
     (("predict", "--model", "{gbm}"), None),  # with the model's fill angle

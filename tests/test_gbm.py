@@ -1,10 +1,12 @@
 """Boosted-tree tests against exhaustive split search and hand-run dynamics."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
+import sarberg.gbm
 from sarberg.gbm import (
     GbmModel,
     GbmParams,
@@ -12,6 +14,7 @@ from sarberg.gbm import (
     best_split,
     deserialize_gbm,
     fit_gbm,
+    node_layout,
     predict_gbm,
     serialize_gbm,
 )
@@ -225,7 +228,7 @@ class TestScanEdges:
     @staticmethod
     def scan(X, residual, rows, min_leaf):
         orders = np.argsort(X.T, axis=1, kind="stable")
-        return best_split(X, residual, rows, min_leaf, orders)
+        return best_split(residual, node_layout(X, rows, min_leaf, orders))
 
     def test_node_of_two_min_leaves_has_one_boundary(self):
         rng = np.random.default_rng(17)
@@ -245,7 +248,8 @@ class TestScanEdges:
             rows = np.arange(2 * min_leaf)
             got = self.scan(root_X, root_r, rows, min_leaf)
             assert got == brute_force_split(root_X, root_r, rows, min_leaf), min_leaf
-            assert self.scan(X, residual, np.arange(2 * min_leaf - 1), min_leaf) is None
+            with pytest.raises(ValueError, match="cannot leave"):  # fit_gbm never searches it
+                self.scan(X, residual, np.arange(2 * min_leaf - 1), min_leaf)
 
     def test_every_feature_constant_gives_no_split(self):
         X = np.tile([1.5, -2.0, 0.0], (12, 1))
@@ -254,6 +258,162 @@ class TestScanEdges:
             for min_leaf in (1, 3):
                 assert self.scan(X, residual, rows, min_leaf) is None
                 assert brute_force_split(X, residual, rows, min_leaf) is None
+
+
+def oracle_best_split(X, residual, rows, min_samples_leaf, orders):
+    """The split scan as it was before node layouts: the node's order, its
+    sorted values and its tie mask rebuilt at every search. fit_gbm must
+    pick bitwise the same splits with its layouts."""
+    n = rows.size
+    if n < 2 * min_samples_leaf:
+        return None
+    n_features = orders.shape[0]
+    if n == X.shape[0]:
+        order = orders
+    else:
+        in_node = np.zeros(X.shape[0], dtype=bool)
+        in_node[rows] = True
+        flat = orders.ravel()
+        order = flat.compress(in_node.take(flat)).reshape(n_features, n)
+    rs = residual.take(order)
+    s1 = np.cumsum(rs, axis=1)
+
+    lo, hi = min_samples_leaf - 1, n - min_samples_leaf
+    n_left = np.arange(lo + 1, hi + 1, dtype=np.float64)
+    left = s1[:, lo:hi]
+    right = s1[:, -1:] - left
+    gain = left * left
+    gain /= n_left
+    right *= right
+    right /= n - n_left
+    gain += right
+    xs = X.ravel().take(order[:, lo : hi + 1] * n_features + np.arange(n_features)[:, None])
+    np.copyto(gain, -np.inf, where=xs[:, :-1] >= xs[:, 1:])
+
+    total = float(rs[0] @ rs[0])
+    lows = total - gain.max(axis=1)
+    tols = 1e-9 * (1.0 + np.abs(lows))
+    best = None
+    for j, (low, tol) in enumerate(zip(lows.tolist(), tols.tolist())):
+        if low != np.inf and (best is None or low < best[0] - tol):
+            best = (low, j)
+    if best is None:
+        return None
+
+    j = best[1]
+    b = int(np.argmax(total - gain[j] <= lows[j] + tols[j]))
+    thr = (xs[j, b] + xs[j, b + 1]) / 2.0
+    if thr >= xs[j, b + 1]:
+        thr = xs[j, b]
+    return j, float(thr)
+
+
+def searched_row_sets(model, X, params):
+    """Per tree, the row sets (as bytes) of the nodes fit_gbm searched: those
+    with depth left and at least 2 * min_samples_leaf rows."""
+    per_tree = []
+
+    def walk(tree, i, rows, depth_left, found):
+        if depth_left == 0 or rows.size < 2 * params.min_samples_leaf:
+            return
+        found.append(rows.tobytes())
+        if tree.feature[i] >= 0:
+            go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
+            walk(tree, tree.left[i], rows[go_left], depth_left - 1, found)
+            walk(tree, tree.right[i], rows[~go_left], depth_left - 1, found)
+
+    for tree in model.trees:
+        per_tree.append([])
+        walk(tree, 0, np.arange(X.shape[0]), params.max_depth, per_tree[-1])
+    return per_tree
+
+
+def labelled_set(kind, n, rng):
+    """n rows of 6 features: random labels, labels separable on two features,
+    or random labels on small integers full of ties."""
+    X = rng.normal(size=(n, 6))
+    if kind == "separable":
+        y = (X[:, 1] + 0.5 * X[:, 4] > 0.2).astype(float)
+    else:
+        y = (rng.random(n) < 0.5).astype(float)
+    if kind == "tied":
+        X = rng.integers(0, 3, size=(n, 6)).astype(float)
+    y[:2] = (0.0, 1.0)
+    return X, y
+
+
+class TestLayoutReuse:
+    """fit_gbm reuses a node's layout from the previous tree; the splits are
+    bitwise those of a scan that rebuilds everything at every node."""
+
+    @staticmethod
+    def oracle_fit(monkeypatch, X, y, params):
+        with monkeypatch.context() as m:
+            m.setattr(sarberg.gbm, "node_layout", lambda X, rows, leaf, orders: (X, rows, leaf, orders))
+            m.setattr(sarberg.gbm, "best_split",
+                      lambda residual, a: oracle_best_split(a[0], residual, a[1], a[2], a[3]))
+            return serialize_gbm(fit_gbm(X, y, params))
+
+    @pytest.mark.parametrize("min_leaf", [1, 2, 5])
+    @pytest.mark.parametrize("kind", ["random", "separable", "tied"])
+    def test_fit_bitwise_equals_oracle_scans(self, monkeypatch, kind, min_leaf):
+        rng = np.random.default_rng(["random", "separable", "tied"].index(kind) * 10 + min_leaf)
+        for depth in (1, 2, 3, 4):
+            for n in (10, 43, 300):
+                X, y = labelled_set(kind, n, rng)
+                params = GbmParams(n_trees=12, max_depth=depth, min_samples_leaf=min_leaf)
+                got = serialize_gbm(fit_gbm(X, y, params))
+                assert got == self.oracle_fit(monkeypatch, X, y, params), (depth, n)
+                if depth == 3:
+                    assert serialize_gbm(fit_gbm(np.asfortranarray(X), y, params)) == got
+
+    def test_fits_in_a_row_share_nothing(self, monkeypatch):
+        # Same row count, so the same row sets recur in both fits; each fit
+        # must scan its own X.
+        rng = np.random.default_rng(31)
+        params = GbmParams(n_trees=20, max_depth=3, min_samples_leaf=2)
+        sets = [labelled_set("separable", 80, rng) for _ in range(2)]
+        got = [serialize_gbm(fit_gbm(X, y, params)) for X, y in sets]
+        assert got[0] != got[1]
+        assert got == [self.oracle_fit(monkeypatch, X, y, params) for X, y in sets]
+
+    @pytest.mark.parametrize("label_features", [(1,), (1, 4)])
+    def test_one_layout_per_new_row_set_and_two_trees_alive(self, monkeypatch, label_features):
+        # Labels separable on feature 1 alone give the same five searched
+        # row sets in every tree; adding feature 4 makes them churn.
+        X = np.random.default_rng(37).normal(size=(120, 6))
+        y = (X[:, label_features].sum(axis=1) > 0.2).astype(float)
+        params = GbmParams(n_trees=50, max_depth=3, min_samples_leaf=5)
+        bound = 2 * (2**params.max_depth - 1)
+        built, alive, most_alive = [], [], 0
+
+        def count_alive():
+            nonlocal most_alive
+            most_alive = max(most_alive, sum(r() is not None for r in alive))
+
+        def counted_layout(X, rows, min_leaf, orders):
+            layout = node_layout(X, rows, min_leaf, orders)
+            built.append(rows.tobytes())
+            alive.append(weakref.ref(layout))
+            return layout
+
+        def counted_split(residual, layout):
+            count_alive()
+            return best_split(residual, layout)
+
+        monkeypatch.setattr(sarberg.gbm, "node_layout", counted_layout)
+        monkeypatch.setattr(sarberg.gbm, "best_split", counted_split)
+        model = fit_gbm(X, y, params)
+        searched = searched_row_sets(model, X, params)
+        new = sum(len(set(tree) - set(prev)) for prev, tree in zip([[]] + searched, searched))
+        assert len(built) == new
+        assert most_alive <= bound
+        assert all(r() is None for r in alive)  # nothing outlives the fit
+        if label_features == (1,):
+            assert len(built) == len({key for tree in searched for key in tree}) == 5
+            assert sum(map(len, searched)) == 250
+        else:
+            assert len(built) > 100 and most_alive > bound // 2
 
 
 class TestPredict:

@@ -64,19 +64,43 @@ def test_predictors_call_traced_names():
         assert name in tracer.names, name
 
 
+def nodes_searched(model, X, params):
+    """The nodes fit_gbm searched: those with depth left and at least
+    2 * min_samples_leaf rows, split or not."""
+
+    def walk(tree, i, rows, depth_left):
+        if depth_left == 0 or rows.size < 2 * params.min_samples_leaf:
+            return 0
+        if tree.feature[i] < 0:
+            return 1
+        go_left = X[rows, tree.feature[i]] <= tree.threshold[i]
+        return (1 + walk(tree, tree.left[i], rows[go_left], depth_left - 1)
+                + walk(tree, tree.right[i], rows[~go_left], depth_left - 1))
+
+    return sum(walk(tree, 0, np.arange(X.shape[0]), params.max_depth) for tree in model.trees)
+
+
 def test_fit_gbm_calls_traced_split_search():
     # The benchmark times the split search through `sarberg.gbm.best_split`;
-    # folding it into fit_gbm would leave that span empty.
-    X = np.arange(24.0).reshape(8, 3) % 5
-    y = np.array([0.0, 1.0] * 4)
+    # folding it into fit_gbm would leave that span empty. One span per node
+    # searched keeps `gbm.best_split.calls` a count of searches, whether the
+    # node's layout was built or reused from the previous tree.
+    # Two binary features: a node at depth 2 holds one value pair and is
+    # searched without a split.
+    rng = np.random.default_rng(9)
+    X = rng.integers(0, 2, size=(60, 2)).astype(float)
+    y = (rng.random(60) < 0.5).astype(float)
+    params = GbmParams(n_trees=8, min_samples_leaf=3)
     tracer = load_spans().Tracer()
     tracer.install()
     try:
-        sarberg.gbm.fit_gbm(X, y, GbmParams(n_trees=2, min_samples_leaf=1))
+        model = sarberg.gbm.fit_gbm(X, y, params)
     finally:
         tracer.uninstall()
-    for name in ("gbm.fit_gbm", "gbm.best_split"):
-        assert name in tracer.names, name
+    assert "gbm.fit_gbm" in tracer.names
+    searched = nodes_searched(model, X, params)
+    internal = sum(int((tree.feature >= 0).sum()) for tree in model.trees)
+    assert tracer.names.count("gbm.best_split") == searched > internal
 
 
 def test_gbm_oof_featurises_once():
