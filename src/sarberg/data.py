@@ -162,6 +162,28 @@ def _record_error(index: int, rec_id, msg: str) -> ValueError:
     return ValueError(f"record {index}{ident}: {msg}")
 
 
+def _band_values(raw_band: list) -> np.ndarray | None:
+    """The band as float64, or None unless it is a flat list of JSON numbers.
+
+    float() would read "1.5" and true as numbers, so the dtype is inferred
+    first: a string anywhere gives a str dtype, a band of booleans a bool one.
+    Among numbers a boolean becomes 0 or 1, so only the entries equal to 0 or
+    1 are looked at one by one; a band of dB values holds few of them."""
+    try:
+        arr = np.asarray(raw_band)
+        if arr.dtype.kind == "O" and {int, float}.issuperset(map(type, raw_band)):
+            arr = arr.astype(np.float64)  # an integer beyond int64
+    except (ValueError, OverflowError):  # a nested list of uneven lengths, 10**400
+        return None
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf":
+        return None
+    arr = arr.astype(np.float64, copy=False)
+    zero_or_one = np.flatnonzero((arr == 0.0) | (arr == 1.0))
+    if any(type(raw_band[i]) is bool for i in zero_or_one.tolist()):
+        return None
+    return arr
+
+
 def _parse_band(raw_band, index: int, rec_id, name: str) -> np.ndarray:
     if not isinstance(raw_band, list):
         raise _record_error(index, rec_id, f"{name} must be a list of numbers")
@@ -170,11 +192,8 @@ def _parse_band(raw_band, index: int, rec_id, name: str) -> np.ndarray:
             index, rec_id,
             f"{name} has {len(raw_band)} values, expected {KAGGLE_BAND_PIXELS}",
         )
-    try:
-        arr = np.asarray(raw_band, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # an object, a nested list, 10**400
-        arr = None
-    if arr is None or arr.ndim != 1:
+    arr = _band_values(raw_band)
+    if arr is None:
         raise _record_error(index, rec_id, f"{name} must be a flat list of numbers")
     arr = arr.reshape(SCENE_SIDE, SCENE_SIDE)
     if not np.all(np.isfinite(arr)):

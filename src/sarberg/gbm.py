@@ -27,9 +27,10 @@ split, is that of a scan that rebuilds the layout at every node.
 A tree has one form, in memory and on disk: five preorder node arrays
 (feature, threshold, left, right, value) with the root at node 0. A leaf has
 feature -1 and children -1; an internal node sends a row left when
-X[row, feature] <= threshold, and its children come after it. Scoring walks
-all rows down one level per pass, and loading checks the arrays so that every
-walk ends on a leaf.
+X[row, feature] <= threshold, and its children come after it. Scoring puts
+every tree's nodes in one table and walks all trees and rows down one level
+per pass, over chunks of rows; it adds the trees' outputs round by round, as
+training did. Loading checks the arrays so that every walk ends on a leaf.
 """
 
 from __future__ import annotations
@@ -182,7 +183,10 @@ def best_split(residual: np.ndarray, layout: NodeLayout) -> tuple[int, float] | 
     ties are common: early rounds have only two distinct residual values).
     Within a feature the slack is taken from that feature's minimum; across
     features a later feature wins only if it is lower by more than its own
-    slack.
+    slack (`_sequential_winner`). No later feature is lower than the first
+    feature j of lowest SSE, so none can take the lead from j: j wins unless
+    an earlier feature lies within j's slack of it, and only then does the
+    rule run one feature at a time.
     """
     rs = residual.take(layout.order)
     s1 = np.cumsum(rs, axis=1)
@@ -199,20 +203,32 @@ def best_split(residual: np.ndarray, layout: NodeLayout) -> tuple[int, float] | 
 
     total = float(rs[0] @ rs[0])
     lows = total - gain.max(axis=1)
-    tols = SPLIT_TIE_RTOL * (1.0 + np.abs(lows))
-    best: tuple[float, int] | None = None
-    for j, (low, tol) in enumerate(zip(lows.tolist(), tols.tolist())):
-        if low != np.inf and (best is None or low < best[0] - tol):
-            best = (low, j)
-    if best is None:
+    j = int(lows.argmin())
+    low = float(lows[j])
+    if low == np.inf:  # every boundary of every feature lies between equal values
         return None
-
-    j = best[1]
-    b = int(np.argmax(total - gain[j] <= lows[j] + tols[j]))  # lowest tied threshold
+    tol = SPLIT_TIE_RTOL * (1.0 + abs(low))
+    if j and not (low < lows[:j] - tol).all():  # an earlier feature within the slack
+        j = _sequential_winner(lows)
+        low = float(lows[j])
+        tol = SPLIT_TIE_RTOL * (1.0 + abs(low))
+    b = int(np.argmax(total - gain[j] <= low + tol))  # lowest tied threshold
     thr = (xs[j, b] + xs[j, b + 1]) / 2.0
     if thr >= xs[j, b + 1]:  # midpoint rounded up between adjacent floats
         thr = xs[j, b]
     return j, float(thr)
+
+
+def _sequential_winner(lows: np.ndarray) -> int:
+    """The feature the tie rule picks from the per-feature lowest SSEs
+    (at least one finite), one feature at a time: a later feature takes the
+    lead only if it is lower than the leader by more than its own slack."""
+    best: tuple[float, int] | None = None
+    for j, low in enumerate(lows.tolist()):
+        tol = SPLIT_TIE_RTOL * (1.0 + abs(low))
+        if low != np.inf and (best is None or low < best[0] - tol):
+            best = (low, j)
+    return best[1]
 
 
 def _leaf_value(residual, hessian, rows) -> float:
@@ -268,19 +284,6 @@ def _build_tree(
     )
 
 
-def _tree_outputs(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Each row's leaf value, moving every row down one level per pass."""
-    rows = np.arange(X.shape[0])
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        feature = tree.feature[node]
-        inner = feature >= 0
-        if not inner.any():
-            return tree.value[node]
-        go_left = X[rows, feature] <= tree.threshold[node]
-        node = np.where(inner, np.where(go_left, tree.left[node], tree.right[node]), node)
-
-
 def fit_gbm(X, y, params: GbmParams) -> GbmModel:
     """Boost regression trees on the logloss residuals.
 
@@ -292,6 +295,7 @@ def fit_gbm(X, y, params: GbmParams) -> GbmModel:
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D (rows x features)")
+    X = np.ascontiguousarray(X)  # node_layout's flat take would copy any other order
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y row counts differ")
     if X.shape[0] < 2:
@@ -344,18 +348,76 @@ def fit_gbm(X, y, params: GbmParams) -> GbmModel:
     return model
 
 
+class _Forest(NamedTuple):
+    """Every tree's nodes in one table, tree after tree, with child indices
+    into the table. A leaf is its own left and right child and tests feature
+    0, so a walk that has reached it stays there."""
+
+    roots: np.ndarray  # (trees,) each tree's node 0
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray  # shrinkage * leaf value; 0.0 at an internal node
+    depth: int  # the most levels any walk goes down
+
+
+def _forest(trees: list[Tree], shrinkage: float) -> _Forest:
+    sizes = [tree.feature.size for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature = np.concatenate([tree.feature for tree in trees])
+    inner = feature >= 0
+    at = np.arange(feature.size)
+    shift = np.repeat(roots, sizes)
+    left = np.where(inner, np.concatenate([tree.left for tree in trees]) + shift, at)
+    right = np.where(inner, np.concatenate([tree.right for tree in trees]) + shift, at)
+    depth, level = 0, roots[inner[roots]]
+    while level.size:
+        depth += 1
+        level = np.concatenate([left[level], right[level]])
+        level = level[inner[level]]
+    return _Forest(
+        roots,
+        np.where(inner, feature, 0),
+        np.concatenate([tree.threshold for tree in trees]),
+        left,
+        right,
+        shrinkage * np.concatenate([tree.value for tree in trees]),
+        depth,
+    )
+
+
+PREDICT_CHUNK_ROWS = 128
+
+
 def predict_gbm(model: GbmModel, X) -> np.ndarray:
-    """Probabilities sigmoid(base + shrinkage * sum of tree outputs)."""
+    """Probabilities sigmoid(base + shrinkage * sum of tree outputs).
+
+    All trees are walked at once, down one level per pass, over chunks of
+    PREDICT_CHUNK_ROWS rows so the (trees, rows) arrays stay small."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.feature_count:
         raise ValueError(
             f"expected {model.feature_count} features, got shape {X.shape}"
         )
     scores = np.full(X.shape[0], model.base_score)
-    # Accumulate round by round, matching the training loop's addition order
-    # so training-row predictions reproduce the final-round probabilities.
-    for tree in model.trees:
-        scores = scores + model.shrinkage * _tree_outputs(tree, X)
+    if not model.trees:
+        return sigmoid(scores)
+    forest = _forest(model.trees, model.shrinkage)
+    flat = np.ascontiguousarray(X).ravel()  # X[row, feature] as one flat take
+    for start in range(0, X.shape[0], PREDICT_CHUNK_ROWS):
+        chunk = slice(start, start + PREDICT_CHUNK_ROWS)
+        row_at = np.arange(start, min(start + PREDICT_CHUNK_ROWS, X.shape[0])) * X.shape[1]
+        node = np.repeat(forest.roots[:, None], row_at.size, axis=1)
+        for _ in range(forest.depth):
+            go_left = flat.take(forest.feature.take(node) + row_at) <= forest.threshold.take(node)
+            node = np.where(go_left, forest.left.take(node), forest.right.take(node))
+        # cumsum adds the trees' outputs to the base score one round after
+        # another, as the training loop added them, so training-row
+        # predictions reproduce the final-round probabilities bitwise.
+        outputs = forest.value.take(node)
+        outputs[0] += scores[chunk]
+        scores[chunk] = np.cumsum(outputs, axis=0)[-1]
     return sigmoid(scores)
 
 

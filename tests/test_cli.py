@@ -189,6 +189,9 @@ class TestSynthIngest:
              "band_1 must be a flat list of numbers"),
             (lambda r: r.update(band_2=[[v] for v in r["band_2"]]),
              "band_2 must be a flat list of numbers"),
+            (lambda r: r.update(band_1=[str(v) for v in r["band_1"]]),
+             "band_1 must be a flat list of numbers"),
+            (lambda r: r["band_2"].__setitem__(3, True), "band_2 must be a flat list of numbers"),
             (lambda r: r.update(inc_angle=10**400), "inc_angle overflows float64"),
             (lambda r: r.update(inc_angle=math.nan), "inc_angle nan outside (0, 90)"),
         ],

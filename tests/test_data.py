@@ -141,6 +141,15 @@ class TestParse:
             ):
                 parse_samples(raw, labeled=True)
 
+    def test_band_of_json_numbers_only(self):
+        # 0 and 1, as integers or floats, are numbers; false among them is not.
+        values = [0, 1, 0.0, 1.0, -3, 2**70] + [0.5] * 5619
+        s = parse_samples(json.dumps([make_record("a", band_2=values)]), labeled=True)[0]
+        assert s.hv.ravel().tolist() == [float(v) for v in values]
+        values[3] = False
+        with pytest.raises(ValueError, match=r"record 0 \(id 'a'\): band_2 must be a flat list"):
+            parse_samples(json.dumps([make_record("a", band_2=values)]), labeled=True)
+
     def test_bad_label(self):
         raw = json.dumps([make_record("a", label=2)])
         with pytest.raises(ValueError, match="is_iceberg"):
@@ -285,6 +294,12 @@ class TestTwoProcessCodec:
              "band_1 must be a flat list of numbers"),
             (lambda r: r.update(band_2=[[v] for v in r["band_2"]]),
              "band_2 must be a flat list of numbers"),
+            (lambda r: r.update(band_1=[str(v) for v in r["band_1"]]),
+             "band_1 must be a flat list of numbers"),
+            (lambda r: r.update(band_2=[True] * len(r["band_2"])),
+             "band_2 must be a flat list of numbers"),
+            # numpy would promote this band to float64, reading true as 1.0.
+            (lambda r: r["band_1"].__setitem__(9, True), "band_1 must be a flat list of numbers"),
             (lambda r: r.update(inc_angle=10**400), "inc_angle overflows float64"),
             (lambda r: r.update(inc_angle=math.nan), "inc_angle nan outside (0, 90)"),
             (lambda r: r.update(inc_angle=95), "inc_angle 95.0 outside (0, 90)"),

@@ -377,6 +377,22 @@ class TestLayoutReuse:
         assert got[0] != got[1]
         assert got == [self.oracle_fit(monkeypatch, X, y, params) for X, y in sets]
 
+    def test_fortran_ordered_X_gives_the_same_model(self, monkeypatch):
+        # node_layout takes X's values through one flat view, which copies X
+        # unless it is C-ordered; fit_gbm makes it so once.
+        X, y = labelled_set("random", 120, np.random.default_rng(33))
+        params = GbmParams(n_trees=15, max_depth=3, min_samples_leaf=2)
+        seen = []
+
+        def recorded_layout(X, rows, min_leaf, orders):
+            seen.append(X)
+            return node_layout(X, rows, min_leaf, orders)
+
+        want = serialize_gbm(fit_gbm(X, y, params))
+        monkeypatch.setattr(sarberg.gbm, "node_layout", recorded_layout)
+        assert serialize_gbm(fit_gbm(np.asfortranarray(X), y, params)) == want
+        assert seen and all(x is seen[0] for x in seen) and seen[0].flags.c_contiguous
+
     @pytest.mark.parametrize("label_features", [(1,), (1, 4)])
     def test_one_layout_per_new_row_set_and_two_trees_alive(self, monkeypatch, label_features):
         # Labels separable on feature 1 alone give the same five searched
@@ -414,6 +430,89 @@ class TestLayoutReuse:
             assert sum(map(len, searched)) == 250
         else:
             assert len(built) > 100 and most_alive > bound // 2
+
+
+class TestWinnerRule:
+    """best_split takes the first feature of lowest SSE and runs the
+    one-feature-at-a-time tie rule only when an earlier feature lies within
+    that feature's slack. Either way it picks the oracle's split."""
+
+    @pytest.fixture
+    def sequential_calls(self, monkeypatch):
+        calls = []
+        sequential = sarberg.gbm._sequential_winner
+
+        def counted(lows):
+            calls.append(lows.size)
+            return sequential(lows)
+
+        monkeypatch.setattr(sarberg.gbm, "_sequential_winner", counted)
+        return calls
+
+    @staticmethod
+    def scan(X, residual, rows, min_leaf):
+        orders = np.argsort(X.T, axis=1, kind="stable")
+        got = best_split(residual, node_layout(X, rows, min_leaf, orders))
+        assert got == oracle_best_split(X, residual, rows, min_leaf, orders)
+        return got
+
+    def test_earlier_feature_within_the_slack_keeps_the_lead(self, sequential_calls):
+        # Both features split the rows 3 | 3 and sum each side in opposite
+        # orders. Feature 1's SSE comes out lower by rounding alone, so the
+        # lowest SSE is feature 1's, and feature 0 leads by the tie rule.
+        X = np.array([[1.0, 3.0], [2.0, 2.0], [3.0, 1.0], [10.0, 12.0], [11.0, 11.0], [12.0, 10.0]])
+        residual = np.array([0.1, 0.1, 0.1, 0.1, 0.1, 0.7])
+        assert self.scan(X, residual, np.arange(6), 3) == (0, 6.5)
+        assert sequential_calls == [2]
+        # With the columns swapped the lower SSE is feature 0's own.
+        assert self.scan(X[:, ::-1].copy(), residual, np.arange(6), 3) == (0, 6.5)
+        assert sequential_calls == [2]
+
+    def test_exact_ties_across_features_go_to_the_lowest_index(self, sequential_calls):
+        rng = np.random.default_rng(41)
+        noise, signal = rng.normal(size=(2, 30))
+        residual = (signal > 0.3) + 0.1 * rng.normal(size=30)
+        rows = np.arange(30)
+        best = self.scan(signal[:, None], residual, rows, 2)
+        assert self.scan(np.column_stack([signal, signal]), residual, rows, 2) == best
+        got = self.scan(np.column_stack([noise, signal, signal, signal]), residual, rows, 2)
+        assert got == (1, best[1])
+        assert sequential_calls == []
+
+    def test_every_feature_tied_gives_none(self, sequential_calls):
+        residual = np.random.default_rng(42).normal(size=8)
+        assert self.scan(np.tile([2.0, -1.0, 0.5], (8, 1)), residual, np.arange(8), 1) is None
+        # Values differ only outside the boundaries that leave 3 rows a side.
+        X = np.zeros((8, 2))
+        X[7, 0], X[0, 1] = 1.0, -1.0
+        assert self.scan(X, residual, np.arange(8), 3) is None
+        assert self.scan(X, residual, np.arange(8), 1) is not None
+        assert sequential_calls == []
+
+    def test_single_feature(self, sequential_calls):
+        rng = np.random.default_rng(43)
+        X = rng.integers(0, 5, size=(25, 1)).astype(float)
+        residual = rng.normal(size=25)
+        for min_leaf in (1, 3, 6):
+            for rows in (np.arange(25), np.sort(rng.choice(25, 15, replace=False))):
+                got = self.scan(X, residual, rows, min_leaf)
+                assert got is None or got[0] == 0
+        assert sequential_calls == []
+
+    def test_random_nodes_take_both_ways(self, sequential_calls):
+        # A feature and its negation split the same rows, summed in opposite
+        # orders: their SSEs tie within the slack, either one the lower.
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            n = int(rng.integers(8, 40))
+            base = rng.integers(0, 4, size=(n, 2)).astype(float)
+            X = np.column_stack([base[:, 0], -base[:, 0], base[:, 1], -base[:, 1]])
+            X = X[:, rng.permutation(4)]
+            residual = rng.choice([-0.6, 0.4, 0.1, 0.3], size=n)
+            rows = np.sort(rng.choice(n, int(rng.integers(4, n + 1)), replace=False))
+            min_leaf = int(rng.integers(1, rows.size // 2 + 1))
+            self.scan(X, residual, rows, min_leaf)
+        assert 0 < len(sequential_calls) < 300
 
 
 class TestPredict:
@@ -455,6 +554,89 @@ class TestPredict:
         model = fit_gbm(X, y, GbmParams(n_trees=100, max_depth=2))
         p = predict_gbm(model, X)
         assert np.all(p > 0.0) and np.all(p < 1.0)
+
+
+def tree_outputs(tree, X):
+    """Each row's leaf value in one tree, moving every row down one level per
+    pass: predict_gbm scored tree by tree this way before it walked all trees
+    at once."""
+    rows = np.arange(X.shape[0])
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feature = tree.feature[node]
+        inner = feature >= 0
+        if not inner.any():
+            return tree.value[node]
+        go_left = X[rows, feature] <= tree.threshold[node]
+        node = np.where(inner, np.where(go_left, tree.left[node], tree.right[node]), node)
+
+
+def oracle_predict(model, X):
+    scores = np.full(X.shape[0], model.base_score)
+    for tree in model.trees:
+        scores = scores + model.shrinkage * tree_outputs(tree, X)
+    return sigmoid(scores)
+
+
+def tree_depth(tree, i=0):
+    if tree.feature[i] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[i]), tree_depth(tree, tree.right[i]))
+
+
+class TestForestWalk:
+    """predict_gbm walks all trees at once, over chunks of rows; its
+    probabilities are bitwise those of scoring tree by tree."""
+
+    @staticmethod
+    def check(model, X):
+        got = predict_gbm(model, X)
+        assert got.tobytes() == oracle_predict(model, X).tobytes()
+
+    @staticmethod
+    def fitted(n_trees=25, max_depth=3, n=90, seed=51):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 5))
+        y = (X[:, 0] + X[:, 2] * X[:, 3] + 0.5 * rng.normal(size=n) > 0).astype(float)
+        params = GbmParams(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=3)
+        return fit_gbm(X, y, params), rng.normal(size=(37, 5))
+
+    def test_zero_trees(self):
+        model = GbmModel(base_score=-0.3, shrinkage=0.1, feature_count=4)
+        self.check(model, np.random.default_rng(52).normal(size=(9, 4)))
+        self.check(model, np.zeros((0, 4)))
+
+    def test_single_leaf_trees(self):
+        model = GbmModel(base_score=0.2, shrinkage=0.3, feature_count=3)
+        model.trees = [Tree.from_columns([-1], [0.0], [-1], [-1], [v]) for v in (0.7, -1.3, 0.1)]
+        self.check(model, np.random.default_rng(53).normal(size=(11, 3)))
+
+    def test_trees_of_uneven_depth(self):
+        model, X = self.fitted(max_depth=5)
+        model.trees.insert(3, Tree.from_columns([-1], [0.0], [-1], [-1], [0.4]))
+        model.trees.append(Tree.from_columns([2, -1, -1], [0.1, 0, 0], [1, -1, -1], [2, -1, -1],
+                                             [0, -0.5, 0.25]))
+        assert len({tree_depth(tree) for tree in model.trees}) >= 3
+        self.check(model, X)
+
+    def test_model_read_back(self):
+        model, X = self.fitted()
+        self.check(deserialize_gbm(serialize_gbm(model)), X)
+        self.check(deserialize_gbm(OLD_GBM_JSON), X_OLD)
+
+    def test_one_row(self):
+        model, X = self.fitted()
+        self.check(model, X[:1])
+        self.check(model, X[5:6])
+        self.check(model, X[:0])
+
+    def test_rows_across_the_chunk_boundary(self):
+        model, _ = self.fitted()
+        chunk = sarberg.gbm.PREDICT_CHUNK_ROWS
+        X = np.random.default_rng(54).normal(size=(2 * chunk + 3, 5))
+        for n in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            self.check(model, X[:n])
+        self.check(model, np.asfortranarray(X))
 
 
 # A model file as the linked-node trees wrote it: 3 trees of depth 2, with

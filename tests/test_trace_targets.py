@@ -103,6 +103,26 @@ def test_fit_gbm_calls_traced_split_search():
     assert tracer.names.count("gbm.best_split") == searched > internal
 
 
+def test_one_predict_span_per_scoring_call():
+    # `gbm.predict_gbm.us_per_row` divides each span's time by its rows:
+    # predict_gbm scores rows in chunks, and one call must still make one
+    # span whose units are all the rows it scored.
+    rng = np.random.default_rng(11)
+    model = fit_gbm(rng.normal(size=(40, 3)), np.tile([0.0, 1.0], 20),
+                    GbmParams(n_trees=3, min_samples_leaf=2))
+    sizes = [1, 40, 2 * sarberg.gbm.PREDICT_CHUNK_ROWS + 3]
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        for n in sizes:
+            sarberg.gbm.predict_gbm(model, rng.normal(size=(n, 3)))
+        sarberg.ensemble.predict_gbm(model, rng.normal(size=(sizes[-1], 3)))
+    finally:
+        tracer.uninstall()
+    spans = [u for name, u in zip(tracer.names, tracer.units) if name == "gbm.predict_gbm"]
+    assert spans == sizes + sizes[-1:]
+
+
 def test_gbm_oof_featurises_once():
     # The benchmark's gbm_oof metrics come from these spans: the member must
     # featurise the whole set once, through `sarberg.ensemble.feature_matrix`,
