@@ -26,10 +26,12 @@ checked.
 
 A scene without an incidence angle takes a fill angle: the mean of the
 present ones where a command fits something, the model's stored one in
-predict. So a set in which every angle is missing is refused ("cannot
-impute") by features, train-gbm, train-cnn, stack and curve, and by
-pretrain-ae, which needs no label but corrects its input for incidence angle.
-ingest reads such a set, and predict scores it with the model's fill angle.
+predict. The readers (`features.feature_vector`, `nn.channel_planes`) put
+it in as they read a scene; no command rewrites the set. So a set in which
+every angle is missing is refused ("cannot impute") by features, train-gbm,
+train-cnn, stack and curve, and by pretrain-ae, which needs no label but
+corrects its input for incidence angle. ingest reads such a set, and
+predict scores it with the model's fill angle.
 
 Each successful run writes resolved_config.json into its --out directory:
 every option value the run used, its command and a created_utc timestamp. A
@@ -267,8 +269,8 @@ def _cmd_ingest(args) -> None:
 
 def _cmd_features(args) -> None:
     sset = _load_set(args.input)
-    imputed, mean_angle = data.impute_incidence(sset)
-    ids, X, y = features.feature_matrix(imputed, mean_angle)
+    mean_angle = data.mean_incidence(s.inc_angle for s in sset)
+    ids, X, y = features.feature_matrix(sset, mean_angle)
     # Correlate the band statistics only: the angle columns can be constant.
     stats = features.FEATURE_NAMES[: features.FEATURE_NAMES.index("inc_angle")]
     corr = features.correlation_matrix(X, range(len(stats)))  # refuses before any file is written
@@ -378,7 +380,7 @@ def _cmd_predict(args) -> None:
 
 def _cmd_stack(args) -> None:
     sset = _load_set(args.input, labeled=True)
-    data.impute_incidence(sset)  # refuse an empty set, or one with no angle, before any fold
+    data.mean_incidence(s.inc_angle for s in sset)  # refuses an empty or angle-less set early
     trainers = {
         "gbm": ensemble.gbm_trainer(gbm.GbmParams(n_trees=args.n_trees)),
         "cnn": ensemble.cnn_trainer(

@@ -64,7 +64,8 @@ class SarSample:
 
     label: 0 = ship, 1 = iceberg, None = unlabeled.
     inc_angle: incidence angle in degrees, None when missing from the source.
-    angle_imputed: True when inc_angle was filled in by `fill_incidence`.
+    angle_imputed: True when `impute_incidence` filled inc_angle in; the
+        models' readers fill a missing angle through `filled_angle` instead.
     """
 
     id: str
@@ -88,6 +89,13 @@ class SarSample:
             )
         if self.label is not None and self.label not in (0, 1):
             raise ValueError(f"sample {self.id!r}: label must be 0 or 1")
+
+    def filled_angle(self, fill_angle: float | None) -> float:
+        """The angle a model reads: inc_angle, or fill_angle where it is None."""
+        angle = self.inc_angle if self.inc_angle is not None else fill_angle
+        if angle is None:
+            raise ValueError(f"sample {self.id!r} has no incidence angle and no fill angle")
+        return angle
 
     def __reduce__(self):
         # Unpickled through the constructor, so the bands come back as
@@ -482,19 +490,13 @@ def split_train_validation(
     )
 
 
-def fill_incidence(sset: SampleSet, angle: float) -> SampleSet:
-    """Give every sample that has no incidence angle `angle`, flagged
-    angle_imputed=True; samples with an angle are kept as they are."""
-    out = tuple(
-        replace(s, inc_angle=angle, angle_imputed=True) if s.inc_angle is None else s
-        for s in sset
-    )
-    return SampleSet(out, provenance=sset.provenance)
-
-
 def mean_incidence(angles: Iterable[float | None]) -> float:
-    """The fill angle of a training set: the mean of its present angles
-    (None marks a missing one), in their order."""
+    """The one fill rule: a training set's fill angle is the mean of its
+    present angles (None marks a missing one), in their order. The readers
+    put it in place of a missing angle; each model stores it for serving."""
+    angles = list(angles)
+    if not angles:
+        raise ValueError("empty sample set")
     present = [a for a in angles if a is not None]
     if not present:
         raise ValueError("cannot impute: every sample is missing inc_angle")
@@ -502,15 +504,18 @@ def mean_incidence(angles: Iterable[float | None]) -> float:
 
 
 def impute_incidence(sset: SampleSet) -> tuple[SampleSet, float]:
-    """Replace missing incidence angles by the mean of the present ones.
+    """A copy of the set with every missing incidence angle replaced by
+    `mean_incidence`'s fill angle and flagged angle_imputed, and that angle.
 
-    Returns the imputed set and the mean angle, so the same fill value can be
-    reused on test data (`fill_incidence`). An empty set is refused.
+    The models do not call it: their readers fill a missing angle as they
+    read the scene. It serves callers that want the filled scenes themselves.
     """
-    if len(sset) == 0:
-        raise ValueError("empty sample set")
     mean_angle = mean_incidence(s.inc_angle for s in sset)
-    return fill_incidence(sset, mean_angle), mean_angle
+    out = tuple(
+        replace(s, inc_angle=mean_angle, angle_imputed=True) if s.inc_angle is None else s
+        for s in sset
+    )
+    return SampleSet(out, provenance=sset.provenance), mean_angle
 
 
 # ---------------------------------------------------------------------------

@@ -39,9 +39,6 @@ class BandStats:
     q3: float
     std: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (self.min, self.max, self.mean, self.median, self.q1, self.q3, self.std)
-
 
 def normalize_incidence(band: np.ndarray, theta: float) -> np.ndarray:
     """Standardize backscatter to a 0-degree incidence angle.
@@ -113,11 +110,11 @@ def band_stats(band: np.ndarray) -> BandStats:
     return BandStats(*map(float, _row_stats(band.reshape(1, -1))[0]))
 
 
-def feature_vector(s: SarSample, mean_angle: float | None) -> np.ndarray:
+def feature_vector(s: SarSample, fill_angle: float | None) -> np.ndarray:
     """The 30 features of one sample, ordered as FEATURE_NAMES.
 
     The statistics of the four bands come from one pass over their (4,
-    pixels) stack. The angle slot holds the sample's angle, or mean_angle
+    pixels) stack. The angle slot holds the sample's angle, or fill_angle
     when absent; the final slot flags angles that are imputed (either
     upstream or here).
     """
@@ -126,15 +123,13 @@ def feature_vector(s: SarSample, mean_angle: float | None) -> np.ndarray:
     except ValueError as e:
         raise ValueError(f"sample {s.id!r}: {e}") from None
     missing = s.angle_imputed or s.inc_angle is None
-    angle = s.inc_angle if s.inc_angle is not None else mean_angle
-    if angle is None:
-        raise ValueError(f"sample {s.id!r} has no incidence angle and no fill angle")
+    angle = s.filled_angle(fill_angle)
     stats = _row_stats(np.stack((s.hh, s.hv, diff, ratio)).reshape(4, -1))
     return np.concatenate((stats.ravel(), (angle, 1.0 if missing else 0.0)))
 
 
 def feature_matrix(
-    sset: SampleSet, mean_angle: float | None
+    sset: SampleSet, fill_angle: float | None
 ) -> tuple[list[str], np.ndarray, np.ndarray | None]:
     """Stack feature vectors for a whole set.
 
@@ -144,7 +139,7 @@ def feature_matrix(
     """
     if len(sset) == 0:
         raise ValueError("empty sample set")
-    X = np.stack(forked.map_items(lambda s: feature_vector(s, mean_angle), sset.samples))
+    X = np.stack(forked.map_items(lambda s: feature_vector(s, fill_angle), sset.samples))
     labels = sset.labels()
     y = None
     if all(l is not None for l in labels):

@@ -300,6 +300,8 @@ def fit_gbm(X, y, params: GbmParams) -> GbmModel:
         raise ValueError("X and y row counts differ")
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows")
+    if X.shape[1] == 0:
+        raise ValueError("X has no feature columns")
     if not np.all(np.isfinite(X)):
         raise ValueError("X contains non-finite features")
     classes = np.unique(y)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,20 +25,14 @@ LAPLACIAN = np.array([[0.0, 1.0, 0.0], [1.0, -4.0, 1.0], [0.0, 1.0, 0.0]])
 
 @dataclass(frozen=True)
 class AugmentationPolicy:
-    """Ranges for the random per-sample transform draw. Every draw also
-    mirrors the scene horizontally and vertically, each with probability 1/2."""
+    """The fixed ranges of the random per-sample transform draw: a shift of up
+    to a tenth of each side and a rotation of up to 15 degrees either way.
+    Every draw also mirrors the scene horizontally and vertically, each with
+    probability 1/2."""
 
-    width_shift_frac: float = 0.1
-    height_shift_frac: float = 0.1
-    rotation_max_deg: float = 15.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.width_shift_frac < 0.5):
-            raise ValueError("width_shift_frac must lie in [0, 0.5)")
-        if not (0.0 <= self.height_shift_frac < 0.5):
-            raise ValueError("height_shift_frac must lie in [0, 0.5)")
-        if not (0.0 <= self.rotation_max_deg <= 180.0):
-            raise ValueError("rotation_max_deg must lie in [0, 180]")
+    width_shift_frac: ClassVar[float] = 0.1
+    height_shift_frac: ClassVar[float] = 0.1
+    rotation_max_deg: ClassVar[float] = 15.0
 
 
 def rotate(arr: np.ndarray, degrees: float) -> np.ndarray:
@@ -166,13 +161,10 @@ def _draw_transform(policy: AugmentationPolicy, shape, rng: np.random.Generator)
     h, w = shape
     max_dx = int(math.floor(policy.width_shift_frac * w))
     max_dy = int(math.floor(policy.height_shift_frac * h))
+    # A side under 10 px has no shift range, and no draw is made for it.
     dx = int(rng.integers(-max_dx, max_dx + 1)) if max_dx else 0
     dy = int(rng.integers(-max_dy, max_dy + 1)) if max_dy else 0
-    angle = (
-        float(rng.uniform(-policy.rotation_max_deg, policy.rotation_max_deg))
-        if policy.rotation_max_deg > 0
-        else 0.0
-    )
+    angle = float(rng.uniform(-policy.rotation_max_deg, policy.rotation_max_deg))
     flip_h = rng.random() < 0.5
     flip_v = rng.random() < 0.5
     return dx, dy, angle, flip_h, flip_v

@@ -9,7 +9,7 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from ..data import SampleSet, SarSample, fill_incidence, impute_incidence
+from ..data import SampleSet, SarSample, mean_incidence
 from ..features import normalize_incidence
 from ..mathutil import binary_accuracy, binary_logloss
 from .network import Network
@@ -72,17 +72,18 @@ class History:
 # Input assembly
 
 
-def channel_planes(s: SarSample, channels: tuple[str, ...]) -> list[np.ndarray]:
+def channel_planes(s: SarSample, channels: tuple[str, ...],
+                   fill_angle: float | None) -> list[np.ndarray]:
     """Resolve a channel recipe to 2-D arrays for one sample.
 
     A recipe names "hh", "hv" and "diff" (HH - HV) in any order; training
     uses `DEFAULT_CHANNELS`, and a checkpoint serves the order it names. Both
-    bands are corrected for incidence angle first.
+    bands are corrected for incidence angle first: the sample's own, or
+    fill_angle where it has none (`SarSample.filled_angle`, as feature_vector).
     """
-    if s.inc_angle is None:
-        raise ValueError(f"sample {s.id!r} has no incidence angle; impute before training")
-    hh = normalize_incidence(s.hh, s.inc_angle)
-    hv = normalize_incidence(s.hv, s.inc_angle)
+    angle = s.filled_angle(fill_angle)
+    hh = normalize_incidence(s.hh, angle)
+    hv = normalize_incidence(s.hv, angle)
     out = []
     for token in channels:
         if token == "hh":
@@ -96,10 +97,11 @@ def channel_planes(s: SarSample, channels: tuple[str, ...]) -> list[np.ndarray]:
     return out
 
 
-def input_tensor(sset: SampleSet, channels: tuple[str, ...]) -> np.ndarray:
+def input_tensor(sset: SampleSet, channels: tuple[str, ...],
+                 fill_angle: float | None) -> np.ndarray:
     """Stack a sample set into an (N, C, H, W) float64 tensor, written plane
-    by plane into one preallocated array. Every scene must have the first
-    scene's (H, W)."""
+    by plane into one preallocated array; a missing angle takes fill_angle
+    (`channel_planes`). Every scene must have the first scene's (H, W)."""
     if len(sset) == 0:
         raise ValueError("empty sample set")
     hw = sset[0].hh.shape
@@ -109,7 +111,7 @@ def input_tensor(sset: SampleSet, channels: tuple[str, ...]) -> np.ndarray:
             raise ValueError(
                 f"sample {s.id!r}: bands are {s.hh.shape}, the first sample's {hw}"
             )
-        for k, plane in enumerate(channel_planes(s, channels)):
+        for k, plane in enumerate(channel_planes(s, channels, fill_angle)):
             out[i, k] = plane
     return out
 
@@ -125,8 +127,8 @@ def _fit_inputs(net: Network, train: SampleSet, cfg: TrainConfig) -> np.ndarray:
     """Set the network's preprocessing from the training set and return the
     set standardized. The mean of its present angles fills the missing ones,
     here and (as net.fill_angle) when serving."""
-    train, fill_angle = impute_incidence(train)
-    x = input_tensor(train, cfg.channels)
+    fill_angle = mean_incidence(s.inc_angle for s in train)
+    x = input_tensor(train, cfg.channels, fill_angle)
     std = x.std(axis=(0, 2, 3))
     net.channels = tuple(cfg.channels)
     net.fill_angle = fill_angle
@@ -147,8 +149,7 @@ def prepare_inputs(net: Network, sset: SampleSet) -> np.ndarray:
     model: its fill angle for missing angles, its recipe and its stats."""
     if net.channels is None or net.channel_mean is None or net.fill_angle is None:
         raise ValueError("network has no stored preprocessing; fit first")
-    sset = fill_incidence(sset, net.fill_angle)
-    return _standardize(net, input_tensor(sset, net.channels))
+    return _standardize(net, input_tensor(sset, net.channels, net.fill_angle))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,22 @@
 """Ingestion, splitting, imputation, and synthetic generator tests."""
 
+import ast
 import json
 import math
 import os
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sarberg
 from sarberg.data import (
     SampleSet,
     SarSample,
     SynthConfig,
     impute_incidence,
+    mean_incidence,
     parse_labels,
     parse_samples,
     render_scene,
@@ -525,6 +529,66 @@ class TestImpute:
         samples = (make_sample("a", angle=None), make_sample("b", angle=None))
         with pytest.raises(ValueError, match="impute"):
             impute_incidence(SampleSet(samples))
+
+    def test_mean_incidence_is_the_one_rule(self):
+        # impute_incidence refuses with mean_incidence's words.
+        none = SampleSet((make_sample("a", angle=None), make_sample("b", angle=None)))
+        for angles, sset, refusal in (
+            ([], SampleSet(()), "^empty sample set$"),
+            ([None, None], none, "^cannot impute: every sample is missing inc_angle$"),
+        ):
+            with pytest.raises(ValueError, match=refusal):
+                mean_incidence(iter(angles))
+            with pytest.raises(ValueError, match=refusal):
+                impute_incidence(sset)
+        assert mean_incidence(iter([30.0, None, 40.0])) == 35.0
+
+
+def _angle_writers(tree):
+    """The functions, innermost, whose bodies call replace(..., inc_angle=...)
+    (as a name or an attribute); "<module>" for a call outside any function."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child, getattr(child, "name", "<lambda>"))
+                continue
+            func = getattr(child, "func", None)
+            if (isinstance(child, ast.Call)
+                    and getattr(func, "id", getattr(func, "attr", None)) == "replace"
+                    and any(k.arg == "inc_angle" for k in child.keywords)):
+                found.add(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_angle_fill_path():
+    """Only data.impute_incidence writes an angle into a scene; the models'
+    readers fill a missing one as they read it, so no second path rewrites
+    scenes."""
+    root = Path(sarberg.__file__).parent
+    writers = set()
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).with_suffix("").as_posix().replace("/", ".")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writers |= {f"{module}.{fn}" for fn in _angle_writers(tree)}
+    assert writers == {"data.impute_incidence"}
+
+
+def test_angle_writers_found_in_either_spelling_and_nesting():
+    tree = ast.parse(
+        "replace(s, inc_angle=1.0)\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return dataclasses.replace(s, label=0, inc_angle=None)\n"
+        "    return inner, (lambda: [replace(t, inc_angle=a) for t in ts])\n"
+        "def clean():\n"
+        "    return replace(s, label=1)\n"
+    )
+    assert _angle_writers(tree) == {"<module>", "inner", "<lambda>"}
 
 
 class TestSynth:

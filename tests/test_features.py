@@ -1,6 +1,7 @@
 """Feature extraction against closed-form and brute-force oracles."""
 
 import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -179,7 +180,7 @@ class TestBandStats:
                 q1, median, q3 = np.quantile(v, (0.25, 0.5, 0.75))
                 expect = np.array((v.min(), v.max(), v.mean(), median, q1, q3,
                                    np.std(v, ddof=1)))
-                assert np.array(s.as_tuple()).tobytes() == expect.tobytes(), (shape, arr)
+                assert np.array(astuple(s)).tobytes() == expect.tobytes(), (shape, arr)
                 expected.append(expect)
             # feature_vector's pass over four bands at once: each band sits
             # in each of the four rows beside three others.
@@ -194,7 +195,7 @@ class TestBandStats:
         for shape in ((3, 3), (3, 7), (8, 8), (75, 75)):
             for value in (-27.878, 0.1, 0.0):
                 s = band_stats(plane(np.full(shape, value)))
-                assert s.as_tuple() == (value,) * 6 + (0.0,), (shape, value)
+                assert astuple(s) == (value,) * 6 + (0.0,), (shape, value)
 
     def test_invariants_ordering(self):
         arr = np.random.default_rng(5).normal(size=(10, 10))

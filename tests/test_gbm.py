@@ -96,6 +96,11 @@ class TestFit:
         with pytest.raises(ValueError, match="non-finite"):
             fit_gbm(X, y, GbmParams(n_trees=2))
 
+    def test_zero_feature_columns_rejected(self):
+        # best_split would index a column that is not there.
+        with pytest.raises(ValueError, match="no feature columns"):
+            fit_gbm(np.zeros((10, 0)), [0, 1] * 5, GbmParams(n_trees=3, min_samples_leaf=1))
+
     def test_one_dimensional_separable_example(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])

@@ -1,6 +1,7 @@
 """Transform correctness against brute-force index and convolution oracles."""
 
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -296,31 +297,42 @@ def make_pair(seed=0, shape=(20, 20), label=1):
 
 
 class TestAugmentation:
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            AugmentationPolicy(width_shift_frac=0.5)
-        with pytest.raises(ValueError):
-            AugmentationPolicy(rotation_max_deg=200.0)
+    def test_ranges_are_not_settable(self):
+        policy = AugmentationPolicy()
+        assert (AugmentationPolicy.width_shift_frac, AugmentationPolicy.height_shift_frac,
+                AugmentationPolicy.rotation_max_deg) == (0.1, 0.1, 15.0)
+        assert fields(AugmentationPolicy) == ()
+        for name in ("width_shift_frac", "height_shift_frac", "rotation_max_deg"):
+            with pytest.raises(TypeError, match=name):
+                AugmentationPolicy(**{name: 0.0})
+            with pytest.raises(FrozenInstanceError):
+                setattr(policy, name, 0.0)
 
-    def test_degenerate_policy_only_mirrors(self):
-        # With no shift or rotation, a draw is two fair coins from the
-        # generator, horizontal mirror first, then vertical.
-        policy = AugmentationPolicy(
-            width_shift_frac=0.0, height_shift_frac=0.0, rotation_max_deg=0.0
-        )
-        s = make_pair(seed=1)
-        seen = set()
-        for seed in range(16):
+    @pytest.mark.parametrize("shape", [(20, 20), (9, 20), (20, 9), (9, 9)])
+    def test_draw_order_pinned(self, shape):
+        # A twin generator replays the draw: x shift, y shift, rotation, then
+        # the horizontal and vertical mirror coins. A side under 10 px has
+        # no shift range and takes no draw. The transform is rotate, shift,
+        # then the mirrors, on the two bands stacked.
+        h, w = shape
+        s = make_pair(seed=1, shape=shape)
+        for seed in range(8):
+            twin = np.random.default_rng(seed)
+            dx = int(twin.integers(-(w // 10), w // 10 + 1)) if w >= 10 else 0
+            dy = int(twin.integers(-(h // 10), h // 10 + 1)) if h >= 10 else 0
+            angle = float(twin.uniform(-15.0, 15.0))
+            flip_h, flip_v = twin.random() < 0.5, twin.random() < 0.5
             rng = np.random.default_rng(seed)
-            flip_h, flip_v = rng.random() < 0.5, rng.random() < 0.5
-            out = sample_augmentation(s, policy, np.random.default_rng(seed))
-            rows = slice(None, None, -1 if flip_v else 1)
-            cols = slice(None, None, -1 if flip_h else 1)
-            assert np.array_equal(out.hh, s.hh[rows, cols])
-            assert np.array_equal(out.hv, s.hv[rows, cols])
+            out = sample_augmentation(s, AugmentationPolicy(), rng)
+            assert rng.random() == twin.random()  # both streams at the same state
+            expect = shift(rotate(np.stack((s.hh, s.hv)), angle), dx, dy)
+            if flip_h:
+                expect = reflect(expect, "horizontal")
+            if flip_v:
+                expect = reflect(expect, "vertical")
+            assert out.hh.tobytes() == expect[0].tobytes()
+            assert out.hv.tobytes() == expect[1].tobytes()
             assert out.label == s.label and out.inc_angle == s.inc_angle
-            seen.add((flip_h, flip_v))
-        assert len(seen) == 4
 
     def test_same_rng_state_reproduces(self):
         s = make_pair(seed=2)

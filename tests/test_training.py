@@ -13,7 +13,7 @@ from sarberg.data import (
     split_train_validation,
     synth_dataset,
 )
-from sarberg.features import derived_bands
+from sarberg.features import derived_bands, feature_vector
 from sarberg.nn import (
     PlateauScheduler,
     TrainConfig,
@@ -52,7 +52,7 @@ def tiny_net(seed=0, dtype=np.float64):
 class TestChannels:
     def test_default_recipe_planes(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        planes = channel_planes(s, ("hh", "hv", "diff"))
+        planes = channel_planes(s, ("hh", "hv", "diff"), None)
         assert len(planes) == 3
         assert np.allclose(planes[2], s.hh - s.hv)
 
@@ -60,19 +60,19 @@ class TestChannels:
         # diff is derived_bands' diff bitwise, and a ratio band that leaves
         # the float64 range does not touch it.
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        hh, hv, diff = channel_planes(s, ("hh", "hv", "diff"))
+        hh, hv, diff = channel_planes(s, ("hh", "hv", "diff"), None)
         assert diff.tobytes() == derived_bands(hh, hv)[0].tobytes()
         hot = np.full((5, 5), -20.0)
         hot[2, 2] = 4000.0  # 10^(4000/10) overflows float64
         s = SarSample(id="hot", hh=hot, hv=np.full((5, 5), -25.0), inc_angle=35.0, label=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hh, hv, diff = channel_planes(s, ("hh", "hv", "diff"))
+            hh, hv, diff = channel_planes(s, ("hh", "hv", "diff"), None)
         assert diff.tobytes() == (hh - hv).tobytes()
 
     def test_normalization_applied_before_derivation(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        norm = channel_planes(s, ("hh",))[0]
+        norm = channel_planes(s, ("hh",), None)[0]
         correction = -10.0 * np.log10(np.cos(np.deg2rad(s.inc_angle)))
         assert np.allclose(norm - s.hh, correction, atol=1e-12)
 
@@ -85,7 +85,7 @@ class TestChannels:
         # unknown now, also after the three it keeps.
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
         with pytest.raises(ValueError, match=f"unknown channel token '{token}'"):
-            channel_planes(s, ("hh", "hv", "diff", token))
+            channel_planes(s, ("hh", "hv", "diff", token), None)
 
     def test_recipe_is_not_a_setting(self):
         assert TrainConfig.channels == TrainConfig().channels == ("hh", "hv", "diff")
@@ -97,17 +97,37 @@ class TestChannels:
     def test_unknown_token(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
         with pytest.raises(ValueError, match="unknown channel"):
-            channel_planes(s, ("fft",))
+            channel_planes(s, ("fft",), None)
 
-    def test_missing_angle_needs_imputation(self):
+    def test_missing_angle_needs_a_fill_angle(self):
+        # feature_vector's words, for the same missing angle and fill.
         p = np.zeros((5, 5))
         s = SarSample(id="x", hh=p, hv=p, inc_angle=None, label=0)
-        with pytest.raises(ValueError, match="impute"):
-            channel_planes(s, ("hh",))
+        with pytest.raises(ValueError,
+                           match="sample 'x' has no incidence angle and no fill angle"):
+            channel_planes(s, ("hh",), None)
+        with pytest.raises(ValueError,
+                           match="sample 'x' has no incidence angle and no fill angle"):
+            feature_vector(s, None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fill_angle_reads_as_a_written_angle(self, dtype):
+        # A missing angle read with fill_angle gives the bytes of the same
+        # scene with fill_angle written into it; a present angle ignores it.
+        base = synth_dataset(SynthConfig(n_samples=6, seed=5))
+        raw = SampleSet(tuple(replace(s, inc_angle=None) if i % 2 else s
+                              for i, s in enumerate(base)), provenance="synthetic")
+        filled = SampleSet(tuple(replace(s, inc_angle=37.25) if s.inc_angle is None else s
+                                 for s in raw), provenance="synthetic")
+        channels = TrainConfig.channels
+        got = input_tensor(raw, channels, 37.25).astype(dtype)
+        assert got.tobytes() == input_tensor(filled, channels, None).astype(dtype).tobytes()
+        assert (input_tensor(base, channels, 37.25).tobytes()
+                == input_tensor(base, channels, None).tobytes())
 
     def test_input_tensor_shape(self):
         sset = synth_dataset(SynthConfig(n_samples=3, seed=1))
-        x = input_tensor(sset, ("hh", "hv", "diff"))
+        x = input_tensor(sset, ("hh", "hv", "diff"), None)
         assert x.shape == (3, 3, 75, 75)
 
     @pytest.mark.parametrize("channels", [
@@ -116,8 +136,8 @@ class TestChannels:
     def test_input_tensor_matches_stacked_planes(self, channels):
         # The preallocated fill against the stack of per-scene stacks it replaced.
         sset = synth_dataset(SynthConfig(n_samples=5, seed=4))
-        expect = np.stack([np.stack(channel_planes(s, channels)) for s in sset])
-        got = input_tensor(sset, channels)
+        expect = np.stack([np.stack(channel_planes(s, channels, None)) for s in sset])
+        got = input_tensor(sset, channels, None)
         assert got.dtype == expect.dtype and got.shape == expect.shape
         assert got.tobytes() == expect.tobytes()
 
@@ -125,7 +145,7 @@ class TestChannels:
         a, b = (SarSample(id=name, hh=np.zeros(hw), hv=np.zeros(hw), inc_angle=30.0)
                 for name, hw in (("a", (5, 5)), ("b", (5, 6))))
         with pytest.raises(ValueError, match=r"sample 'b': bands are \(5, 6\)"):
-            input_tensor(SampleSet((a, b), provenance="synthetic"), ("hh",))
+            input_tensor(SampleSet((a, b), provenance="synthetic"), ("hh",), None)
 
 
 class TestFit:
@@ -149,7 +169,7 @@ class TestFit:
         cfg = tiny_cfg()
         net, _ = fit(tiny_net(), train, val, cfg)
         assert net.channel_mean is not None and net.channels == cfg.channels
-        x = input_tensor(train, cfg.channels)
+        x = input_tensor(train, cfg.channels, None)
         z = (x - net.channel_mean[None, :, None, None]) / net.channel_std[
             None, :, None, None
         ]
@@ -171,6 +191,22 @@ class TestFit:
         net.fill_angle = None
         with pytest.raises(ValueError, match="no stored preprocessing"):
             prepare_inputs(net, val)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_prepare_inputs_fills_as_a_written_angle(self, dtype):
+        # Serving a scene without an angle gives the bytes of serving it
+        # with the model's fill angle written in.
+        train, val = tiny_sets(n=12, seed=3)
+        cfg = tiny_cfg(epochs=1, dtype=np.dtype(dtype).name)
+        net, _ = fit(tiny_net(dtype=dtype), train, val, cfg)
+        net.fill_angle = 37.25
+        raw = SampleSet(tuple(replace(s, inc_angle=None) if i % 2 else s
+                              for i, s in enumerate(val)), provenance="synthetic")
+        filled = SampleSet(tuple(replace(s, inc_angle=net.fill_angle) if s.inc_angle is None
+                                 else s for s in raw), provenance="synthetic")
+        got = prepare_inputs(net, raw)
+        assert got.dtype == dtype
+        assert got.tobytes() == prepare_inputs(net, filled).tobytes()
 
     def test_missing_angles_filled_from_training_set(self):
         train, val = tiny_sets(n=12, seed=11)
@@ -222,7 +258,7 @@ class TestFit:
         head = net.layers[-2]
         head.params["W"][:] = 0.0
         head.params["b"][:] = 17.0
-        x = input_tensor(ships, ("hh", "hv", "diff"))
+        x = input_tensor(ships, ("hh", "hv", "diff"), None)
         assert np.all(net.forward(x) == 1.0)
         before = loss_logloss(np.ones(len(ships)), np.zeros(len(ships)))
         cfg = tiny_cfg(epochs=1, batch_size=len(ships), lr0=1.0, dtype="float32")
@@ -274,7 +310,7 @@ class TestTrainingState:
     def test_no_layer_keeps_training_state_after_a_run(self):
         train, val = tiny_sets()
         net = tiny_net()
-        net.forward(input_tensor(train, ("hh", "hv", "diff")), training=True,
+        net.forward(input_tensor(train, ("hh", "hv", "diff"), None), training=True,
                     rng=np.random.default_rng(0))
         kinds = {type(net.layers[i]).__name__ for i, _ in kept_arrays(net)}
         assert kinds == {"Conv2d", "Relu", "MaxPool2", "Dropout", "Dense", "Sigmoid"}
@@ -298,7 +334,7 @@ class TestTrainingState:
             return original(self, dout)
 
         train, val = tiny_sets()
-        x = input_tensor(train, ("hh", "hv", "diff")).astype(np.float32)
+        x = input_tensor(train, ("hh", "hv", "diff"), None).astype(np.float32)
         cfg = tiny_cfg(dtype="float32")
 
         def run():
