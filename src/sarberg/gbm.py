@@ -499,5 +499,7 @@ def deserialize_gbm(raw: bytes | str) -> GbmModel:
         raise ValueError(f"corrupt model: {e}") from e
     if not np.isfinite([model.base_score, model.shrinkage, model.fill_angle or 0.0]).all():
         raise ValueError("corrupt model: base_score, shrinkage or fill_angle is not finite")
+    if model.fill_angle is not None and not 0.0 < model.fill_angle < 90.0:
+        raise ValueError(f"corrupt model: fill_angle {model.fill_angle} outside (0, 90)")
     model.trees = [_load_tree(t, flat, model.feature_count) for t, flat in enumerate(doc["trees"])]
     return model

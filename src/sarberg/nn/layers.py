@@ -42,9 +42,11 @@ arithmetic:
   column pairs: the same two-level max, and the same ties.
 - `Upsample2` writes the even rows, then copies them to the odd rows.
 
-Weight gradients. Conv2d computes dW transposed: the windows times dout
-transposed, (C*9, HW) x (HW, O), on the gather side, and dout's windows times
-x transposed, (O*9, HW) x (HW, C), on the scatter side. The sums over scenes
+Weight gradients. A training-mode Conv2d keeps x, not its windows, which
+are nine times its size; backward rebuilds the windows inside each shard.
+It computes dW transposed: the windows of x times dout transposed,
+(C*9, HW) x (HW, O), on the gather side, and dout's windows times x
+transposed, (O*9, HW) x (HW, C), on the scatter side. The sums over scenes
 and shards run as before, and one transpose at the end gives dW. With
 OpenBLAS on one thread (2-core Intel Xeon), this orientation ran every
 network conv's float32 dW faster, about 0.8 against 1.2 ms per 8-scene shard
@@ -215,17 +217,15 @@ def _tap_span(i: int, j: int, h: int, w: int) -> tuple[int, int, int, int | None
     return off, lo, hi, (0, None, w - 1)[j]
 
 
-def _im2col(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """3x3 same-padded windows as (N, C*9, H*W), tap-major within channel,
-    written into `out` when given.
+def _im2col(x: np.ndarray) -> np.ndarray:
+    """3x3 same-padded windows as (N, C*9, H*W), tap-major within channel.
 
     Each tap is one shifted copy of the flattened planes (`_tap_span`), then
     zeros where the window reads the padding.
     """
     n, c, h, w = x.shape
     hw = h * w
-    if out is None:
-        out = np.empty((n, c * 9, hw), dtype=x.dtype)
+    out = np.empty((n, c * 9, hw), dtype=x.dtype)
     taps = out.reshape(n, c, 9, hw)
     xf = x.reshape(n, c, hw)
     for t in range(9):
@@ -294,27 +294,21 @@ class Conv2d(Layer):
             weights = he_uniform(rng, (out_ch, in_ch, 3, 3), fan_in, dtype)
         self.params = {"W": weights, "b": np.zeros(out_ch, dtype=dtype)}
         self._x: np.ndarray | None = None
-        self._cols: np.ndarray | None = None
 
     def forward(self, x, training, rng):
         if x.shape[1] != self.in_ch:
             raise ValueError(f"conv expects {self.in_ch} channels, got {x.shape[1]}")
-        n, c, h, w = x.shape
+        n, _, h, w = x.shape
         weights, bias = self.params["W"], self.params["b"]
         out = np.empty((n, self.out_ch, h, w), dtype=np.result_type(x, weights))
-        cols = None
         if training:
-            # dW contracts dout with the windows of the side that has fewer
-            # channels: those of x, which the gather path makes here anyway,
-            # or those of dout, which backward makes from dout and x.
-            if self.in_ch <= self.out_ch:
-                cols = np.empty((n, c * 9, h * w), dtype=x.dtype)
-                self._x, self._cols = None, cols
-            else:
-                self._x, self._cols = x, None
+            # Backward rebuilds the windows dW is contracted with, those of x
+            # or of dout, whichever side has fewer channels. Kept instead,
+            # the windows of x would be nine times the size of x.
+            self._x = x
 
         def shard(s):
-            _conv3x3(x[s], weights, out[s], None if cols is None else _im2col(x[s], cols[s]))
+            _conv3x3(x[s], weights, out[s])
             out[s] += bias[:, None, None]
 
         _map_shards(shard, n)
@@ -325,7 +319,7 @@ class Conv2d(Layer):
         (a first layer's dx, which nothing reads)."""
         n, o, h, w = dout.shape
         c = self.in_ch
-        x, cols = self._x, self._cols
+        x, gather = self._x, c <= o
         w_flip = self.params["W"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
         dout_m = dout.reshape(n, o, h * w)
         dx = None
@@ -335,8 +329,8 @@ class Conv2d(Layer):
         def shard(s):
             dcols = None
             # Each product is dW transposed (see "Weight gradients").
-            if cols is not None:
-                dw_t = np.matmul(cols[s], dout_m[s].transpose(0, 2, 1)).sum(axis=0)
+            if gather:
+                dw_t = np.matmul(_im2col(x[s]), dout_m[s].transpose(0, 2, 1)).sum(axis=0)
             else:
                 # Windows of dout instead of x: entry (c, o, i, j) pairs x
                 # with dout shifted the opposite way, so the taps come out
@@ -350,7 +344,7 @@ class Conv2d(Layer):
 
         partials = _map_shards(shard, n)
         dw = reduce(np.add, [p[0] for p in partials]).T
-        if cols is not None:
+        if gather:
             self.grads["W"] = np.ascontiguousarray(dw).reshape(o, c, 3, 3)
         else:
             self.grads["W"] = np.ascontiguousarray(

@@ -337,7 +337,7 @@ def _check_meta(meta) -> None:
             isinstance(v, list) and len(v) == meta["input_ch"]
             and all(isinstance(t, str) for t in v)
         ),
-        "fill_angle": lambda v: v is None or _are_numbers(v, ()),
+        "fill_angle": lambda v: v is None or (_are_numbers(v, ()) and 0.0 < v < 90.0),
         "channel_mean": lambda v: v is None or _are_numbers(v, (meta["input_ch"],)),
         "channel_std": lambda v: v is None or _are_numbers(v, (meta["input_ch"],)),
     }

@@ -138,9 +138,9 @@ def _fit_inputs(net: Network, train: SampleSet, cfg: TrainConfig) -> np.ndarray:
 
 
 def _standardize(net: Network, x: np.ndarray) -> np.ndarray:
-    x = (x - net.channel_mean[None, :, None, None]) / net.channel_std[
-        None, :, None, None
-    ]
+    """x, a fresh `input_tensor`, standardized in place and cast to net.dtype."""
+    x -= net.channel_mean[None, :, None, None]
+    x /= net.channel_std[None, :, None, None]
     return x.astype(net.dtype, copy=False)
 
 
@@ -162,9 +162,10 @@ def loss_logloss(p, y) -> float:
 
 
 def loss_mse(pred, target) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    return float(np.mean((pred - target) ** 2))
+    err = np.array(pred, dtype=np.float64)  # a copy: the caller's pred stays
+    err -= np.asarray(target)
+    err *= err
+    return float(np.mean(err))
 
 
 def _mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -709,6 +709,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="fill_angle"):
             deserialize_gbm(json.dumps(doc))
 
+    @pytest.mark.parametrize("angle", [95.0, 90.0, 0.0, -38.5])
+    def test_fill_angle_outside_0_90_rejected(self, angle):
+        # No fit writes such an angle; served, it would be a scene's angle.
+        model, _ = self._trained()
+        model.fill_angle = angle
+        with pytest.raises(ValueError, match=r"corrupt model: fill_angle .* outside \(0, 90\)"):
+            deserialize_gbm(serialize_gbm(model))
+
     def test_truncation_rejected(self):
         model, _ = self._trained()
         raw = serialize_gbm(model)

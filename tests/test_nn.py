@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import zipfile
 from functools import reduce
 from pathlib import Path
@@ -18,6 +19,7 @@ import sarberg
 import sarberg.nn.layers as layers_mod
 from sarberg.data import SynthConfig, split_train_validation, synth_dataset
 from sarberg.nn import (
+    Adam,
     Conv2d,
     Dense,
     Flatten,
@@ -405,6 +407,15 @@ class TestCheckpoint:
                 dst.writestr(name, raw)
         with pytest.raises(ValueError, match="fill_angle"):
             load_network(bad)
+
+    @pytest.mark.parametrize("angle", [95.0, 90.0, 0.0, -38.5])
+    def test_fill_angle_outside_0_90_rejected(self, tmp_path, angle):
+        # No fit writes such an angle; served, it would fill a missing one.
+        net = build_classifier(2, seed=11, conv_widths=(2, 2, 2), dense_width=4)
+        net.fill_angle = angle
+        save_network(net, tmp_path / "bad.ckpt")
+        with pytest.raises(ValueError, match="corrupt checkpoint: malformed fill_angle"):
+            load_network(tmp_path / "bad.ckpt")
 
     def test_malformed_meta_rejected_as_corrupt(self, tmp_path):
         net = build_classifier(3, seed=11, conv_widths=(2, 2, 2), dense_width=4)
@@ -860,6 +871,127 @@ class TestWeightGradients:
                 )
             assert _bits_equal(conv.grads["W"], expect), n
             assert conv.grads["W"].flags.c_contiguous
+
+
+class _KeptWindowsConv2d(Conv2d):
+    """Conv2d as it ran when a training forward kept the windows of x,
+    (N, C*9, H*W), on the gather side and backward contracted dW with them:
+    the oracle for the windows backward now rebuilds."""
+
+    def forward(self, x, training, rng):
+        n, c, h, w = x.shape
+        weights, bias = self.params["W"], self.params["b"]
+        out = np.empty((n, self.out_ch, h, w), dtype=np.result_type(x, weights))
+        cols = np.empty((n, c * 9, h * w), dtype=x.dtype) if c <= self.out_ch else None
+        self._x, self._cols = x, cols
+
+        def shard(s):
+            if cols is not None:
+                cols[s] = layers_mod._im2col(x[s])
+            layers_mod._conv3x3(x[s], weights, out[s], None if cols is None else cols[s])
+            out[s] += bias[:, None, None]
+
+        layers_mod._map_shards(shard, n)
+        return out
+
+    def backward(self, dout):
+        n, o, h, w = dout.shape
+        c = self.in_ch
+        x, cols = self._x, self._cols
+        w_flip = self.params["W"][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dout_m = dout.reshape(n, o, h * w)
+        dx = np.empty((n, c, h, w), dtype=np.result_type(dout, w_flip))
+
+        def shard(s):
+            dcols = None
+            if cols is not None:
+                dw_t = np.matmul(cols[s], dout_m[s].transpose(0, 2, 1)).sum(axis=0)
+            else:
+                dcols = layers_mod._im2col(dout[s])
+                x_m = x[s].reshape(-1, c, h * w)
+                dw_t = np.matmul(dcols, x_m.transpose(0, 2, 1)).sum(axis=0)
+            layers_mod._conv3x3(dout[s], w_flip, dx[s], dcols)
+            return dw_t, dout_m[s].sum(axis=(0, 2))
+
+        partials = layers_mod._map_shards(shard, n)
+        dw = reduce(np.add, [p[0] for p in partials]).T
+        if cols is not None:
+            self.grads["W"] = np.ascontiguousarray(dw).reshape(o, c, 3, 3)
+        else:
+            self.grads["W"] = np.ascontiguousarray(
+                dw.reshape(c, o, 3, 3).transpose(1, 0, 2, 3)[:, :, ::-1, ::-1]
+            )
+        self.grads["b"] = reduce(np.add, [p[1] for p in partials])
+        return dx
+
+
+class TestRebuiltWindows:
+    """Windows rebuilt in backward give the bytes of kept windows."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c,o,h,w", NETWORK_CONVS)
+    def test_grads_and_dx_are_those_of_kept_windows(self, c, o, h, w, dtype):
+        rng = np.random.default_rng(c * 1000 + o * 10 + h + 2)
+        for n in (1, 11):  # 11 scenes: four shards of unequal size
+            x = rng.normal(size=(n, c, h, w)).astype(dtype)
+            dout = rng.normal(size=(n, o, h, w)).astype(dtype)
+            conv = Conv2d(c, o, np.random.default_rng(n), dtype=dtype)
+            oracle = _KeptWindowsConv2d(c, o, np.random.default_rng(n), dtype=dtype)
+            assert _bits_equal(conv.forward(x, True, None), oracle.forward(x, True, None)), n
+            assert _bits_equal(conv.backward(dout), oracle.backward(dout)), n
+            for key in ("W", "b"):
+                assert _bits_equal(conv.grads[key], oracle.grads[key]), (n, key)
+
+
+def _small_net(kind):
+    """A float32 net on 27x27 scenes, a batch for it, its target and loss."""
+    shape = dict(input_hw=(27, 27), conv_widths=(4, 8, 8), dtype=np.float32)
+    x = np.random.default_rng(3).normal(size=(16, 3, 27, 27)).astype(np.float32)
+    if kind == "classifier":
+        net = build_classifier(3, seed=3, dense_width=8, **shape)
+        return net, x, (np.arange(16) % 2).astype(np.float64), "logloss"
+    return build_autoencoder(3, seed=3, **shape), x, x, "mse"
+
+
+class TestTrainingMemory:
+    """A conv keeps its input between forward and backward, not its windows."""
+
+    @pytest.mark.parametrize("kind", ["classifier", "autoencoder"])
+    def test_conv_keeps_nothing_larger_than_its_input(self, kind):
+        net, h, _, _ = _small_net(kind)
+        for i, layer in enumerate(net.layers):
+            x, h = h, layer.forward(h, True, np.random.default_rng(0))
+            if isinstance(layer, Conv2d):
+                kept = {k: v.nbytes for k, v in vars(layer).items()
+                        if k.startswith("_") and isinstance(v, np.ndarray)}
+                assert kept and max(kept.values()) <= x.nbytes, (i, kept)
+
+    @pytest.mark.parametrize("kind", ["classifier", "autoencoder"])
+    def test_step_peaks_below_the_windows_it_does_not_keep(self, monkeypatch, kind):
+        # Inline shards: one thread allocates, in a fixed order.
+        monkeypatch.setattr(layers_mod, "_USE_WORKER", False)
+        net, x, target, loss = _small_net(kind)
+        # Kept, the gather-side windows alone would take this much heap.
+        windows, h = 0, x
+        for layer in net.layers:
+            if isinstance(layer, Conv2d) and layer.in_ch <= layer.out_ch:
+                windows += 9 * h.nbytes
+            h = layer.forward(h, False, None)
+        optimizer = Adam(net)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _backprop_loss(net, net.forward(x, training=True, rng=np.random.default_rng(0)),
+                           target, loss)
+            optimizer.step(1e-3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < windows, (peak, windows)
 
 
 _BLAS_PROBE = """

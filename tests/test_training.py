@@ -23,10 +23,11 @@ from sarberg.nn import (
     fit_autoencoder,
     input_tensor,
     loss_logloss,
+    loss_mse,
     prepare_inputs,
 )
 from sarberg.nn.layers import Conv2d
-from sarberg.nn.training import _backprop_loss, channel_planes, label_vector
+from sarberg.nn.training import _backprop_loss, _standardize, channel_planes, label_vector
 
 
 def tiny_sets(n=16, seed=0):
@@ -293,6 +294,50 @@ class TestAutoencoderFit:
             build_autoencoder(3, seed=1, conv_widths=(2, 2, 2)), train, tiny_cfg()
         )
         assert l1 == l2
+
+
+def _old_loss_mse(pred, target):
+    """loss_mse as two float64 conversions, a difference and a square."""
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    return float(np.mean((pred - target) ** 2))
+
+
+class TestInPlaceArithmetic:
+    """The loss and the standardization work in place, with the old bytes."""
+
+    @pytest.mark.parametrize("kinds", [
+        ("float32", "float32"), ("float64", "float64"), ("float32", "float64"),
+        ("float64", "float32"), ("list", "list"), ("float32", "list"),
+    ])
+    def test_loss_mse_is_bitwise_the_old_expression(self, kinds):
+        rng = np.random.default_rng(4)
+        a, b = (rng.normal(size=(5, 3, 7, 7)).astype(np.float32 if k == "list" else k)
+                for k in kinds)
+        a, b = (x.tolist() if k == "list" else x for x, k in zip((a, b), kinds))
+        before = np.array(a).tobytes()
+        assert loss_mse(a, b).hex() == _old_loss_mse(a, b).hex()
+        assert np.array(a).tobytes() == before  # the caller's pred is left alone
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_standardize_in_place_is_bitwise_the_old_expression(self, dtype):
+        train, _ = tiny_sets(n=6, seed=5)
+        net = tiny_net(dtype=np.dtype(dtype))
+        x = input_tensor(train, ("hh", "hv", "diff"), None)
+        net.channel_mean = x.mean(axis=(0, 2, 3))
+        net.channel_std = x.std(axis=(0, 2, 3))
+        old = (x - net.channel_mean[None, :, None, None]) / net.channel_std[None, :, None, None]
+        new = _standardize(net, x.copy())
+        assert new.dtype == np.dtype(dtype)
+        assert new.tobytes() == old.astype(dtype).tobytes()
+
+    def test_fit_leaves_the_callers_bands_unchanged(self):
+        train, val = tiny_sets(n=8, seed=6)
+        bands = [(s.hh.tobytes(), s.hv.tobytes()) for s in [*train, *val]]
+        fit(tiny_net(), train, val, tiny_cfg(epochs=1))
+        fit_autoencoder(build_autoencoder(3, seed=0, conv_widths=(2, 2, 2)), train,
+                        tiny_cfg(epochs=1))
+        assert [(s.hh.tobytes(), s.hv.tobytes()) for s in [*train, *val]] == bands
 
 
 def kept_arrays(net):
