@@ -2,6 +2,7 @@
 
 Submodules:
     data      -- domain types, ingestion, splitting, synthetic scene generator
+    floattext -- a whole float array's `repr` text at once, for the JSON writer
     imageops  -- deterministic transforms and the augmentation policy
     features  -- radiometric normalization and the statistics feature table
     gbm       -- gradient-boosted trees under binary logloss

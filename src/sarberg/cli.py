@@ -46,12 +46,17 @@ again while they are empty. Each command also writes:
     pretrain-ae  ae.ckpt, ae_history.csv
     train-cnn    cnn.ckpt, history.csv, metrics.json (validation split)
     predict      submission.csv
-    stack        oof.csv, metrics.json (out-of-fold; with each member's
-                 logloss and the stacker's members, weights and bias)
-    eval         metrics.json; with --history, a byte copy of it as history.csv;
-                 with --input and --ids (each needs the other), one
-                 composite_<id>.ppm per id
+    stack        oof.csv, metrics.json (the stacker scored in-sample, on the
+                 out-of-fold rows it was fitted on; with each member's
+                 out-of-fold logloss and the stacker's members, weights and
+                 bias)
+    eval         metrics.json (on the --truth rows); with --history, a byte
+                 copy of it as history.csv; with --input and --ids (each
+                 needs the other), one composite_<id>.ppm per id
     curve        curve.csv
+
+Each metrics.json names the rows its logloss scored in "scored_rows":
+"validation", "training", "stacker_fit_in_sample" or "truth".
 
 `harness` writes every CSV and JSON report and every image; the model and
 dataset files are written next to their loaders.
@@ -307,9 +312,11 @@ def _cmd_train_gbm(args) -> None:
     model = ensemble.train_gbm(train_set, params)
     (args.out / "gbm.json").write_bytes(gbm.serialize_gbm(model))
 
-    eval_set = val_set if val_set is not None else train_set
+    eval_set, scored = (val_set, "validation") if val_set is not None else (train_set, "training")
     preds = ensemble.gbm_predictor(model)(eval_set)
-    summary = harness.metrics_summary(preds, _labels_of(eval_set), _settings(args))
+    summary = harness.metrics_summary(
+        preds, _labels_of(eval_set), _settings(args), scored_rows=scored
+    )
     harness.write_json(args.out / "metrics.json", summary)
     print(
         f"gbm trained: final train logloss {model.train_losses[-1]:.4f}, "
@@ -349,7 +356,9 @@ def _cmd_train_cnn(args) -> None:
     )
 
     preds = ensemble.cnn_predictor(net)(val_set)
-    summary = harness.metrics_summary(preds, _labels_of(val_set), _settings(args))
+    summary = harness.metrics_summary(
+        preds, _labels_of(val_set), _settings(args), scored_rows="validation"
+    )
     harness.write_json(args.out / "metrics.json", summary)
     best = history.best_epoch()
     print(
@@ -404,7 +413,9 @@ def _cmd_stack(args) -> None:
     ]
     stacked = ensemble.predict_stacker(stacker, member_preds)
     labels = _labels_of(sset)
-    summary = harness.metrics_summary(stacked, labels, _settings(args))
+    summary = harness.metrics_summary(
+        stacked, labels, _settings(args), scored_rows="stacker_fit_in_sample"
+    )
     summary["member_logloss"] = {
         name: metrics.metric_logloss(member_preds[m], labels)
         for m, name in enumerate(oof.members)
@@ -416,8 +427,8 @@ def _cmd_stack(args) -> None:
     }
     harness.write_json(args.out / "metrics.json", summary)
     print(
-        f"stacked oof logloss {summary['logloss']:.4f} "
-        f"(members: {summary['member_logloss']})"
+        f"stacked logloss {summary['logloss']:.4f}, in-sample on the stacker's fit rows "
+        f"(members, out-of-fold: {summary['member_logloss']})"
     )
 
 
@@ -441,7 +452,7 @@ def _cmd_eval(args) -> None:
         absent = wanted - {s.id for s in composites}
         if absent:
             raise ValueError(f"ids not in dataset: {sorted(absent)}")
-    summary = harness.metrics_summary(preds, truth, _settings(args))
+    summary = harness.metrics_summary(preds, truth, _settings(args), scored_rows="truth")
     harness.write_json(args.out / "metrics.json", summary)
     for s in composites:
         harness.write_composite_ppm(s, args.out / f"composite_{s.id}.ppm")

@@ -13,6 +13,11 @@ child (`forked.map_items`, which holds the fork contract). The text written,
 the samples read and every refusal message do not depend on it.
 `parse_labels`, the second reader over the same forked record walk, reads
 only each record's id and label.
+
+The text `serialize_samples` writes is byte for byte `json.dumps`'s. Its
+bands go through `floattext.join_reprs`, which prints a whole band's floats
+as `float.__repr__` would, in numpy; `json.dumps` writes the rest. Reading
+still builds one Python float per value, in `json`'s decoder.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import forked
+from . import floattext, forked
 
 KAGGLE_BAND_PIXELS = 5625  # 75 x 75
 SCENE_SIDE = 75
@@ -145,12 +150,18 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Configuration for the synthetic scene generator."""
+    """Configuration for the synthetic scene generator.
+
+    class_overlap, in [0, 1], moves each ship's shape and cross-pol gap
+    ranges toward the iceberg's (`render_scene`): at 0 the classes come from
+    disjoint ranges, at 1 a ship is a round blob drawn from the iceberg's.
+    """
 
     n_samples: int
     iceberg_fraction: float = 0.5
     speckle_looks: int = 1
     seed: int = 0
+    class_overlap: float = 0.0
 
     def __post_init__(self):
         if self.n_samples < 2:
@@ -159,6 +170,8 @@ class SynthConfig:
             raise ValueError("iceberg_fraction must lie strictly in (0, 1)")
         if int(self.speckle_looks) != self.speckle_looks or self.speckle_looks < 1:
             raise ValueError("speckle_looks must be a positive integer")
+        if not (0.0 <= self.class_overlap <= 1.0):
+            raise ValueError("class_overlap must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -408,16 +421,16 @@ def parse_labels(raw: bytes | str) -> dict[str, int]:
     return dict(pairs)
 
 
-def _record(s: SarSample) -> dict:
-    rec = {
-        "id": s.id,
-        "band_1": s.hh.ravel().tolist(),
-        "band_2": s.hv.ravel().tolist(),
-        "inc_angle": "na" if s.inc_angle is None else s.inc_angle,
-    }
-    if s.label is not None:
-        rec["is_iceberg"] = s.label
-    return rec
+def _encode(s: SarSample) -> str:
+    """json.dumps of the sample's record, with separators (",", ":")."""
+    angle = "na" if s.inc_angle is None else s.inc_angle
+    label = "" if s.label is None else ',"is_iceberg":' + json.dumps(s.label)
+    return "".join((
+        '{"id":', json.dumps(s.id),
+        ',"band_1":[', floattext.join_reprs(s.hh),
+        '],"band_2":[', floattext.join_reprs(s.hv),
+        '],"inc_angle":', json.dumps(angle), label, "}",
+    ))
 
 
 def serialize_samples(sset: SampleSet) -> str:
@@ -427,14 +440,15 @@ def serialize_samples(sset: SampleSet) -> str:
     labeled samples. parse(serialize(s)) reproduces s field-by-field (up to
     provenance and imputation flags, which the wire format does not carry).
 
-    Records are encoded one at a time, through `forked.map_items`; the text
-    is the same as `json.dumps` of the whole list, with separators (",", ":").
+    The text is `json.dumps`'s of the list of records, each with keys id,
+    band_1, band_2, inc_angle and is_iceberg in that order, and separators
+    (",", ":"). `json.dumps` writes the id, the angle and the label; each
+    band is written whole by `floattext.join_reprs`, which gives the text
+    `json.dumps` would (`float.__repr__` of each value) without a `repr`
+    call per value. Records are encoded one at a time, through
+    `forked.map_items`.
     """
-
-    def encode(s: SarSample) -> str:
-        return json.dumps(_record(s), separators=(",", ":"))
-
-    return "[" + ",".join(forked.map_items(encode, sset.samples)) + "]"
+    return "[" + ",".join(forked.map_items(_encode, sset.samples)) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -545,11 +559,17 @@ def _blob(dy, dx, radius):
     return np.exp(-(((dy**2 + dx**2) / radius**2) ** 2))
 
 
-def render_scene(rng: np.random.Generator, iceberg: bool, looks: int) -> Scene:
+def render_scene(
+    rng: np.random.Generator, iceberg: bool, looks: int, overlap: float = 0.0
+) -> Scene:
     """Render one scene in linear power, then convert to dB.
 
-    Icebergs: wide super-Gaussian blob, HV within a few dB of HH.
-    Ships: elongated (axis ratio >= 3) rotated blob, HV >= 6 dB below HH.
+    Icebergs: wide super-Gaussian blob (radius 9-13), HV 0.5-3 dB below HH.
+    Ships: elongated rotated blob, HV further below HH. Their half-length is
+    uniform(6 + 3t, 9.5 + 3.5t), their axis ratio uniform(3.2 - 2.2t,
+    4.5 - 3.5t) and their gap uniform(7 - 6.5t, 12 - 9t) dB, t = overlap in
+    [0, 1]: at 1 a ship is drawn from the iceberg's ranges. Every t makes
+    the same draws in the same order.
     A few clutter blobs (sea-state bright spots, background-like cross-pol
     gap) and a wide target-brightness range keep the task from collapsing to
     a single local cue. Multiplicative speckle is mean-1 gamma noise with
@@ -567,13 +587,14 @@ def render_scene(rng: np.random.Generator, iceberg: bool, looks: int) -> Scene:
         envelope = _blob(dy, dx, radius)
         crosspol_gap_db = rng.uniform(0.5, 3.0)
     else:
-        half_len = rng.uniform(6.0, 9.5)
-        half_wid = half_len / rng.uniform(3.2, 4.5)
+        t = overlap
+        half_len = rng.uniform(6.0 + 3.0 * t, 9.5 + 3.5 * t)
+        half_wid = half_len / rng.uniform(3.2 - 2.2 * t, 4.5 - 3.5 * t)
         phi = rng.uniform(0.0, np.pi)
         u = dy * np.cos(phi) + dx * np.sin(phi)
         v = -dy * np.sin(phi) + dx * np.cos(phi)
         envelope = np.exp(-(((u / half_len) ** 2 + (v / half_wid) ** 2) ** 2))
-        crosspol_gap_db = rng.uniform(7.0, 12.0)
+        crosspol_gap_db = rng.uniform(7.0 - 6.5 * t, 12.0 - 9.0 * t)
 
     bg_hh = _db_to_power(BACKGROUND_HH_DB + rng.uniform(-1.0, 1.0))
     bg_gap = BACKGROUND_CROSSPOL_GAP_DB + rng.uniform(
@@ -624,7 +645,9 @@ def synth_dataset(cfg: SynthConfig) -> SampleSet:
     width = max(6, len(str(cfg.n_samples)))
     samples = []
     for i, label in enumerate(labels):
-        scene = render_scene(rng, iceberg=bool(label), looks=int(cfg.speckle_looks))
+        scene = render_scene(
+            rng, iceberg=bool(label), looks=int(cfg.speckle_looks), overlap=cfg.class_overlap
+        )
         samples.append(
             SarSample(
                 id=f"synth_{i:0{width}d}",

@@ -156,8 +156,12 @@ def read_submission(path) -> PredictionSet:
 
 
 def metrics_summary(
-    preds: Mapping[str, float], labels: Mapping[str, int], config: dict
+    preds: Mapping[str, float], labels: Mapping[str, int], config: dict, *, scored_rows: str
 ) -> dict:
+    """metrics.json's document. scored_rows names the rows that logloss and
+    the counts scored: "validation" (a held-out split), "training" (the rows
+    the model was fitted on), "stacker_fit_in_sample" (the out-of-fold rows
+    the stacker was fitted on) or "truth" (an eval's --truth file)."""
     cm = metric_confusion(preds, labels)
     return {
         "logloss": metric_logloss(preds, labels),
@@ -167,6 +171,7 @@ def metrics_summary(
         "fn": cm.fn,
         "tp": cm.tp,
         "n": cm.n,
+        "scored_rows": scored_rows,
         "config": config,
     }
 

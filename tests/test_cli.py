@@ -876,6 +876,23 @@ class TestArtifacts:
         copy = artifact_root / "eval" / "history.csv"
         assert copy.read_bytes() == written.read_bytes()
 
+    @pytest.mark.parametrize("command, rows", [
+        ("train-gbm", "validation"),
+        ("train-cnn", "validation"),
+        ("stack", "stacker_fit_in_sample"),
+        ("eval", "truth"),
+    ])
+    def test_metrics_name_the_rows_scored(self, artifact_root, command, rows):
+        doc = json.loads((artifact_root / command / "metrics.json").read_text())
+        assert doc["scored_rows"] == rows and "logloss" in doc
+
+    def test_train_gbm_without_validation_scores_training_rows(self, tmp_path, dataset_file):
+        out = tmp_path / "g"
+        assert run("train-gbm", "--input", dataset_file, "--n-trees", 3,
+                   "--val-ratio", 0, "--out", out) == 0
+        doc = json.loads((out / "metrics.json").read_text())
+        assert doc["scored_rows"] == "training" and doc["n"] == 24
+
     def test_stack_records_stacker_in_metrics(self, artifact_root):
         out = artifact_root / "stack"
         assert not (out / "stacker.json").exists()

@@ -1,10 +1,12 @@
 """Ingestion, splitting, imputation, and synthetic generator tests."""
 
 import ast
+import hashlib
 import json
 import math
 import os
 import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -624,6 +626,33 @@ class TestSynth:
                 )
         assert np.mean(gaps[True]) < np.mean(gaps[False]) - 3.0
 
+    @pytest.mark.parametrize("t", [-0.1, 1.1, float("nan")])
+    def test_class_overlap_outside_0_1_rejected(self, t):
+        with pytest.raises(ValueError, match="class_overlap"):
+            SynthConfig(n_samples=4, class_overlap=t)
+
+    def test_class_overlap_moves_ships_only_and_no_draw(self):
+        """Every draw keeps its place in the stream: the labels, angles and
+        icebergs are those of the default; only the ships change."""
+        default = synth_dataset(SynthConfig(n_samples=12, seed=3))
+        for t in (0.5, 1.0):
+            moved = synth_dataset(SynthConfig(n_samples=12, seed=3, class_overlap=t))
+            for a, b in zip(default, moved):
+                assert (a.id, a.label, a.inc_angle) == (b.id, b.label, b.inc_angle)
+                same = a.hh.tobytes() == b.hh.tobytes() and a.hv.tobytes() == b.hv.tobytes()
+                assert same == (a.label == 1)
+
+    def test_full_overlap_ship_gap_is_the_icebergs(self):
+        rng = np.random.default_rng(123)
+        gaps = {True: [], False: []}
+        for _ in range(200):
+            for iceberg in (True, False):
+                scene = render_scene(rng, iceberg=iceberg, looks=2, overlap=1.0)
+                gaps[iceberg].append(
+                    np.mean(scene.hh[scene.target_mask] - scene.hv[scene.target_mask])
+                )
+        assert abs(np.mean(gaps[True]) - np.mean(gaps[False])) < 0.5
+
     def test_threshold_on_mean_gap_separates_classes(self):
         sset = synth_dataset(
             SynthConfig(n_samples=1000, iceberg_fraction=0.5, speckle_looks=1, seed=11)
@@ -632,3 +661,65 @@ class TestSynth:
         y = np.array([s.label for s in sset])
         best = max(np.mean((stat < t) == (y == 1)) for t in np.unique(stat))
         assert best >= 0.80
+
+
+def _records(sset):
+    records = []
+    for s in sset:
+        rec = {
+            "id": s.id,
+            "band_1": s.hh.ravel().tolist(),
+            "band_2": s.hv.ravel().tolist(),
+            "inc_angle": "na" if s.inc_angle is None else s.inc_angle,
+        }
+        if s.label is not None:
+            rec["is_iceberg"] = s.label
+        records.append(rec)
+    return records
+
+
+class TestWriter:
+    """serialize_samples writes json.dumps's text of the record dicts."""
+
+    @staticmethod
+    def assert_dumps_text(sset):
+        assert serialize_samples(sset) == json.dumps(_records(sset), separators=(",", ":"))
+
+    @pytest.mark.parametrize("n, seed", [(2, 1), (3, 104729), (9, 802)])
+    def test_synthetic_sets(self, n, seed):
+        self.assert_dumps_text(synth_dataset(SynthConfig(n_samples=n, seed=seed)))
+
+    def test_hand_built_sets(self):
+        band = np.full((5, 5), -21.5)
+        band.flat[:6] = [0.0, -0.0, 1e-300, 1e300, -1e-300, 5e-324]
+        self.assert_dumps_text(SampleSet((
+            SarSample(id="no-angle", hh=band, hv=-band, inc_angle=None, label=0),
+            SarSample(id="unlabeled", hh=band.T, hv=band, inc_angle=38.0),
+            SarSample(id="glacier_\u00e9_\u51b0\U0001f9ca", hh=band, hv=band, inc_angle=22.25,
+                      label=1),
+        )))
+
+    def test_unlabeled_synthetic_scenes(self):
+        sset = synth_dataset(SynthConfig(n_samples=4, seed=9))
+        self.assert_dumps_text(SampleSet(tuple(replace(s, label=None) for s in sset)))
+
+    def test_empty_set(self):
+        assert serialize_samples(SampleSet(())) == "[]"
+
+
+class TestStoredBytes:
+    """The generator's and the writer's bytes, pinned by digest: a change to
+    `render_scene`, `synth_dataset` or `serialize_samples` that moves one byte
+    of a default synthetic set fails here."""
+
+    DIGESTS = {
+        (2, 0): "e4cbf46ae05118eead7f194a29c3e47a8ccdb9ad4c4cd06b5d07cdd699cf6627",
+        (7, 5): "4b4460839b3201534c00c7739bab53381a4c4c200e9601021314002a0687ac8e",
+        (32, 801): "20205031d7017605a5b6d5ef796498d8eb240c37e80dff950cb082faf8fee5e7",
+        (96, 104729): "51dd446cdaa4552289702088f5376ab42ad453e6f5fba069f3492847cae727d6",
+    }
+
+    @pytest.mark.parametrize("n, seed", sorted(DIGESTS))
+    def test_default_synthetic_set_digest(self, n, seed):
+        text = serialize_samples(synth_dataset(SynthConfig(n_samples=n, seed=seed)))
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == self.DIGESTS[n, seed]

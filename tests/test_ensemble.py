@@ -430,3 +430,18 @@ class TestBlend:
         for mode in ("weights", "logit_mean"):
             with pytest.raises(ValueError, match="unknown blend mode"):
                 blend([{"a": 0.5}, {"a": 0.6}], mode=mode)
+
+
+class TestClassOverlap:
+    """`SynthConfig.class_overlap` makes scenes that the GBM cannot separate."""
+
+    def test_gbm_oof_accuracy_falls_as_overlap_rises(self):
+        accuracy = []
+        for t in (0.0, 0.6, 0.8, 0.9):
+            sset = synth_dataset(SynthConfig(n_samples=200, seed=801, class_overlap=t))
+            oof = oof_predictions(sset, {"gbm": gbm_trainer(GbmParams(n_trees=100))}, 5, 801)
+            y = np.array(sset.labels())
+            accuracy.append(float(np.mean((oof.values[:, 0] >= 0.5) == (y == 1))))
+        assert accuracy[0] == 1.0
+        assert all(a > b for a, b in zip(accuracy, accuracy[1:])), accuracy
+        assert 0.65 <= accuracy[-1] <= 0.85, accuracy

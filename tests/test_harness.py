@@ -150,7 +150,7 @@ class TestWriteCsv:
 
 class TestReport:
     def test_metrics_json_recomputable(self, tmp_path):
-        summary = metrics_summary(HAND_PREDS, HAND_LABELS, {"seed": 1})
+        summary = metrics_summary(HAND_PREDS, HAND_LABELS, {"seed": 1}, scored_rows="truth")
         path = tmp_path / "metrics.json"
         write_json(path, summary)
         doc = json.loads(path.read_text())
@@ -164,7 +164,7 @@ class TestReport:
         scene = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
         written = []
         for name in ("a", "b"):
-            summary = metrics_summary(HAND_PREDS, HAND_LABELS, {"seed": 2})
+            summary = metrics_summary(HAND_PREDS, HAND_LABELS, {"seed": 2}, scored_rows="truth")
             write_json(tmp_path / f"{name}.json", summary)
             write_composite_ppm(scene, tmp_path / f"{name}.ppm")
             written.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("json", "ppm")])
