@@ -14,9 +14,11 @@ flag's type conversion. Each refusal names the key. Only the commands that
 draw random numbers take --seed: synth, train-gbm, pretrain-ae, train-cnn,
 stack and curve. The CLI builds and trains networks in float32,
 `TrainConfig`'s default dtype, on its one input recipe: the angle-corrected
-HH and HV bands and their difference. train-cnn and curve train on each
-training scene plus --multiplier - 1 randomly transformed copies of it, and
-refuse a multiplier below 1.
+HH and HV bands and their difference. A checkpoint that names another
+recipe is refused when predict or train-cnn --init-from loads it, by the
+token outside the recipe where it has one ("unknown channel token").
+train-cnn and curve train on each training scene plus --multiplier - 1
+randomly transformed copies of it, and refuse a multiplier below 1.
 
 Every command reads a scene's is_iceberg label where its record has one and
 refuses a malformed one. train-gbm, train-cnn, stack, curve and eval's --truth
@@ -26,7 +28,7 @@ checked.
 
 A scene without an incidence angle takes a fill angle: the mean of the
 present ones where a command fits something, the model's stored one in
-predict. The readers (`features.feature_vector`, `nn.channel_planes`) put
+predict. The readers (`features.feature_vector`, `nn.input_tensor`) put
 it in as they read a scene; no command rewrites the set. So a set in which
 every angle is missing is refused ("cannot impute") by features, train-gbm,
 train-cnn, stack and curve, and by pretrain-ae, which needs no label but
@@ -302,6 +304,8 @@ def _cmd_train_gbm(args) -> None:
         shrinkage=args.shrinkage,
         min_samples_leaf=args.min_samples_leaf,
     )
+    if not 0.0 <= args.val_ratio < 1.0:  # before any file is written
+        raise ValueError(f"--val-ratio must lie in [0, 1), got {args.val_ratio}")
     if args.val_ratio > 0:
         train_set, val_set = data.split_train_validation(sset, args.val_ratio, args.seed)
         if len(train_set) == 0 or len(val_set) == 0:  # before any file is written
@@ -466,7 +470,12 @@ def _cmd_eval(args) -> None:
 
 def _cmd_curve(args) -> None:
     sset = _load_set(args.input, labeled=True)
-    fractions = [float(t) for t in args.fractions.split(",") if t.strip()]
+    fractions = []
+    for token in filter(str.strip, args.fractions.split(",")):
+        try:
+            fractions.append(float(token))
+        except ValueError:
+            raise ValueError(f"--fractions: {token.strip()!r} is not a number") from None
     rows = harness.learning_curve(
         sset, fractions, _train_config(args), multiplier=args.multiplier
     )

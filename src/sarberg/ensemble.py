@@ -225,31 +225,15 @@ def blend(preds: Sequence[PredictionSet], mode: str = "mean") -> PredictionSet:
 _ANGLE_COLUMN = FEATURE_NAMES.index("inc_angle")
 
 
-def _gbm_features(sset: SampleSet) -> tuple[np.ndarray, np.ndarray, list]:
-    """Feature rows and labels of a labelled set, and its angles (None where
-    missing). A missing angle's slot holds NaN until `_fit_gbm_rows` fills it,
-    so a row left unfilled fails fit_gbm's finite check."""
-    _, X, y = feature_matrix(sset, math.nan)
-    return X, y, [s.inc_angle for s in sset]
-
-
-def _fit_gbm_rows(X, y, angles, rows, params: GbmParams) -> tuple[GbmModel, np.ndarray]:
-    """Boosted trees on `rows` of X. The fill angle is the mean of the present
-    angles among `rows`; every row whose angle is missing takes it, and so does
-    the model's fill_angle. Returns the model and the filled copy of X."""
-    fill_angle = mean_incidence(angles[r] for r in rows)
-    X = X.copy()
-    X[[a is None for a in angles], _ANGLE_COLUMN] = fill_angle
-    model = fit_gbm(X[rows], y[rows], params)
-    model.fill_angle = fill_angle
-    return model, X
-
-
 def train_gbm(train_set: SampleSet, params: GbmParams) -> GbmModel:
     """Boosted trees on the 30 statistics features of a labelled set; the mean
-    of its present angles fills missing ones and becomes the model's fill_angle."""
-    X, y, angles = _gbm_features(train_set)
-    return _fit_gbm_rows(X, y, angles, np.arange(len(train_set)), params)[0]
+    of its present angles fills missing ones as the features are read, and
+    becomes the model's fill_angle."""
+    fill_angle = mean_incidence(s.inc_angle for s in train_set)
+    _, X, y = feature_matrix(train_set, fill_angle)
+    model = fit_gbm(X, y, params)
+    model.fill_angle = fill_angle
+    return model
 
 
 def gbm_predictor(model: GbmModel) -> Predictor:
@@ -275,16 +259,22 @@ def cnn_predictor(net) -> Predictor:
 def gbm_trainer(params: GbmParams) -> Trainer:
     """Out-of-fold boosted trees on the 30 statistics features.
 
-    Every scene is featurised once, on the full set. Per fold, the angle fill
-    is the training rows' mean (as in `train_gbm`) and reused for the held-out
-    rows, so no information leaks across folds.
+    Every scene is featurised once, on the full set, with NaN in a missing
+    angle's slot: each fold has its own fill, and featurising per fold would
+    repeat the whole pass to change one column. Per fold, the fill is the
+    training rows' mean (as in `train_gbm`), written for the training and
+    held-out rows alike, so no information leaks across folds.
     """
 
     def member(sset: SampleSet):
-        X, y, angles = _gbm_features(sset)
+        _, X, y = feature_matrix(sset, math.nan)
+        angles = [s.inc_angle for s in sset]
 
         def fold(train_rows: np.ndarray, hold_rows: np.ndarray) -> np.ndarray:
-            model, filled = _fit_gbm_rows(X, y, angles, train_rows, params)
+            fill_angle = mean_incidence(angles[r] for r in train_rows)
+            filled = X.copy()
+            filled[[a is None for a in angles], _ANGLE_COLUMN] = fill_angle
+            model = fit_gbm(filled[train_rows], y[train_rows], params)
             return predict_gbm(model, filled[hold_rows])
 
         return fold

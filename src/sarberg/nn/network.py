@@ -27,6 +27,9 @@ CHECKPOINT_FORMAT = "sarberg-net"
 # Version 2: the input is always corrected for incidence angle, so meta.json no
 # longer says whether it is; a version-1 file is refused, not reinterpreted.
 CHECKPOINT_VERSION = 2
+# The CNN's one input recipe: the angle-corrected HH and HV bands and their
+# difference (`training.input_tensor`). A checkpoint names it or nothing.
+INPUT_CHANNELS = ("hh", "hv", "diff")
 # Fixed zip entry timestamp so checkpoints are byte-deterministic.
 _ZIP_EPOCH = (1980, 1, 1, 0, 0, 0)
 # Scenes per evaluation-mode pass. Small chunks keep the activations near the
@@ -42,6 +45,8 @@ class Network:
     channels, fill_angle (the training set's mean angle) and
     channel_mean/channel_std are the preprocessing fit on the training set;
     they travel with the model so inference applies the identical transform.
+    channels is None until a fit sets it to INPUT_CHANNELS, the only recipe
+    served: `load_network` refuses a checkpoint that names another.
     """
 
     def __init__(
@@ -319,6 +324,19 @@ def _are_numbers(v, shape) -> bool:
     return arr.shape == shape and arr.dtype.kind in "iuf" and bool(np.isfinite(arr).all())
 
 
+class _UnknownChannelToken(ValueError):
+    """A channel token outside INPUT_CHANNELS: a model of a recipe no longer built."""
+
+
+def _is_recipe(channels, input_ch) -> bool:
+    """Whether channels is INPUT_CHANNELS on as many input channels; a string
+    token outside the recipe raises, by name."""
+    for token in channels if isinstance(channels, list) else ():
+        if isinstance(token, str) and token not in INPUT_CHANNELS:
+            raise _UnknownChannelToken(f"unknown channel token {token!r}")
+    return channels == list(INPUT_CHANNELS) and input_ch == len(INPUT_CHANNELS)
+
+
 def _check_meta(meta) -> None:
     """Refuse a meta.json that save_network could not have written."""
     if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
@@ -333,10 +351,7 @@ def _check_meta(meta) -> None:
         "dtype": lambda v: np.dtype(v).kind == "f",
         "layers": lambda v: isinstance(v, list) and all(isinstance(s, dict) for s in v),
         "params": lambda v: isinstance(v, list),
-        "channels": lambda v: v is None or (
-            isinstance(v, list) and len(v) == meta["input_ch"]
-            and all(isinstance(t, str) for t in v)
-        ),
+        "channels": lambda v: v is None or _is_recipe(v, meta["input_ch"]),
         "fill_angle": lambda v: v is None or (_are_numbers(v, ()) and 0.0 < v < 90.0),
         "channel_mean": lambda v: v is None or _are_numbers(v, (meta["input_ch"],)),
         "channel_std": lambda v: v is None or _are_numbers(v, (meta["input_ch"],)),
@@ -350,7 +365,9 @@ def _check_meta(meta) -> None:
 
 def load_network(path) -> Network:
     """Read a checkpoint written by `save_network`; any defect in it, a
-    missing or malformed meta.json key included, raises "corrupt checkpoint"."""
+    missing or malformed meta.json key included, raises "corrupt checkpoint".
+    Its channels must be null or INPUT_CHANNELS: a token outside the recipe
+    is refused as "unknown channel token", any other list as malformed."""
     try:
         with zipfile.ZipFile(path, "r") as zf:
             meta = json.loads(zf.read("meta.json"))
@@ -365,10 +382,11 @@ def load_network(path) -> Network:
             net.set_state(
                 {key: np.load(io.BytesIO(zf.read(f"{key}.npy"))) for key in meta["params"]}
             )
+    except _UnknownChannelToken:
+        raise
     except (zipfile.BadZipFile, KeyError, TypeError, ValueError) as e:
         raise ValueError(f"corrupt checkpoint: {e}") from e
-    if meta["channels"] is not None:
-        net.channels = tuple(meta["channels"])
+    net.channels = None if meta["channels"] is None else INPUT_CHANNELS
     net.fill_angle = None if meta["fill_angle"] is None else float(meta["fill_angle"])
     for key in ("channel_mean", "channel_std"):
         if meta[key] is not None:

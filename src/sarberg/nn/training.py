@@ -3,19 +3,18 @@ and best-epoch restore for the classifier."""
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar
 
 import numpy as np
 
-from ..data import SampleSet, SarSample, mean_incidence
+from ..data import SampleSet, mean_incidence
 from ..features import normalize_incidence
 from ..mathutil import binary_accuracy, binary_logloss
-from .network import Network
+from .network import INPUT_CHANNELS, Network
 from .optim import Adam, PlateauScheduler
-
-DEFAULT_CHANNELS = ("hh", "hv", "diff")
 
 
 @dataclass(frozen=True)
@@ -24,11 +23,13 @@ class TrainConfig:
 
     The rate starts at lr0 and follows `PlateauScheduler`'s fixed rule: it is
     cut to a tenth after 5 epochs without improvement of the monitored loss,
-    never below 1e-6. The input recipe is fixed: the angle-corrected HH and
-    HV bands and their difference (`channel_planes`).
+    never below 1e-6; lr0 must be finite and above that floor. The input
+    recipe is fixed: the angle-corrected HH and HV bands and their difference
+    (`input_tensor`). channels names it for callers that size a network by
+    it; a checkpoint naming another recipe is refused at load.
     """
 
-    channels: ClassVar[tuple[str, ...]] = DEFAULT_CHANNELS
+    channels: ClassVar[tuple[str, ...]] = INPUT_CHANNELS
 
     epochs: int = 30
     batch_size: int = 32
@@ -45,6 +46,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not math.isfinite(self.lr0):
+            raise ValueError(f"lr0 must be a finite number, got {self.lr0!r}")
         if self.lr0 <= PlateauScheduler.min_lr:
             raise ValueError(f"lr0 must exceed the scheduler's floor {PlateauScheduler.min_lr}")
         if self.dtype not in ("float32", "float64"):
@@ -72,47 +75,25 @@ class History:
 # Input assembly
 
 
-def channel_planes(s: SarSample, channels: tuple[str, ...],
-                   fill_angle: float | None) -> list[np.ndarray]:
-    """Resolve a channel recipe to 2-D arrays for one sample.
-
-    A recipe names "hh", "hv" and "diff" (HH - HV) in any order; training
-    uses `DEFAULT_CHANNELS`, and a checkpoint serves the order it names. Both
-    bands are corrected for incidence angle first: the sample's own, or
-    fill_angle where it has none (`SarSample.filled_angle`, as feature_vector).
-    """
-    angle = s.filled_angle(fill_angle)
-    hh = normalize_incidence(s.hh, angle)
-    hv = normalize_incidence(s.hv, angle)
-    out = []
-    for token in channels:
-        if token == "hh":
-            out.append(hh)
-        elif token == "hv":
-            out.append(hv)
-        elif token == "diff":
-            out.append(hh - hv)  # bitwise derived_bands' diff, without its ratio
-        else:
-            raise ValueError(f"unknown channel token {token!r}")
-    return out
-
-
-def input_tensor(sset: SampleSet, channels: tuple[str, ...],
-                 fill_angle: float | None) -> np.ndarray:
-    """Stack a sample set into an (N, C, H, W) float64 tensor, written plane
-    by plane into one preallocated array; a missing angle takes fill_angle
-    (`channel_planes`). Every scene must have the first scene's (H, W)."""
+def input_tensor(sset: SampleSet, fill_angle: float | None) -> np.ndarray:
+    """A sample set as the (N, 3, H, W) float64 tensor of INPUT_CHANNELS: each
+    scene's HH and HV corrected for its angle, or fill_angle where it has none
+    (`SarSample.filled_angle`, as feature_vector), and their difference.
+    `load_network` refuses a checkpoint of another recipe. Every scene must
+    have the first scene's (H, W)."""
     if len(sset) == 0:
         raise ValueError("empty sample set")
     hw = sset[0].hh.shape
-    out = np.empty((len(sset), len(channels), *hw), dtype=np.float64)
+    out = np.empty((len(sset), len(INPUT_CHANNELS), *hw), dtype=np.float64)
     for i, s in enumerate(sset):
         if s.hh.shape != hw:
             raise ValueError(
                 f"sample {s.id!r}: bands are {s.hh.shape}, the first sample's {hw}"
             )
-        for k, plane in enumerate(channel_planes(s, channels, fill_angle)):
-            out[i, k] = plane
+        angle = s.filled_angle(fill_angle)
+        out[i, 0] = normalize_incidence(s.hh, angle)
+        out[i, 1] = normalize_incidence(s.hv, angle)
+    np.subtract(out[:, 0], out[:, 1], out=out[:, 2])  # derived_bands' diff, bitwise
     return out
 
 
@@ -123,14 +104,14 @@ def label_vector(sset: SampleSet) -> np.ndarray:
     return np.asarray(labels, dtype=np.float64)
 
 
-def _fit_inputs(net: Network, train: SampleSet, cfg: TrainConfig) -> np.ndarray:
+def _fit_inputs(net: Network, train: SampleSet) -> np.ndarray:
     """Set the network's preprocessing from the training set and return the
     set standardized. The mean of its present angles fills the missing ones,
     here and (as net.fill_angle) when serving."""
     fill_angle = mean_incidence(s.inc_angle for s in train)
-    x = input_tensor(train, cfg.channels, fill_angle)
+    x = input_tensor(train, fill_angle)
     std = x.std(axis=(0, 2, 3))
-    net.channels = tuple(cfg.channels)
+    net.channels = INPUT_CHANNELS
     net.fill_angle = fill_angle
     net.channel_mean = x.mean(axis=(0, 2, 3))
     net.channel_std = np.where(std > 0, std, 1.0)
@@ -146,10 +127,10 @@ def _standardize(net: Network, x: np.ndarray) -> np.ndarray:
 
 def prepare_inputs(net: Network, sset: SampleSet) -> np.ndarray:
     """Inference-side input assembly with the preprocessing stored in the
-    model: its fill angle for missing angles, its recipe and its stats."""
+    model: its fill angle for missing angles and its stats."""
     if net.channels is None or net.channel_mean is None or net.fill_angle is None:
         raise ValueError("network has no stored preprocessing; fit first")
-    return _standardize(net, input_tensor(sset, net.channels, net.fill_angle))
+    return _standardize(net, input_tensor(sset, net.fill_angle))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +220,7 @@ def fit(
     """
     if len(train) == 0 or len(val) == 0:
         raise ValueError("train and validation sets must be non-empty")
-    x_train = _fit_inputs(net, train, cfg)
+    x_train = _fit_inputs(net, train)
     y_train = label_vector(train)
     x_val = prepare_inputs(net, val)
     y_val = label_vector(val)
@@ -277,7 +258,7 @@ def fit_autoencoder(
     """
     if len(train) == 0:
         raise ValueError("empty sample set")
-    x = _fit_inputs(net, train, cfg)
+    x = _fit_inputs(net, train)
     losses: list[float] = []
 
     def end_epoch(lr: float) -> float:

@@ -463,6 +463,58 @@ class TestPipeline:
         assert f"sarberg {command}: multiplier must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag", [
+        ("synth", "--iceberg-fraction"),
+        ("train-gbm", "--shrinkage"),
+        ("train-gbm", "--val-ratio"),
+        ("pretrain-ae", "--lr0"),
+        ("train-cnn", "--lr0"),
+        ("train-cnn", "--val-ratio"),
+        ("curve", "--lr0"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag_refused(
+        self, tmp_path, dataset_file, command, flag, value, capsys
+    ):
+        # float() takes each of these words, so the refusal is the command's own.
+        out = tmp_path / "out"
+        argv = [command, f"{flag}={value}", "--out", out]
+        if command != "synth":
+            argv += ["--input", dataset_file]
+        if command in ("pretrain-ae", "train-cnn", "curve"):
+            argv += ["--epochs", 1]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sarberg {command}: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "1", "1.5", "inf"])
+    def test_train_gbm_val_ratio_outside_0_1_refused(
+        self, tmp_path, dataset_file, value, capsys
+    ):
+        # 0 scores the training rows; a negative or NaN ratio once did so too.
+        out = tmp_path / "out"
+        assert run("train-gbm", "--input", dataset_file, f"--val-ratio={value}",
+                   "--n-trees", 2, "--out", out) == 1
+        assert (f"sarberg train-gbm: --val-ratio must lie in [0, 1), got {float(value)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fractions,token", [
+        ("0.1,x", "x"), ("0.5, 1.0 ,half", "half"), ("0.1;0.3", "0.1;0.3"),
+    ])
+    def test_curve_fraction_that_is_no_number_refused_by_name(
+        self, tmp_path, dataset_file, fractions, token, capsys
+    ):
+        out = tmp_path / "out"
+        assert run("curve", "--input", dataset_file, "--fractions", fractions,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"sarberg curve: --fractions: {token!r} is not a number" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_refused_run_removes_the_parents_it_made(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]")

@@ -355,17 +355,18 @@ class TestTransfer:
 
 class TestCheckpoint:
     def test_round_trip_parameters_and_stats(self, tmp_path):
-        net = build_classifier(2, seed=9, conv_widths=(4, 4, 4), dense_width=8)
-        net.channels = ("hh", "hv")
-        net.channel_mean = np.array([0.5, -1.0])
-        net.channel_std = np.array([2.0, 3.0])
+        net = build_classifier(3, seed=9, conv_widths=(4, 4, 4), dense_width=8)
+        net.channels = ("hh", "hv", "diff")
+        net.channel_mean = np.array([0.5, -1.0, 1.5])
+        net.channel_std = np.array([2.0, 3.0, 0.25])
         net.fill_angle = 38.25
         path = tmp_path / "net.ckpt"
         save_network(net, path)
         again = load_network(path)
         assert again.kind == "classifier" and again.input_hw == (75, 75)
-        assert again.channels == ("hh", "hv")
+        assert again.channels == ("hh", "hv", "diff")
         assert np.array_equal(again.channel_mean, net.channel_mean)
+        assert np.array_equal(again.channel_std, net.channel_std)
         assert again.fill_angle == 38.25
         for (ka, pa), (kb, pb) in zip(net.parameters(), again.parameters()):
             assert ka == kb and np.array_equal(pa, pb)
@@ -443,6 +444,9 @@ class TestCheckpoint:
             "one-long input_hw": set_("input_hw", [8]),
             "boolean input_ch": set_("input_ch", True),
             "two channel names on three channels": set_("channels", ["hh", "hv"]),
+            "text channels": set_("channels", "hh,hv,diff"),
+            "numeric channel token": set_("channels", ["hh", "hv", 3]),
+            "recipe on two input channels": set_("input_ch", 2),
             "two channel means on three channels": set_("channel_mean", [0.0, 0.0]),
             "text channel std": set_("channel_std", ["a", "b", "c"]),
             "text fill_angle": set_("fill_angle", "38.5"),

@@ -1,5 +1,6 @@
 """Training-loop behavior: smoke, determinism, standardization, channels."""
 
+import inspect
 import warnings
 from dataclasses import fields, replace
 
@@ -10,10 +11,11 @@ from sarberg.data import (
     SampleSet,
     SarSample,
     SynthConfig,
+    mean_incidence,
     split_train_validation,
     synth_dataset,
 )
-from sarberg.features import derived_bands, feature_vector
+from sarberg.features import derived_bands, feature_vector, normalize_incidence
 from sarberg.nn import (
     PlateauScheduler,
     TrainConfig,
@@ -22,12 +24,14 @@ from sarberg.nn import (
     fit,
     fit_autoencoder,
     input_tensor,
+    load_network,
     loss_logloss,
     loss_mse,
     prepare_inputs,
+    save_network,
 )
 from sarberg.nn.layers import Conv2d
-from sarberg.nn.training import _backprop_loss, _standardize, channel_planes, label_vector
+from sarberg.nn.training import _backprop_loss, _standardize, label_vector
 
 
 def tiny_sets(n=16, seed=0):
@@ -50,43 +54,76 @@ def tiny_net(seed=0, dtype=np.float64):
     )
 
 
+def recipe_planes(s: SarSample, fill_angle=None) -> np.ndarray:
+    """The recipe built from its definition: each band corrected for the
+    scene's angle (or fill_angle) by itself, then the corrected difference."""
+    angle = s.inc_angle if s.inc_angle is not None else fill_angle
+    hh, hv = normalize_incidence(s.hh, angle), normalize_incidence(s.hv, angle)
+    return np.stack((hh, hv, hh - hv))
+
+
+def saved_with_channels(tmp_path, channels):
+    """A checkpoint of a fitted-looking classifier whose meta names channels."""
+    net = build_classifier(len(channels), seed=9, conv_widths=(2, 2, 2), dense_width=4)
+    net.channels = tuple(channels)
+    net.channel_mean = np.zeros(len(channels))
+    net.channel_std = np.ones(len(channels))
+    net.fill_angle = 38.0
+    path = tmp_path / "net.ckpt"
+    save_network(net, path)
+    return path
+
+
 class TestChannels:
     def test_default_recipe_planes(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        planes = channel_planes(s, ("hh", "hv", "diff"), None)
-        assert len(planes) == 3
+        planes = input_tensor(SampleSet((s,), provenance="synthetic"), None)[0]
+        assert planes.shape == (3, 75, 75)
+        assert planes.tobytes() == recipe_planes(s).tobytes()
         assert np.allclose(planes[2], s.hh - s.hv)
 
     def test_diff_is_computed_without_the_ratio(self):
         # diff is derived_bands' diff bitwise, and a ratio band that leaves
         # the float64 range does not touch it.
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        hh, hv, diff = channel_planes(s, ("hh", "hv", "diff"), None)
+        hh, hv, diff = input_tensor(SampleSet((s,), provenance="synthetic"), None)[0]
         assert diff.tobytes() == derived_bands(hh, hv)[0].tobytes()
         hot = np.full((5, 5), -20.0)
         hot[2, 2] = 4000.0  # 10^(4000/10) overflows float64
         s = SarSample(id="hot", hh=hot, hv=np.full((5, 5), -25.0), inc_angle=35.0, label=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            hh, hv, diff = channel_planes(s, ("hh", "hv", "diff"), None)
+            hh, hv, diff = input_tensor(SampleSet((s,), provenance="synthetic"), None)[0]
         assert diff.tobytes() == (hh - hv).tobytes()
 
     def test_normalization_applied_before_derivation(self):
         s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        norm = channel_planes(s, ("hh",), None)[0]
+        hh, hv, diff = input_tensor(SampleSet((s,), provenance="synthetic"), None)[0]
         correction = -10.0 * np.log10(np.cos(np.deg2rad(s.inc_angle)))
-        assert np.allclose(norm - s.hh, correction, atol=1e-12)
+        assert np.allclose(hh - s.hh, correction, atol=1e-12)
+        assert np.allclose(hv - s.hv, correction, atol=1e-12)
+        assert diff.tobytes() == (hh - hv).tobytes()
 
     @pytest.mark.parametrize("token", [
         "ratio", "gradmag_hh", "gradmag_hv", "laplacian_hh", "laplacian_hv",
         "smooth_hh", "smooth_hv",
     ])
-    def test_derived_channel_tokens_refused(self, token):
-        # The recipe is hh, hv and diff; the derived tokens it once took are
-        # unknown now, also after the three it keeps.
-        s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        with pytest.raises(ValueError, match=f"unknown channel token '{token}'"):
-            channel_planes(s, ("hh", "hv", "diff", token), None)
+    def test_derived_channel_tokens_refused(self, tmp_path, token):
+        # The recipe is hh, hv and diff; a checkpoint naming a derived token
+        # it once took is refused when loaded, by the token, also after the
+        # three it keeps and in place of one of them.
+        for channels in (("hh", "hv", "diff", token), ("hh", token, "diff")):
+            with pytest.raises(ValueError, match=f"^unknown channel token '{token}'$"):
+                load_network(saved_with_channels(tmp_path, channels))
+
+    @pytest.mark.parametrize("channels", [
+        ("diff", "hv", "hh"), ("hh", "hv"), ("hh",), ("hh", "hv", "diff", "diff"),
+        ("hv", "hh", "diff"),
+    ])
+    def test_another_arrangement_of_the_recipe_refused(self, tmp_path, channels):
+        # Every token is known, but only the recipe itself, in its order, is served.
+        with pytest.raises(ValueError, match=r"^corrupt checkpoint: malformed channels \["):
+            load_network(saved_with_channels(tmp_path, channels))
 
     def test_recipe_is_not_a_setting(self):
         assert TrainConfig.channels == TrainConfig().channels == ("hh", "hv", "diff")
@@ -94,11 +131,11 @@ class TestChannels:
             "epochs", "batch_size", "lr0", "seed", "dtype"]
         with pytest.raises(TypeError, match="channels"):
             TrainConfig(channels=("hh",))
+        assert "channels" not in inspect.signature(input_tensor).parameters
 
-    def test_unknown_token(self):
-        s = synth_dataset(SynthConfig(n_samples=2, seed=0))[0]
-        with pytest.raises(ValueError, match="unknown channel"):
-            channel_planes(s, ("fft",), None)
+    def test_unknown_token(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown channel token 'fft'"):
+            load_network(saved_with_channels(tmp_path, ("hh", "hv", "fft")))
 
     def test_missing_angle_needs_a_fill_angle(self):
         # feature_vector's words, for the same missing angle and fill.
@@ -106,7 +143,7 @@ class TestChannels:
         s = SarSample(id="x", hh=p, hv=p, inc_angle=None, label=0)
         with pytest.raises(ValueError,
                            match="sample 'x' has no incidence angle and no fill angle"):
-            channel_planes(s, ("hh",), None)
+            input_tensor(SampleSet((s,), provenance="synthetic"), None)
         with pytest.raises(ValueError,
                            match="sample 'x' has no incidence angle and no fill angle"):
             feature_vector(s, None)
@@ -120,25 +157,25 @@ class TestChannels:
                               for i, s in enumerate(base)), provenance="synthetic")
         filled = SampleSet(tuple(replace(s, inc_angle=37.25) if s.inc_angle is None else s
                                  for s in raw), provenance="synthetic")
-        channels = TrainConfig.channels
-        got = input_tensor(raw, channels, 37.25).astype(dtype)
-        assert got.tobytes() == input_tensor(filled, channels, None).astype(dtype).tobytes()
-        assert (input_tensor(base, channels, 37.25).tobytes()
-                == input_tensor(base, channels, None).tobytes())
+        got = input_tensor(raw, 37.25).astype(dtype)
+        assert got.tobytes() == input_tensor(filled, None).astype(dtype).tobytes()
+        assert input_tensor(base, 37.25).tobytes() == input_tensor(base, None).tobytes()
 
     def test_input_tensor_shape(self):
         sset = synth_dataset(SynthConfig(n_samples=3, seed=1))
-        x = input_tensor(sset, ("hh", "hv", "diff"), None)
+        x = input_tensor(sset, None)
         assert x.shape == (3, 3, 75, 75)
 
-    @pytest.mark.parametrize("channels", [
-        ("hh",), ("hh", "hv", "diff"), ("diff", "hv", "hh"),
-    ])
-    def test_input_tensor_matches_stacked_planes(self, channels):
-        # The preallocated fill against the stack of per-scene stacks it replaced.
-        sset = synth_dataset(SynthConfig(n_samples=5, seed=4))
-        expect = np.stack([np.stack(channel_planes(s, channels, None)) for s in sset])
-        got = input_tensor(sset, channels, None)
+    @pytest.mark.parametrize("seed", [801, 104729])
+    def test_input_tensor_matches_the_recipe_per_scene(self, seed):
+        # The preallocated fill against each scene's planes built from the
+        # recipe's definition, with every third angle missing.
+        base = synth_dataset(SynthConfig(n_samples=7, seed=seed))
+        sset = SampleSet(tuple(replace(s, inc_angle=None) if i % 3 == 0 else s
+                               for i, s in enumerate(base)), provenance="synthetic")
+        fill = mean_incidence(s.inc_angle for s in sset)
+        expect = np.stack([recipe_planes(s, fill) for s in sset])
+        got = input_tensor(sset, fill)
         assert got.dtype == expect.dtype and got.shape == expect.shape
         assert got.tobytes() == expect.tobytes()
 
@@ -146,7 +183,7 @@ class TestChannels:
         a, b = (SarSample(id=name, hh=np.zeros(hw), hv=np.zeros(hw), inc_angle=30.0)
                 for name, hw in (("a", (5, 5)), ("b", (5, 6))))
         with pytest.raises(ValueError, match=r"sample 'b': bands are \(5, 6\)"):
-            input_tensor(SampleSet((a, b), provenance="synthetic"), ("hh",), None)
+            input_tensor(SampleSet((a, b), provenance="synthetic"), None)
 
 
 class TestFit:
@@ -170,7 +207,7 @@ class TestFit:
         cfg = tiny_cfg()
         net, _ = fit(tiny_net(), train, val, cfg)
         assert net.channel_mean is not None and net.channels == cfg.channels
-        x = input_tensor(train, cfg.channels, None)
+        x = input_tensor(train, None)
         z = (x - net.channel_mean[None, :, None, None]) / net.channel_std[
             None, :, None, None
         ]
@@ -243,6 +280,13 @@ class TestFit:
                     TrainConfig(**{name: bad})
             assert getattr(TrainConfig(**{name: np.int64(2)}), name) == 2
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), np.nan])
+    def test_non_finite_lr0_refused(self, bad):
+        # NaN passes the floor comparison; it trained nothing and saved the
+        # untrained init, as no epoch's loss beats the initial best of inf.
+        with pytest.raises(ValueError, match="lr0 must be a finite number"):
+            TrainConfig(lr0=bad)
+
     def test_empty_set_rejected(self):
         train, val = tiny_sets()
         empty = SampleSet((), provenance="synthetic")
@@ -259,7 +303,7 @@ class TestFit:
         head = net.layers[-2]
         head.params["W"][:] = 0.0
         head.params["b"][:] = 17.0
-        x = input_tensor(ships, ("hh", "hv", "diff"), None)
+        x = input_tensor(ships, None)
         assert np.all(net.forward(x) == 1.0)
         before = loss_logloss(np.ones(len(ships)), np.zeros(len(ships)))
         cfg = tiny_cfg(epochs=1, batch_size=len(ships), lr0=1.0, dtype="float32")
@@ -323,7 +367,7 @@ class TestInPlaceArithmetic:
     def test_standardize_in_place_is_bitwise_the_old_expression(self, dtype):
         train, _ = tiny_sets(n=6, seed=5)
         net = tiny_net(dtype=np.dtype(dtype))
-        x = input_tensor(train, ("hh", "hv", "diff"), None)
+        x = input_tensor(train, None)
         net.channel_mean = x.mean(axis=(0, 2, 3))
         net.channel_std = x.std(axis=(0, 2, 3))
         old = (x - net.channel_mean[None, :, None, None]) / net.channel_std[None, :, None, None]
@@ -355,7 +399,7 @@ class TestTrainingState:
     def test_no_layer_keeps_training_state_after_a_run(self):
         train, val = tiny_sets()
         net = tiny_net()
-        net.forward(input_tensor(train, ("hh", "hv", "diff"), None), training=True,
+        net.forward(input_tensor(train, None), training=True,
                     rng=np.random.default_rng(0))
         kinds = {type(net.layers[i]).__name__ for i, _ in kept_arrays(net)}
         assert kinds == {"Conv2d", "Relu", "MaxPool2", "Dropout", "Dense", "Sigmoid"}
@@ -379,7 +423,7 @@ class TestTrainingState:
             return original(self, dout)
 
         train, val = tiny_sets()
-        x = input_tensor(train, ("hh", "hv", "diff"), None).astype(np.float32)
+        x = input_tensor(train, None).astype(np.float32)
         cfg = tiny_cfg(dtype="float32")
 
         def run():
