@@ -17,8 +17,9 @@ stack and curve. The CLI builds and trains networks in float32,
 HH and HV bands and their difference. A checkpoint that names another
 recipe is refused when predict or train-cnn --init-from loads it, by the
 token outside the recipe where it has one ("unknown channel token").
-train-cnn and curve train on each training scene plus --multiplier - 1
-randomly transformed copies of it, and refuse a multiplier below 1.
+train-cnn and curve train the CNN on each training scene plus --multiplier
+- 1 transformed copies of it, and refuse a multiplier below 1; stack's CNN
+member trains with no augmentation and no transfer.
 
 Every command reads a scene's is_iceberg label where its record has one and
 refuses a malformed one. train-gbm, train-cnn, stack, curve and eval's --truth
@@ -81,7 +82,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import data, ensemble, features, gbm, harness, imageops, metrics, nn
+from . import data, ensemble, features, gbm, harness, metrics, nn
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -230,6 +231,12 @@ def _load_set(path: Path, labeled: bool = False) -> data.SampleSet:
     return data.parse_samples(path.read_bytes(), labeled=labeled)
 
 
+def _existing_model(path: Path) -> Path:
+    if not path.exists():
+        raise ValueError(f"model file not found: {path}")
+    return path
+
+
 def _train_config(args: argparse.Namespace) -> nn.TrainConfig:
     return nn.TrainConfig(
         epochs=args.epochs,
@@ -342,15 +349,8 @@ def _cmd_train_cnn(args) -> None:
     sset = _load_set(args.input, labeled=True)
     cfg = _train_config(args)
     train_set, val_set = data.split_train_validation(sset, args.val_ratio, cfg.seed)
-    train_set = imageops.augment_dataset(  # multiplier 1 returns the split itself
-        train_set, imageops.AugmentationPolicy(), args.multiplier, cfg.seed
-    )
-
-    net = nn.build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
-    if args.init_from is not None:
-        ae = nn.load_network(args.init_from)
-        net = nn.transfer_encoder(ae, net)
-    net, history = nn.fit(net, train_set, val_set, cfg)
+    encoder = None if args.init_from is None else nn.load_network(_existing_model(args.init_from))
+    net, history = ensemble.train_cnn(train_set, val_set, cfg, args.multiplier, encoder)
     nn.save_network(net, args.out / "cnn.ckpt")
     harness.write_csv(
         args.out / "history.csv",
@@ -374,9 +374,7 @@ def _cmd_train_cnn(args) -> None:
 def _load_model_predictor(model_path: Path):
     """Return (kind, predict_fn(SampleSet) -> PredictionSet), by the file's own
     format: a network checkpoint is a zip archive, anything else a GBM file."""
-    if not model_path.exists():
-        raise ValueError(f"model file not found: {model_path}")
-    with open(model_path, "rb") as f:
+    with open(_existing_model(model_path), "rb") as f:
         is_checkpoint = f.read(4) == b"PK\x03\x04"  # every zip archive starts so
     if is_checkpoint:
         return "cnn", ensemble.cnn_predictor(nn.load_network(model_path))

@@ -7,8 +7,8 @@ once per out-of-fold run, so a member does there the work that does not
 depend on the fold: the boosted-tree member featurises every scene once and
 per fold only fills the missing angles. Factories for the two built-in
 members (boosted trees on the statistics features, and the CNN) live at the
-bottom, next to the predictors that score a whole SampleSet with one saved
-model.
+bottom, next to `train_gbm` and `train_cnn`, which fit one model on a whole
+set, and the predictors that score a whole SampleSet with one saved model.
 
 The folds are shared with one forked child, on the state both processes
 inherit from the members' first call (`forked.map_items`, whose docstring
@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import forked, nn
+from . import forked, imageops, nn
 from .data import SampleSet, mean_incidence, split_train_validation
 from .features import FEATURE_NAMES, feature_matrix
 from .gbm import GbmModel, GbmParams, fit_gbm, predict_gbm
@@ -230,10 +230,27 @@ def train_gbm(train_set: SampleSet, params: GbmParams) -> GbmModel:
     of its present angles fills missing ones as the features are read, and
     becomes the model's fill_angle."""
     fill_angle = mean_incidence(s.inc_angle for s in train_set)
-    _, X, y = feature_matrix(train_set, fill_angle)
+    y = nn.label_vector(train_set)  # refuses an unlabeled scene before featurising
+    _, X, _ = feature_matrix(train_set, fill_angle)
     model = fit_gbm(X, y, params)
     model.fill_angle = fill_angle
     return model
+
+
+def train_cnn(
+    train_set: SampleSet, val_set: SampleSet, cfg: nn.TrainConfig,
+    multiplier: int = 1, encoder: nn.Network | None = None,
+) -> tuple[nn.Network, nn.History]:
+    """The reference CNN fitted on each training scene plus multiplier - 1
+    transformed copies of it. The copies and the fresh weights draw from
+    cfg.seed; an encoder's trunk replaces the fresh one before the fit."""
+    train_set = imageops.augment_dataset(
+        train_set, imageops.AugmentationPolicy(), multiplier, cfg.seed
+    )
+    net = nn.build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
+    if encoder is not None:
+        net = nn.transfer_encoder(encoder, net)
+    return nn.fit(net, train_set, val_set, cfg)
 
 
 def gbm_predictor(model: GbmModel) -> Predictor:
@@ -287,17 +304,16 @@ def _rows(sset: SampleSet, rows: np.ndarray) -> SampleSet:
 
 
 def cnn_trainer(cfg: nn.TrainConfig) -> Trainer:
-    """Out-of-fold reference CNN, built from cfg's seed and dtype; holds out
-    a fifth of each fold's training rows as the validation split for the
-    plateau monitor and best-epoch restore."""
+    """Out-of-fold reference CNN: per fold, `train_cnn` with no augmentation or
+    transfer on four fifths of the fold's training rows, the other fifth being
+    the validation split for the plateau monitor and best-epoch restore."""
 
     def member(sset: SampleSet):
         def fold(train_rows: np.ndarray, hold_rows: np.ndarray) -> np.ndarray:
             inner_train, inner_val = split_train_validation(
                 _rows(sset, train_rows), 0.2, cfg.seed
             )
-            net = nn.build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
-            net, _ = nn.fit(net, inner_train, inner_val, cfg)
+            net, _ = train_cnn(inner_train, inner_val, cfg)
             preds = cnn_predictor(net)(_rows(sset, hold_rows))
             return np.fromiter(preds.values(), np.float64)
 

@@ -18,9 +18,9 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .data import SampleSet, SarSample, split_train_validation
-from .imageops import AugmentationPolicy, augment_dataset
+from .ensemble import train_cnn
 from .metrics import metric_accuracy, metric_confusion, metric_logloss
-from .nn import TrainConfig, build_classifier, fit
+from .nn import TrainConfig
 
 PredictionSet = dict[str, float]
 
@@ -53,7 +53,7 @@ def learning_curve(
     multiplier: int = 1,
     val_ratio: float = 0.2,
 ) -> list[CurveRow]:
-    """Train the reference CNN on growing slices of the training data.
+    """Train the reference CNN (`ensemble.train_cnn`) on growing slices.
 
     A single validation split is held out of `base` first so every fraction
     is scored against the same samples. Each row records the losses at the
@@ -64,24 +64,25 @@ def learning_curve(
         raise ValueError("fractions must be ascending and non-empty")
     if not all(0.0 < f <= 1.0 for f in fractions):
         raise ValueError("fractions must lie in (0, 1]")
+    if multiplier < 1:
+        raise ValueError("multiplier must be >= 1")
     train_side, val_side = split_train_validation(base, val_ratio, cfg.seed)
 
     rows = []
     for fraction in fractions:
         subset = _stratified_fraction(train_side, fraction, cfg.seed)
-        augmented = augment_dataset(subset, AugmentationPolicy(), multiplier, cfg.seed)
-        if len(augmented) < 2 * cfg.batch_size:
+        n_samples = len(subset) * multiplier
+        if n_samples < 2 * cfg.batch_size:
             raise ValueError(
-                f"fraction {fraction} yields {len(augmented)} samples, "
+                f"fraction {fraction} yields {n_samples} samples, "
                 f"need at least {2 * cfg.batch_size}"
             )
-        net = build_classifier(len(cfg.channels), cfg.seed, dtype=np.dtype(cfg.dtype))
-        _, history = fit(net, augmented, val_side, cfg)
+        _, history = train_cnn(subset, val_side, cfg, multiplier)
         best = history.best_epoch()
         rows.append(
             CurveRow(
                 fraction=float(fraction),
-                n_samples=len(augmented),
+                n_samples=n_samples,
                 train_loss=history.train_loss[best],
                 val_loss=history.val_loss[best],
             )

@@ -463,6 +463,16 @@ class TestPipeline:
         assert f"sarberg {command}: multiplier must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,flag", [("predict", "--model"), ("train-cnn", "--init-from")])
+    def test_missing_model_file_refused_by_name(
+        self, tmp_path, dataset_file, command, flag, capsys
+    ):
+        out, missing = tmp_path / "out", tmp_path / "nope.ckpt"
+        assert run(command, "--input", dataset_file, flag, missing, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"sarberg {command}: model file not found: {missing}\n" == err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,flag", [
         ("synth", "--iceberg-fraction"),
         ("train-gbm", "--shrinkage"),

@@ -1,5 +1,6 @@
 """Out-of-fold generation, the logistic stacker, and fixed blends."""
 
+import ast
 import os
 import re
 import signal
@@ -19,17 +20,26 @@ from sarberg.ensemble import (
     Stacker,
     blend,
     cnn_predictor,
+    cnn_trainer,
     fit_stacker,
     gbm_predictor,
     gbm_trainer,
     oof_predictions,
     predict_stacker,
     stratified_folds,
+    train_cnn,
     train_gbm,
 )
 from sarberg.gbm import GbmParams
+from sarberg.imageops import AugmentationPolicy, augment_dataset
 from sarberg.mathutil import binary_logloss, logit, sigmoid
-from sarberg.nn import TrainConfig, build_classifier, fit
+from sarberg.nn import (
+    TrainConfig,
+    build_autoencoder,
+    build_classifier,
+    fit,
+    transfer_encoder,
+)
 
 
 def labeled_set(n=40, seed=0):
@@ -445,3 +455,104 @@ class TestClassOverlap:
         assert accuracy[0] == 1.0
         assert all(a > b for a, b in zip(accuracy, accuracy[1:])), accuracy
         assert 0.65 <= accuracy[-1] <= 0.85, accuracy
+
+
+class TestTrainCnn:
+    """`train_cnn` is the one CNN recipe: augment, build, transfer, fit."""
+
+    CFG = TrainConfig(epochs=2, batch_size=8, seed=3)
+
+    def test_equals_the_steps_written_out(self):
+        sset = synth_dataset(SynthConfig(n_samples=12, seed=6))
+        train, val = split_train_validation(sset, 0.25, 1)
+        encoder = build_autoencoder(3, seed=5, dtype=np.float32)
+        net, history = train_cnn(train, val, self.CFG, 2, encoder=encoder)
+
+        augmented = augment_dataset(train, AugmentationPolicy(), 2, self.CFG.seed)
+        expected = build_classifier(3, self.CFG.seed, dtype=np.float32)
+        expected = transfer_encoder(encoder, expected)
+        expected, expected_history = fit(expected, augmented, val, self.CFG)
+
+        assert history == expected_history and len(history) == 2
+        state, expected_state = net.get_state(), expected.get_state()
+        assert state.keys() == expected_state.keys()
+        for key in state:
+            assert state[key].tobytes() == expected_state[key].tobytes(), key
+
+    def test_cnn_trainer_fold_is_train_cnn_on_its_inner_split(self):
+        sset = synth_dataset(SynthConfig(n_samples=15, seed=8))
+        cfg = replace(self.CFG, epochs=1)
+        train_rows, hold_rows = np.arange(10), np.arange(10, 15)
+        got = cnn_trainer(cfg)(sset)(train_rows, hold_rows)
+
+        def rows(r):
+            return SampleSet(tuple(sset[i] for i in r), provenance=sset.provenance)
+
+        inner_train, inner_val = split_train_validation(rows(train_rows), 0.2, cfg.seed)
+        net, _ = train_cnn(inner_train, inner_val, cfg)
+        expected = np.fromiter(cnn_predictor(net)(rows(hold_rows)).values(), np.float64)
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("trainer", ["gbm", "cnn"])
+def test_trainers_refuse_an_unlabeled_scene(trainer):
+    sset = synth_dataset(SynthConfig(n_samples=8, seed=2))
+    unlabeled = SampleSet((replace(sset[0], label=None), *sset.samples[1:4]))
+    with pytest.raises(ValueError, match="^sample set contains unlabeled samples$"):
+        if trainer == "gbm":
+            train_gbm(unlabeled, GbmParams(n_trees=2, min_samples_leaf=1))
+        else:
+            train_cnn(unlabeled, SampleSet(sset.samples[4:]), TrainConfig(epochs=1))
+
+
+CNN_RECIPE = {"build_classifier", "transfer_encoder", "augment_dataset"}
+
+
+def _recipe_uses(tree, module):
+    """(where, step) for each call or import of a CNN recipe step in a module;
+    where is "<module>.<function>", innermost, or "<module>" outside any."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in CNN_RECIPE:
+                    found.add((where, name))
+            elif isinstance(child, ast.ImportFrom):
+                found.update((where, a.name) for a in child.names if a.name in CNN_RECIPE)
+            visit(child, where)
+
+    visit(tree, module)
+    return found
+
+
+def test_only_train_cnn_runs_the_cnn_recipe():
+    """Outside the modules that define them, the recipe's steps are called in
+    `ensemble.train_cnn` only, so no command trains the CNN its own way."""
+    root = Path(sarberg.__file__).parent
+    uses = set()
+    for path in sorted(root.rglob("*.py")):
+        module = path.relative_to(root).with_suffix("").as_posix().replace("/", ".")
+        if module == "imageops" or module.startswith("nn."):
+            continue
+        uses |= _recipe_uses(ast.parse(path.read_text(), filename=str(path)), module)
+    assert sorted(uses) == [("ensemble.train_cnn", name) for name in sorted(CNN_RECIPE)]
+
+
+def test_recipe_uses_found_as_calls_and_imports():
+    tree = ast.parse(
+        "from .imageops import augment_dataset\n"
+        "def outer():\n"
+        "    def inner():\n"
+        "        return nn.build_classifier(3, 0)\n"
+        "    return augment_dataset(s, p, 2, 0), transfer_encoder\n"
+    )
+    assert _recipe_uses(tree, "m") == {
+        ("m", "augment_dataset"), ("m.inner", "build_classifier"),
+        ("m.outer", "augment_dataset"),
+    }

@@ -17,8 +17,9 @@ import numpy as np
 import sarberg.ensemble
 import sarberg.gbm
 import sarberg.nn
-from sarberg.data import SynthConfig, synth_dataset
+from sarberg.data import SynthConfig, split_train_validation, synth_dataset
 from sarberg.gbm import GbmParams, fit_gbm
+from sarberg.nn import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -138,6 +139,21 @@ def test_gbm_oof_featurises_once():
     assert tracer.names.count("features.feature_matrix") == 1
     for name in ("gbm.fit_gbm", "gbm.best_split", "gbm.predict_gbm"):
         assert name in tracer.names, name
+
+
+def test_train_cnn_calls_traced_names():
+    # The benchmark times augmentation and the classifier fit through
+    # `sarberg.imageops.augment_dataset` and `sarberg.nn.fit`; a trainer that
+    # bound either name at import would leave its span empty.
+    train, val = split_train_validation(synth_dataset(SynthConfig(n_samples=8, seed=7)), 0.25, 1)
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        sarberg.ensemble.train_cnn(train, val, TrainConfig(epochs=1, batch_size=4), 2)
+    finally:
+        tracer.uninstall()
+    for name in ("imageops.augment_dataset", "nn.fit"):
+        assert tracer.names.count(name) == 1, name
 
 
 def test_benchmark_selftest_passes():
